@@ -10,17 +10,11 @@ import argparse
 import json
 import os
 
-from qcr.certificate import verify_certificate
+from qcr.certificate import CONDITIONS, verify_certificate
 from qcr.fileio import write_report
 from qcr.instances import InstanceParams, derive_seed, gen_planted
 
-CONDITION_LABELS = (
-    "spectral norm of golfing half",
-    "on-support residual of golfing half",
-    "off-support entry norm, golfing half",
-    "spectral norm of series half",
-    "off-support entry norm, series half",
-)
+CONDITION_LABELS = tuple(c.label for c in CONDITIONS)
 
 
 def main() -> None:
@@ -36,7 +30,7 @@ def main() -> None:
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    condition_passes = [0] * 5
+    condition_passes = [0] * len(CONDITIONS)
     overall_passes = 0
     for k in range(args.count):
         seed = derive_seed(args.base_seed, k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import PlantedInstance, derive_seed
+from .instances import InstanceParams, PlantedInstance, derive_seed
 from .linalg import (
     SupportSet,
     TangentSpace,
@@ -42,6 +42,9 @@ __all__ = [
     "verify_certificate",
     "check_concentration",
     "DEFAULT_RANK_TOL",
+    "Check",
+    "CONDITIONS",
+    "GATES",
 ]
 
 # Rank cut used when factoring a planted block: the sampled block has one
@@ -51,6 +54,42 @@ __all__ = [
 DEFAULT_RANK_TOL = 0.25
 
 _CERT_SEED_TAG = 0xCE27
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verified inequality: the CertificateReport field named measured
+    must stand in relation ("<" or "<=") to scale, or to scale * lam when
+    lam_scaled."""
+
+    label: str
+    measured: str
+    relation: str
+    scale: float
+    lam_scaled: bool = False
+
+    def threshold(self, lam: float) -> float:
+        return self.scale * lam if self.lam_scaled else self.scale
+
+    def holds(self, value: float, lam: float) -> bool:
+        bound = self.threshold(lam)
+        return value < bound if self.relation == "<" else value <= bound
+
+
+# The five sufficient conditions, in the order of CertificateReport.conditions.
+CONDITIONS = (
+    Check("spectral norm of golfing half", "norm_QB", "<", 1 / 8),
+    Check("on-support residual of golfing half", "residual_golfing", "<", 1 / 8, lam_scaled=True),
+    Check("off-support entry norm, golfing half", "linf_complement_B", "<", 1 / 4, lam_scaled=True),
+    Check("spectral norm of series half", "norm_QC", "<", 1 / 8),
+    Check("off-support entry norm, series half", "linf_complement_C", "<", 1 / 4),
+)
+
+# The gates that CertificateReport.overall requires on top of the conditions.
+GATES = (
+    Check("support/tangent operator norm", "opnorm_PGPT", "<=", 1 / 2),
+    Check("lambda", "lam", "<", 1.0),
+)
 
 
 class NeumannDivergenceError(RuntimeError):
@@ -100,6 +139,23 @@ class GolfingConfig:
         q = 1.0 - p ** (1.0 / k0)
         return cls(k0=k0, q=q, p=p, seed=seed)
 
+    @classmethod
+    def for_instance(
+        cls,
+        params: InstanceParams,
+        p: float | None = None,
+        seed: int | None = None,
+        k0: int | None = None,
+    ) -> "GolfingConfig":
+        """for_problem at the instance's size, with p defaulting to gamma and
+        seed to one derived from the instance seed."""
+        return cls.for_problem(
+            params.n,
+            p=params.gamma if p is None else p,
+            seed=derive_seed(params.seed, _CERT_SEED_TAG) if seed is None else seed,
+            k0=k0,
+        )
+
 
 @dataclass(frozen=True)
 class ConcentrationReport:
@@ -116,12 +172,9 @@ class ConcentrationReport:
 class CertificateReport:
     """Certificate verification output.
 
-    conditions holds the five flags, in order: spectral norm of the golfing
-    half below 1/8; its residual on the noise support below lam/8; its
-    entrywise norm off the noise support below lam/4; spectral norm of the
-    Neumann half below 1/8; its entrywise norm off the noise support below
-    1/4. overall additionally requires opnorm_PGPT <= 1/2 and lam < 1.
-    joint_* fields report the same style of measurement on the summed dual.
+    conditions holds the five flags of CONDITIONS, in order; overall
+    additionally requires every GATES check. joint_* fields report the same
+    style of measurement on the summed dual.
     """
 
     Q_B: np.ndarray
@@ -281,9 +334,7 @@ def verify_certificate(
     if lam is None:
         lam = 1.0 / math.sqrt(n)
     if cfg is None:
-        cfg = GolfingConfig.for_problem(
-            n, p=params.gamma, seed=derive_seed(params.seed, _CERT_SEED_TAG)
-        )
+        cfg = GolfingConfig.for_instance(params)
 
     factors = svd(inst.B0, rank_tol)
     T = TangentSpace.from_factors(factors)
@@ -297,20 +348,17 @@ def verify_certificate(
     Q_C = neumann_QC(Gamma, T, sign_C0, lam, tol=neumann_tol, max_terms=neumann_max_terms)
 
     on_gamma = Gamma.mask
-    norm_QB = norm(Q_B, "spectral")
-    residual_golfing = float(np.linalg.norm(np.where(on_gamma, E + Q_B, 0.0)))
-    linf_complement_B = float(np.abs(np.where(on_gamma, 0.0, E + Q_B)).max(initial=0.0))
-    norm_QC = norm(Q_C, "spectral")
-    linf_complement_C = float(np.abs(np.where(on_gamma, 0.0, Q_C)).max(initial=0.0))
-
-    conditions = (
-        norm_QB < 1.0 / 8.0,
-        residual_golfing < lam / 8.0,
-        linf_complement_B < lam / 4.0,
-        norm_QC < 1.0 / 8.0,
-        linf_complement_C < 1.0 / 4.0,
-    )
-    overall = all(conditions) and opn <= 0.5 and lam < 1.0
+    measured = {
+        "norm_QB": norm(Q_B, "spectral"),
+        "residual_golfing": float(np.linalg.norm(np.where(on_gamma, E + Q_B, 0.0))),
+        "linf_complement_B": float(np.abs(np.where(on_gamma, 0.0, E + Q_B)).max(initial=0.0)),
+        "norm_QC": norm(Q_C, "spectral"),
+        "linf_complement_C": float(np.abs(np.where(on_gamma, 0.0, Q_C)).max(initial=0.0)),
+        "opnorm_PGPT": opn,
+        "lam": lam,
+    }
+    conditions = tuple(c.holds(measured[c.measured], lam) for c in CONDITIONS)
+    overall = all(conditions) and all(g.holds(measured[g.measured], lam) for g in GATES)
 
     Q = Q_B + Q_C
     joint_norm_Q = norm(Q, "spectral")
@@ -323,13 +371,7 @@ def verify_certificate(
     return CertificateReport(
         Q_B=Q_B,
         Q_C=Q_C,
-        norm_QB=norm_QB,
-        residual_golfing=residual_golfing,
-        linf_complement_B=linf_complement_B,
-        norm_QC=norm_QC,
-        linf_complement_C=linf_complement_C,
-        opnorm_PGPT=opn,
-        lam=lam,
+        **measured,
         conditions=conditions,
         overall=overall,
         golfing_trace=tuple(trace),

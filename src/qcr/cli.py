@@ -11,15 +11,13 @@ certificate series did not converge.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
-import math
 import os
 import sys
 
-import numpy as np
-
-from .certificate import GolfingConfig, NeumannDivergenceError, verify_certificate
-from .experiments import GridSpec, export_grid, run_phase_grid, run_size_grid
+from .certificate import CONDITIONS, GATES, GolfingConfig, NeumannDivergenceError, verify_certificate
+from .experiments import PHASE_GRID, SIZE_GRID, export_grid, run_phase_grid, run_size_grid
 from .fileio import (
     FileFormatError,
     parse_config_file,
@@ -28,7 +26,7 @@ from .fileio import (
     write_report,
     write_result,
 )
-from .instances import InstanceParams, derive_seed, gen_planted
+from .instances import InstanceParams, gen_planted
 from .linalg import NORM_KINDS, norm
 from .solver import (
     QuasiCliqueParams,
@@ -59,6 +57,17 @@ def _merged(args, cfg: dict, key: str, cast, default=None):
         raw = cfg[key]
         return raw.lower() in ("1", "true", "yes") if cast is bool else cast(raw)
     return default
+
+
+def _given(args, cfg: dict, keys) -> dict:
+    """Keyword arguments for the (key, keyword, cast) triples whose value a
+    flag or the config file set; unset ones are left to the library default."""
+    out = {}
+    for key, keyword, cast in keys:
+        val = _merged(args, cfg, key, cast)
+        if val is not None:
+            out[keyword] = val
+    return out
 
 
 def _require(value, name: str):
@@ -94,22 +103,28 @@ def cmd_gen(args, cfg) -> int:
     return EXIT_OK
 
 
+# --mode value -> the label written to stdout and the result JSON
+_MODE_LABELS = {"plain": "plain_decomposition", "quasi_clique": "quasi_clique_constrained"}
+
+# (flag/config key, SolverOptions field, cast)
+_SOLVER_KEYS = (
+    ("lam", "lam", float),
+    ("mu0", "mu0", float),
+    ("mu_growth", "mu_growth", float),
+    ("tol", "tol_primal", float),
+    ("max_iters", "max_iters", int),
+)
+
+
 def cmd_solve(args, cfg) -> int:
     path = _require(_merged(args, cfg, "input", str), "input")
     M, inst = read_matrix_any(path)
     n = M.shape[0]
     mode = _merged(args, cfg, "mode", str, "plain")
-    if mode not in ("plain", "quasi_clique"):
+    if mode not in _MODE_LABELS:
         raise ValueError(f"--mode must be 'plain' or 'quasi_clique', got {mode!r}")
-    lam = _merged(args, cfg, "lam", float)
-    opts = SolverOptions(
-        lam=lam,
-        mu0=_merged(args, cfg, "mu0", float),
-        mu_growth=_merged(args, cfg, "mu_growth", float, 1.5),
-        tol_primal=_merged(args, cfg, "tol", float, 1e-8),
-        max_iters=_merged(args, cfg, "max_iters", int, 2000),
-        mode="plain_decomposition" if mode == "plain" else "quasi_clique_constrained",
-    )
+    label = _MODE_LABELS[mode]
+    opts = SolverOptions(**_given(args, cfg, _SOLVER_KEYS))
     if mode == "quasi_clique":
         gamma = _merged(args, cfg, "gamma", float, inst.params.gamma if inst else None)
         eta = _merged(args, cfg, "eta", int, inst.params.n_c if inst else None)
@@ -137,9 +152,9 @@ def cmd_solve(args, cfg) -> int:
             },
         }
     out = _merged(args, cfg, "out", str, "result.json")
-    write_result(result, out, lam=lam_used, mode=opts.mode, extras=extras)
+    write_result(result, out, lam=lam_used, mode=label, extras=extras)
     print(
-        f"mode={opts.mode} lambda={lam_used:.6g} iterations={result.iterations} "
+        f"mode={label} lambda={lam_used:.6g} iterations={result.iterations} "
         f"primal_residual={result.primal_residual:.3e} objective={result.objective:.8g} "
         f"converged={result.converged} -> {out}"
     )
@@ -149,48 +164,29 @@ def cmd_solve(args, cfg) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
+# (flag/config key, GolfingConfig.for_instance argument, cast)
+_GOLFING_KEYS = (("p", "p", float), ("k0", "k0", int), ("cert_seed", "seed", int))
+
+# (flag/config key, verify_certificate argument, cast)
+_CERTIFY_KEYS = (("lam", "lam", float), ("rank_tol", "rank_tol", float), ("c0", "regime_c0", float))
+
+
 def cmd_certify(args, cfg) -> int:
     path = _require(_merged(args, cfg, "input", str), "input")
     _, inst = read_matrix_any(path)
     if inst is None:
         raise ValueError("certify requires an instance file with ground truth, not a bare matrix")
-    n = inst.params.n
-    lam = _merged(args, cfg, "lam", float, 1.0 / math.sqrt(n))
-    p = _merged(args, cfg, "p", float)
-    k0 = _merged(args, cfg, "k0", int)
-    cert_seed = _merged(args, cfg, "cert_seed", int)
-    golf_cfg = None
-    if p is not None or k0 is not None or cert_seed is not None:
-        golf_cfg = GolfingConfig.for_problem(
-            n,
-            p=p if p is not None else inst.params.gamma,
-            seed=cert_seed if cert_seed is not None else derive_seed(inst.params.seed, 0xCE27),
-            k0=k0,
-        )
-    report = verify_certificate(
-        inst,
-        lam=lam,
-        cfg=golf_cfg,
-        rank_tol=_merged(args, cfg, "rank_tol", float, 0.25),
-        regime_c0=_merged(args, cfg, "c0", float, 1.0),
-    )
+    golf_cfg = GolfingConfig.for_instance(inst.params, **_given(args, cfg, _GOLFING_KEYS))
+    report = verify_certificate(inst, cfg=golf_cfg, **_given(args, cfg, _CERTIFY_KEYS))
     out = _merged(args, cfg, "out", str, "report.json")
-    write_report(report, out, include_matrices=bool(getattr(args, "include_matrices", False)))
+    write_report(report, out, include_matrices=_merged(args, cfg, "include_matrices", bool, False))
 
-    checks = [
-        ("spectral norm of golfing half", report.norm_QB, 1 / 8, "<"),
-        ("on-support residual of golfing half", report.residual_golfing, report.lam / 8, "<"),
-        ("off-support entry norm, golfing half", report.linf_complement_B, report.lam / 4, "<"),
-        ("spectral norm of series half", report.norm_QC, 1 / 8, "<"),
-        ("off-support entry norm, series half", report.linf_complement_C, 1 / 4, "<"),
-    ]
-    for (label, measured, threshold, rel), ok in zip(checks, report.conditions):
-        mark = "PASS" if ok else "FAIL"
-        print(f"[{mark}] {label}: {measured:.6f} {rel} {threshold:.6f}")
-    gate1 = report.opnorm_PGPT <= 0.5
-    gate2 = report.lam < 1.0
-    print(f"[{'PASS' if gate1 else 'FAIL'}] support/tangent operator norm: {report.opnorm_PGPT:.6f} <= 0.5")
-    print(f"[{'PASS' if gate2 else 'FAIL'}] lambda: {report.lam:.6f} < 1")
+    lam = report.lam
+    rows = [(c, ok, f"{c.threshold(lam):.6f}") for c, ok in zip(CONDITIONS, report.conditions)]
+    rows += [(g, g.holds(getattr(report, g.measured), lam), f"{g.threshold(lam):g}") for g in GATES]
+    for check, ok, threshold in rows:
+        measured = getattr(report, check.measured)
+        print(f"[{'PASS' if ok else 'FAIL'}] {check.label}: {measured:.6f} {check.relation} {threshold}")
     print(f"overall: {report.overall} -> {out}")
     return EXIT_OK if report.overall else EXIT_CERT_FAILED
 
@@ -199,65 +195,51 @@ def _default_sizes(n_max: int) -> tuple[int, ...]:
     return tuple(range(25, n_max + 1, 25))
 
 
+# --kind -> (headline grid, axis keys, fixed-parameter keys), each key a
+# (flag/config key, field, cast) triple
+_GRIDS = {
+    "size": (
+        SIZE_GRID,
+        (("n_list", "axis1_values", _int_list), ("fractions", "axis2_values", _float_list)),
+        (("gamma", "gamma", float), ("rho", "rho", float)),
+    ),
+    "phase": (
+        PHASE_GRID,
+        (("gammas", "axis1_values", _float_list), ("rhos", "axis2_values", _float_list)),
+        (("n", "n", int), ("nc", "n_c", int)),
+    ),
+}
+
+
 def cmd_grid(args, cfg) -> int:
     kind = _require(_merged(args, cfg, "kind", str), "kind")
-    if kind not in ("size", "phase"):
+    if kind not in _GRIDS:
         raise ValueError(f"--kind must be 'size' or 'phase', got {kind!r}")
-    trials = _merged(args, cfg, "trials", int, 10)
-    base_seed = _merged(args, cfg, "base_seed", int, 0)
+    base, axis_keys, fixed_keys = _GRIDS[kind]
     threads = _merged(args, cfg, "threads", int)
-    if threads is None and "QCR_THREADS" in os.environ:
-        threads = int(os.environ["QCR_THREADS"])
 
-    if kind == "size":
-        n_list = _merged(args, cfg, "n_list", _int_list)
-        if n_list is None:
-            n_list = _default_sizes(_merged(args, cfg, "n_max", int, 100))
-        fractions = _merged(
-            args, cfg, "fractions", _float_list, tuple(round(0.1 * k, 1) for k in range(1, 11))
-        )
-        spec = GridSpec(
-            axis1_name="n",
-            axis1_values=n_list,
-            axis2_name="fraction",
-            axis2_values=fractions,
-            fixed={
-                "gamma": _merged(args, cfg, "gamma", float, 0.85),
-                "rho": _merged(args, cfg, "rho", float, 0.25),
-            },
-            trials=trials,
-            base_seed=base_seed,
-        )
-        runner = run_size_grid
-    else:
-        spec = GridSpec(
-            axis1_name="gamma",
-            axis1_values=_merged(
-                args, cfg, "gammas", _float_list, tuple(round(0.5 + 0.1 * k, 1) for k in range(6))
-            ),
-            axis2_name="rho",
-            axis2_values=_merged(
-                args, cfg, "rhos", _float_list, tuple(round(0.1 * k, 1) for k in range(8))
-            ),
-            fixed={
-                "n": _merged(args, cfg, "n", int, 100),
-                "n_c": _merged(args, cfg, "nc", int, 85),
-            },
-            trials=trials,
-            base_seed=base_seed,
-        )
-        runner = run_phase_grid
+    axes = _given(args, cfg, axis_keys)
+    n_max = _merged(args, cfg, "n_max", int)
+    if kind == "size" and "axis1_values" not in axes and n_max is not None:
+        axes["axis1_values"] = _default_sizes(n_max)
+    spec = dataclasses.replace(
+        base,
+        **axes,
+        fixed={**base.fixed, **_given(args, cfg, fixed_keys)},
+        **_given(args, cfg, (("trials", "trials", int), ("base_seed", "base_seed", int))),
+    )
 
     out_dir = _merged(args, cfg, "out_dir", str, ".")
     prefix = _merged(args, cfg, "prefix", str, f"{kind}_grid")
     os.makedirs(out_dir, exist_ok=True)
     path_prefix = os.path.join(out_dir, prefix)
 
+    runner = run_size_grid if kind == "size" else run_phase_grid
     grid = runner(spec, threads=threads)
     export_grid(grid, path_prefix)
     print(
         f"{kind} grid {grid.success_rate.shape[0]}x{grid.success_rate.shape[1]} "
-        f"trials={trials} total_time={grid.wall_times.sum():.1f}s -> "
+        f"trials={spec.trials} total_time={grid.wall_times.sum():.1f}s -> "
         f"{path_prefix}.csv, {path_prefix}.pgm, {path_prefix}_manifest.json"
     )
     if not grid.complete:
@@ -296,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the decomposition for an instance or matrix file")
     p.add_argument("--input")
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mode", choices=("plain", "quasi_clique"))
+    p.add_argument("--mode", choices=tuple(_MODE_LABELS))
     p.add_argument("--eta", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--mu0", type=float)
@@ -314,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-seed", dest="cert_seed", type=int)
     p.add_argument("--rank-tol", dest="rank_tol", type=float)
     p.add_argument("--c0", type=float)
-    p.add_argument("--include-matrices", dest="include_matrices", action="store_true")
+    p.add_argument("--include-matrices", dest="include_matrices", action="store_true", default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("grid", help="run a recovery grid and export CSV/PGM/manifest")
-    p.add_argument("--kind", choices=("size", "phase"))
+    p.add_argument("--kind", choices=tuple(_GRIDS))
     p.add_argument("--trials", type=int)
     p.add_argument("--base-seed", dest="base_seed", type=int)
     p.add_argument("--threads", type=int)

@@ -27,6 +27,8 @@ from .solver import (
 
 __all__ = [
     "GridSpec",
+    "SIZE_GRID",
+    "PHASE_GRID",
     "RecoveryGrid",
     "EtaSweepEntry",
     "run_size_grid",
@@ -62,6 +64,24 @@ class GridSpec:
         names = {self.axis1_name, self.axis2_name} | set(self.fixed)
         if len(names) != 2 + len(self.fixed):
             raise ValueError("axis and fixed parameter names must be disjoint")
+
+
+# The two headline grids: recovery rate by graph size and planted fraction,
+# and by block density and noise density.
+SIZE_GRID = GridSpec(
+    axis1_name="n",
+    axis1_values=(25, 50, 75, 100),
+    axis2_name="fraction",
+    axis2_values=tuple(round(0.1 * k, 1) for k in range(1, 11)),
+    fixed={"gamma": 0.85, "rho": 0.25},
+)
+PHASE_GRID = GridSpec(
+    axis1_name="gamma",
+    axis1_values=tuple(round(0.5 + 0.1 * k, 1) for k in range(6)),
+    axis2_name="rho",
+    axis2_values=tuple(round(0.1 * k, 1) for k in range(8)),
+    fixed={"n": 100, "n_c": 85},
+)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,7 @@ import json
 import numpy as np
 
 from .certificate import CertificateReport
-from .instances import InstanceParams, PlantedInstance, gen_planted
-from .linalg import SupportSet
+from .instances import InstanceParams, PlantedInstance
 from .solver import DecompositionResult
 
 __all__ = [
@@ -80,24 +79,7 @@ def read_instance(path: str) -> PlantedInstance:
         if not (0 <= i < n and 0 <= j < n):
             raise FileFormatError(f"{path}: index ({i}, {j}) out of range for n={n}")
         A[i, j] = v
-
-    block = np.zeros((n, n), dtype=bool)
-    block[:n_c, :n_c] = True
-    B0 = np.where(block, A, 0.0)
-    C0 = A - B0
-    return PlantedInstance(
-        params=params,
-        A=A,
-        B0=B0,
-        C0=C0,
-        omega=SupportSet(n, block),
-        gamma_support=SupportSet.from_mask(B0 != 0),
-        noise_support=SupportSet.from_mask(C0 != 0),
-    )
-
-
-def regenerate(params: InstanceParams) -> PlantedInstance:
-    return gen_planted(params)
+    return PlantedInstance.from_adjacency(params, A)
 
 
 def write_matrix_csv(M, path: str) -> None:

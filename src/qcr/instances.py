@@ -95,6 +95,25 @@ class PlantedInstance:
     def block_pattern(self) -> np.ndarray:
         return self.omega.mask.astype(float)
 
+    @classmethod
+    def from_adjacency(cls, params: InstanceParams, A: np.ndarray) -> "PlantedInstance":
+        """Split an observed adjacency into block and noise: nonzeros of A
+        inside {0..n_c-1}^2 belong to B0, the rest to C0."""
+        n, n_c = params.n, params.n_c
+        block = np.zeros((n, n), dtype=bool)
+        block[:n_c, :n_c] = True
+        B0 = np.where(block, A, 0.0)
+        C0 = A - B0
+        return cls(
+            params=params,
+            A=A,
+            B0=B0,
+            C0=C0,
+            omega=SupportSet(n, block),
+            gamma_support=SupportSet.from_mask(B0 != 0),
+            noise_support=SupportSet.from_mask(C0 != 0),
+        )
+
 
 def gen_planted(params: InstanceParams) -> PlantedInstance:
     """Sample a planted quasi-clique instance.
@@ -111,20 +130,7 @@ def gen_planted(params: InstanceParams) -> PlantedInstance:
     A = np.zeros((n, n))
     A[iu[draws], ju[draws]] = 1.0
     A = np.maximum(A, A.T)
-
-    block = np.zeros((n, n), dtype=bool)
-    block[:n_c, :n_c] = True
-    B0 = np.where(block, A, 0.0)
-    C0 = A - B0
-    return PlantedInstance(
-        params=params,
-        A=A,
-        B0=B0,
-        C0=C0,
-        omega=SupportSet(n, block),
-        gamma_support=SupportSet.from_mask(B0 != 0),
-        noise_support=SupportSet.from_mask(C0 != 0),
-    )
+    return PlantedInstance.from_adjacency(params, A)
 
 
 def gen_bernoulli_support(n: int, p: float, seed: int, symmetric: bool = False) -> SupportSet:

@@ -27,8 +27,6 @@ __all__ = [
 
 RECOVERY_TOL = 1e-6
 
-MODES = ("plain_decomposition", "quasi_clique_constrained")
-
 
 class InfeasibleError(ValueError):
     """The density constraint cannot be met (or recovery is structurally impossible)."""
@@ -44,7 +42,6 @@ class SolverOptions:
     mu_growth: float = 1.5
     tol_primal: float = 1e-8
     max_iters: int = 2000
-    mode: str = "plain_decomposition"
 
     def __post_init__(self):
         if self.lam is not None and not self.lam > 0:
@@ -57,8 +54,6 @@ class SolverOptions:
             raise ValueError(f"tol_primal must be positive, got {self.tol_primal}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def resolve_lam(self, n: int) -> float:
         return self.lam if self.lam is not None else 1.0 / np.sqrt(n)

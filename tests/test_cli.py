@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from qcr.certificate import verify_certificate
 from qcr.cli import main
-from qcr.fileio import read_result, write_matrix_csv
+from qcr.experiments import PHASE_GRID, SIZE_GRID, RecoveryGrid
+from qcr.fileio import read_instance, read_result, write_matrix_csv, write_report
+from qcr.solver import solve_rpca
 
 
 def run(capsys, *argv):
@@ -58,6 +61,17 @@ def test_solve_reports_recovery(tmp_chdir, capsys):
     assert doc["converged"] is True
     assert doc["recovery"] is True
     assert doc["instance"]["n"] == 30
+
+
+def test_solve_defaults_match_library(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    rc, _, _ = run(capsys, "solve", "--input", "inst.txt", "--out", "res.json")
+    assert rc == 0
+    doc = read_result("res.json")
+    res = solve_rpca(read_instance("inst.txt").A)
+    assert doc["iterations"] == res.iterations
+    assert doc["objective"] == res.objective
+    assert np.array_equal(np.array(doc["B_star"]), res.B_star)
 
 
 def test_solve_nonconvergence_exit4_still_writes(tmp_chdir, capsys):
@@ -116,6 +130,13 @@ def test_certify_exit_matches_overall(tmp_chdir, capsys):
     assert rc == (0 if doc["overall"] else 1)
     assert out.count("PASS") + out.count("FAIL") == 7
     assert f"overall: {doc['overall']}" in out
+
+
+def test_certify_defaults_match_library(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    run(capsys, "certify", "--input", "inst.txt", "--out", "cli.json")
+    write_report(verify_certificate(read_instance("inst.txt")), "lib.json")
+    assert (tmp_chdir / "cli.json").read_bytes() == (tmp_chdir / "lib.json").read_bytes()
 
 
 def test_certify_requires_ground_truth(tmp_chdir, capsys):
@@ -184,6 +205,24 @@ def test_grid_rerun_byte_identical_data(tmp_chdir, capsys):
     assert (tmp_chdir / "a/phase_grid.pgm").read_bytes() == (tmp_chdir / "b/phase_grid.pgm").read_bytes()
 
 
+@pytest.mark.parametrize("kind, runner, expected", [
+    ("size", "run_size_grid", SIZE_GRID),
+    ("phase", "run_phase_grid", PHASE_GRID),
+])
+def test_grid_defaults_are_library_grids(tmp_chdir, capsys, monkeypatch, kind, runner, expected):
+    seen = []
+
+    def fake_runner(spec, threads=None):
+        seen.append(spec)
+        shape = (len(spec.axis1_values), len(spec.axis2_values))
+        return RecoveryGrid(spec, np.zeros(shape), np.zeros(shape), np.zeros(shape))
+
+    monkeypatch.setattr(f"qcr.cli.{runner}", fake_runner)
+    rc, _, _ = run(capsys, "grid", "--kind", kind)
+    assert rc == 0
+    assert seen == [expected]
+
+
 def test_grid_trials_zero_rejected(tmp_chdir, capsys):
     rc, _, err = run(capsys, *GRID[:3], "--trials", "0")
     assert rc == 2
@@ -213,6 +252,20 @@ def test_config_file_supplies_defaults_flags_override(tmp_chdir, capsys):
     b = (tmp_chdir / "override.txt").read_text()
     assert a.splitlines()[0].endswith(" 4")
     assert b.splitlines()[0].endswith(" 9")
+
+
+@pytest.mark.parametrize("cfg_line, flags, has_matrices", [
+    ("include_matrices = true\n", (), True),
+    ("include_matrices = false\n", (), False),
+    ("include_matrices = false\n", ("--include-matrices",), True),
+])
+def test_config_file_include_matrices(tmp_chdir, capsys, cfg_line, flags, has_matrices):
+    run(capsys, *GEN, "--out", "inst.txt")
+    (tmp_chdir / "run.cfg").write_text(cfg_line)
+    run(capsys, "--config", "run.cfg", "certify", "--input", "inst.txt", *flags, "--out", "rep.json")
+    doc = json.loads(open("rep.json").read())
+    assert ("Q_B" in doc) is has_matrices
+    assert ("Q_C" in doc) is has_matrices
 
 
 def test_config_file_bad_line_exit2(tmp_chdir, capsys):

@@ -15,7 +15,6 @@ from qcr.fileio import (
     read_matrix_any,
     read_matrix_csv,
     read_result,
-    regenerate,
     write_instance,
     write_matrix_csv,
     write_report,
@@ -72,7 +71,7 @@ def test_regenerate_matches_read(tmp_path):
     path = str(tmp_path / "inst.txt")
     write_instance(inst, path)
     back = read_instance(path)
-    assert np.array_equal(regenerate(back.params).A, inst.A)
+    assert np.array_equal(gen_planted(back.params).A, inst.A)
 
 
 @pytest.mark.parametrize(
