@@ -136,6 +136,8 @@ class GolfingConfig:
     def for_problem(cls, n: int, p: float, seed: int, k0: int | None = None) -> "GolfingConfig":
         if k0 is None:
             k0 = 20 * math.ceil(math.log(n))
+        if k0 < 1:
+            raise ValueError(f"k0 must be >= 1, got {k0}")
         q = 1.0 - p ** (1.0 / k0)
         return cls(k0=k0, q=q, p=p, seed=seed)
 
@@ -262,13 +264,16 @@ def neumann_QC(
     lam: float,
     tol: float = 1e-10,
     max_terms: int = 200,
+    opnorm: float | None = None,
 ) -> np.ndarray:
     """Truncated Neumann series for the sparse dual half.
 
     Q_C = lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0, truncated once a
     term's Frobenius norm falls below tol * ||sign_C0||_F or max_terms terms
     have been accumulated. Raises NeumannDivergenceError when the composed
-    operator norm makes the series divergent.
+    operator norm makes the series divergent. opnorm is that norm,
+    ||P_Gamma P_T||, when the caller has already computed it with
+    opnorm_PGammaPT(Gamma, T); left None, it is computed here.
     """
     sign_C0 = _as_matrix(sign_C0, "sign_C0")
     if sign_C0.shape != (Gamma.n, Gamma.n):
@@ -285,7 +290,7 @@ def neumann_QC(
     base = float(np.linalg.norm(sign_C0))
     if base == 0.0:
         return np.zeros_like(sign_C0)
-    opn = opnorm_PGammaPT(Gamma, T)
+    opn = opnorm_PGammaPT(Gamma, T) if opnorm is None else opnorm
     if opn >= 1.0 - 1e-6:
         raise NeumannDivergenceError(
             f"support/tangent operator norm {opn:.6f} is too close to 1; "
@@ -345,7 +350,9 @@ def verify_certificate(
     batches = partition_complement(Gamma, cfg)
     Q_B, trace = golfing_QB(T, batches, cfg.p)
     opn = opnorm_PGammaPT(Gamma, T)
-    Q_C = neumann_QC(Gamma, T, sign_C0, lam, tol=neumann_tol, max_terms=neumann_max_terms)
+    Q_C = neumann_QC(
+        Gamma, T, sign_C0, lam, tol=neumann_tol, max_terms=neumann_max_terms, opnorm=opn
+    )
 
     on_gamma = Gamma.mask
     measured = {

@@ -140,7 +140,11 @@ def _run_cell(args) -> tuple[int, int, int, float, float]:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
-        threads = int(os.environ.get("QCR_THREADS", "1"))
+        raw = os.environ.get("QCR_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"QCR_THREADS must be an integer, got {raw!r}") from None
     return max(1, threads)
 
 

@@ -178,16 +178,27 @@ def svd(M, rank_tol: float = 1e-8) -> SvdFactors:
     )
 
 
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    # for an exactly symmetric matrix the singular values are the absolute
+    # eigenvalues, and the symmetric eigensolver is about twice as fast
+    if np.array_equal(M, M.T):
+        return np.abs(np.linalg.eigvalsh(M))
+    return np.linalg.svd(M, compute_uv=False)
+
+
 def norm(M, kind: str) -> float:
     """Matrix norm: nuclear, spectral, frobenius, entrywise l1/linf, or linf2
-    (the max over all row and column Euclidean norms)."""
+    (the max over all row and column Euclidean norms).
+
+    The nuclear and spectral norms of an exactly symmetric matrix come from
+    its eigenvalues (eigvalsh); any other matrix uses its singular values."""
     M = _as_matrix(M)
     if kind in ("nuclear", "spectral", "linf2") and M.shape[0] != M.shape[1]:
         raise ValueError(f"{kind} norm requires a square matrix, got {M.shape}")
     if kind == "nuclear":
-        return float(np.linalg.svd(M, compute_uv=False).sum())
+        return float(_singular_values(M).sum())
     if kind == "spectral":
-        return float(np.linalg.svd(M, compute_uv=False).max(initial=0.0))
+        return float(_singular_values(M).max(initial=0.0))
     if kind == "frobenius":
         return float(np.linalg.norm(M))
     if kind == "l1":
@@ -211,10 +222,20 @@ def soft_threshold(M, tau: float) -> np.ndarray:
 
 def sv_threshold(M, tau: float) -> np.ndarray:
     """Singular-value shrinkage U @ diag(max(sigma - tau, 0)) @ V.T, the prox of
-    tau*||.||_*."""
+    tau*||.||_*.
+
+    An exactly symmetric M takes the symmetric eigen path: with M = Q diag(w) Q.T
+    (eigh), the prox is Q diag(sign(w) * max(|w| - tau, 0)) Q.T, symmetrized
+    so that the output is exactly symmetric too. The solvers' other steps are
+    entrywise, so a symmetric input keeps every later prox on this path. Any
+    other M uses the SVD."""
     M = _as_square(M)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
+    if np.array_equal(M, M.T):
+        w, Q = np.linalg.eigh(M)
+        R = (Q * (np.sign(w) * np.maximum(np.abs(w) - tau, 0.0))) @ Q.T
+        return 0.5 * (R + R.T)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     return (U * s) @ Vt

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qcr.certificate as certificate
 from qcr.certificate import (
     DEFAULT_RANK_TOL,
     GolfingConfig,
@@ -30,6 +31,7 @@ from qcr.linalg import (
     SupportSet,
     TangentSpace,
     norm,
+    opnorm_PGammaPT,
     project_support,
     project_T,
     project_T_perp,
@@ -135,6 +137,8 @@ def test_config_validation():
         GolfingConfig(k0=10, q=0.5, p=1.5, seed=0)
     with pytest.raises(ValueError):
         GolfingConfig(k0=10, q=0.2, p=0.85, seed=0)  # (1-q)^k0 != p
+    with pytest.raises(ValueError, match="k0 must be >= 1, got 0"):
+        GolfingConfig.for_problem(50, p=0.5, seed=0, k0=0)
 
 
 def test_config_extreme_q_values():
@@ -318,6 +322,15 @@ def test_neumann_fixed_point_identity():
     assert resid <= 10 * tol * lam * np.linalg.norm(sgn)
 
 
+def test_neumann_given_opnorm_is_bit_identical():
+    inst = gen_planted(InstanceParams(n=60, n_c=48, gamma=0.85, rho=0.1, seed=5))
+    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    G, sgn = inst.noise_support, np.sign(inst.C0)
+    default = neumann_QC(G, T, sgn, 0.1)
+    given_norm = neumann_QC(G, T, sgn, 0.1, opnorm=opnorm_PGammaPT(G, T))
+    assert np.array_equal(default, given_norm)
+
+
 def test_neumann_output_in_tangent_complement():
     inst = gen_planted(InstanceParams(n=60, n_c=48, gamma=0.85, rho=0.1, seed=5))
     T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
@@ -396,6 +409,19 @@ def test_verify_deterministic():
     assert np.array_equal(a.Q_C, b.Q_C)
     assert a.conditions == b.conditions
     assert a.golfing_trace == b.golfing_trace
+
+
+def test_verify_runs_power_iteration_once(monkeypatch):
+    calls = []
+    real = certificate.opnorm_PGammaPT
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certificate, "opnorm_PGammaPT", counting)
+    verify_certificate(gen_planted(InstanceParams(n=50, n_c=40, gamma=0.85, rho=0.10, seed=12)))
+    assert len(calls) == 1
 
 
 def test_verify_empty_noise_support():

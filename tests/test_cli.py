@@ -166,6 +166,13 @@ def test_certify_flags_forwarded(tmp_chdir, capsys):
     assert doc["config"] == {"k0": 8, "q": pytest.approx(1 - 0.5 ** (1 / 8)), "p": 0.5, "seed": 3}
 
 
+def test_certify_k0_zero_exit2(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    rc, _, err = run(capsys, "certify", "--input", "inst.txt", "--k0", "0")
+    assert rc == 2
+    assert "k0 must be >= 1, got 0" in err
+
+
 # ---------------------------------------------------------------- norms
 
 
@@ -227,6 +234,13 @@ def test_grid_trials_zero_rejected(tmp_chdir, capsys):
     rc, _, err = run(capsys, *GRID[:3], "--trials", "0")
     assert rc == 2
     assert "trials" in err
+
+
+def test_grid_threads_env_not_integer_exit2(tmp_chdir, capsys, monkeypatch):
+    monkeypatch.setenv("QCR_THREADS", "abc")
+    rc, _, err = run(capsys, *GRID)
+    assert rc == 2
+    assert "QCR_THREADS must be an integer, got 'abc'" in err
 
 
 def test_grid_unknown_kind_usage_error(tmp_chdir, capsys):

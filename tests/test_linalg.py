@@ -173,12 +173,48 @@ def test_sv_threshold_kills_small_matrix():
     assert np.allclose(sv_threshold(M, tau), 0.0, atol=1e-12)
 
 
+def svd_threshold_reference(M, tau):
+    """The prox by the SVD formula, independent of which path sv_threshold takes."""
+    U, s, Vt = np.linalg.svd(M)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+def random_symmetric(g, n):
+    X = g.standard_normal((n, n))
+    return X + X.T
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 100])
+def test_sv_threshold_matches_svd_reference(n, symmetric):
+    g = rng(300 + n)
+    M = random_symmetric(g, n) if symmetric else g.standard_normal((n, n))
+    assert np.array_equal(M, M.T) == symmetric
+    if symmetric:
+        w = np.linalg.eigvalsh(M)
+        assert w[0] < 0 < w[-1]  # indefinite: the sign of w must survive shrinkage
+    tau = float(np.median(np.linalg.svd(M, compute_uv=False)))  # shrinks about half away
+    Z = sv_threshold(M, tau)
+    assert np.abs(Z - svd_threshold_reference(M, tau)).max() <= 1e-10
+    if symmetric:
+        assert np.array_equal(Z, Z.T)
+
+
+@pytest.mark.parametrize("n", [2, 5, 100])
+def test_norm_symmetric_matches_singular_values(n):
+    M = random_symmetric(rng(400 + n), n)
+    s = np.linalg.svd(M, compute_uv=False)
+    assert abs(norm(M, "nuclear") - s.sum()) <= 1e-12 * s.sum()
+    assert abs(norm(M, "spectral") - s.max()) <= 1e-12 * s.max()
+
+
 @pytest.mark.property
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.05, 3.0))
-def test_sv_threshold_prox_optimality(seed, n, tau):
-    # prox point must not be beaten by random perturbations of the objective
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.05, 3.0), st.booleans())
+def test_sv_threshold_prox_optimality(seed, n, tau, symmetric):
+    # prox point must not be beaten by random perturbations of the objective;
+    # a symmetric M takes the eigen path, any other M the SVD path
     g = rng(seed)
-    M = g.standard_normal((n, n))
+    M = random_symmetric(g, n) if symmetric else g.standard_normal((n, n))
     Z = sv_threshold(M, tau)
 
     def obj(W):

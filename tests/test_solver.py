@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qcr.solver as solver
+from qcr.experiments import PHASE_GRID
 from qcr.instances import (
     InstanceParams,
+    derive_seed,
     gen_low_rank,
     gen_planted,
     gen_random_sign_sparse,
@@ -143,11 +146,43 @@ def test_nonconvergence_reported_not_raised():
 
 
 def test_symmetric_input_keeps_solution_symmetric():
+    # the prox of a symmetric matrix is exactly symmetric and every other step
+    # is entrywise, so symmetry holds bit for bit in both solvers
     inst = planted(seed=14)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = solve_rpca(inst.A)
-    assert np.abs(res.B_star - res.B_star.T).max() <= 1e-10
+        plain = solve_rpca(inst.A)
+        constrained = solve_quasi_clique(inst.A, QuasiCliqueParams(gamma=0.85, eta=40))
+    for res in (plain, constrained):
+        assert res.converged
+        assert np.array_equal(res.B_star, res.B_star.T)
+
+
+def svd_sv_threshold(M, tau):
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+def phase_grid_trial(i, j):
+    """Iterations and recovery decision of trial 0 of PHASE_GRID cell (i, j)."""
+    params = InstanceParams(
+        n=PHASE_GRID.fixed["n"],
+        n_c=PHASE_GRID.fixed["n_c"],
+        gamma=PHASE_GRID.axis1_values[i],
+        rho=PHASE_GRID.axis2_values[j],
+        seed=derive_seed(PHASE_GRID.base_seed, i, j, 0),
+    )
+    inst = gen_planted(params)
+    res = solve_rpca(inst.A)
+    return res.iterations, res.converged and recovery_success(res.B_star, inst.block_pattern)
+
+
+# recoverable cells (3, 0), (2, 0); failing cells (2, 1), (5, 7)
+@pytest.mark.parametrize("i, j", [(3, 0), (2, 0), (2, 1), (5, 7)])
+def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j):
+    eigen = phase_grid_trial(i, j)
+    monkeypatch.setattr(solver, "sv_threshold", svd_sv_threshold)
+    assert phase_grid_trial(i, j) == eigen
 
 
 def test_rejects_nonsquare():
