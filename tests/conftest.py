@@ -26,6 +26,12 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def svd_threshold_reference(M, tau):
+    """Singular-value shrinkage by the SVD formula, whatever path sv_threshold takes."""
+    U, s, Vt = np.linalg.svd(M)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
 @pytest.fixture
 def tmp_chdir(tmp_path, monkeypatch):
     """Run a test from inside a fresh temporary directory."""

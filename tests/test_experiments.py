@@ -122,12 +122,6 @@ def test_threads_env_fallback(monkeypatch):
     assert experiments._resolve_threads(4) == 4
 
 
-def test_threads_env_not_integer_names_variable(monkeypatch):
-    monkeypatch.setenv("QCR_THREADS", "abc")
-    with pytest.raises(ValueError, match="QCR_THREADS must be an integer, got 'abc'"):
-        experiments._resolve_threads(None)
-
-
 def test_interrupt_yields_partial_incomplete_grid(monkeypatch):
     calls = {"count": 0}
     real = experiments._run_cell

@@ -22,7 +22,7 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import rng
+from conftest import rng, svd_threshold_reference
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -171,12 +171,6 @@ def test_sv_threshold_kills_small_matrix():
     M = rng(2).standard_normal((5, 5))
     tau = norm(M, "spectral") + 1.0
     assert np.allclose(sv_threshold(M, tau), 0.0, atol=1e-12)
-
-
-def svd_threshold_reference(M, tau):
-    """The prox by the SVD formula, independent of which path sv_threshold takes."""
-    U, s, Vt = np.linalg.svd(M)
-    return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
 def random_symmetric(g, n):

@@ -28,6 +28,8 @@ from qcr.solver import (
     solve_rpca,
 )
 
+from conftest import svd_threshold_reference
+
 
 def planted(n=50, n_c=40, gamma=0.85, rho=0.1, seed=21):
     return gen_planted(InstanceParams(n=n, n_c=n_c, gamma=gamma, rho=rho, seed=seed))
@@ -158,11 +160,6 @@ def test_symmetric_input_keeps_solution_symmetric():
         assert np.array_equal(res.B_star, res.B_star.T)
 
 
-def svd_sv_threshold(M, tau):
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return (U * np.maximum(s - tau, 0.0)) @ Vt
-
-
 def phase_grid_trial(i, j):
     """Iterations and recovery decision of trial 0 of PHASE_GRID cell (i, j)."""
     params = InstanceParams(
@@ -177,11 +174,15 @@ def phase_grid_trial(i, j):
     return res.iterations, res.converged and recovery_success(res.B_star, inst.block_pattern)
 
 
-# recoverable cells (3, 0), (2, 0); failing cells (2, 1), (5, 7)
-@pytest.mark.parametrize("i, j", [(3, 0), (2, 0), (2, 1), (5, 7)])
-def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j):
+@pytest.mark.parametrize("i, j, recovered", [
+    (3, 0, True), (2, 0, True), (2, 1, False), (5, 7, False),
+])
+def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j, recovered):
+    # symmetric adjacency matrices take the eigen prox; the SVD prox must give
+    # the same iteration count and recovery decision
     eigen = phase_grid_trial(i, j)
-    monkeypatch.setattr(solver, "sv_threshold", svd_sv_threshold)
+    assert eigen[1] == recovered
+    monkeypatch.setattr(solver, "sv_threshold", svd_threshold_reference)
     assert phase_grid_trial(i, j) == eigen
 
 
