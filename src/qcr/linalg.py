@@ -178,27 +178,16 @@ def svd(M, rank_tol: float = 1e-8) -> SvdFactors:
     )
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    # for an exactly symmetric matrix the singular values are the absolute
-    # eigenvalues, and the symmetric eigensolver is about twice as fast
-    if np.array_equal(M, M.T):
-        return np.abs(np.linalg.eigvalsh(M))
-    return np.linalg.svd(M, compute_uv=False)
-
-
 def norm(M, kind: str) -> float:
     """Matrix norm: nuclear, spectral, frobenius, entrywise l1/linf, or linf2
-    (the max over all row and column Euclidean norms).
-
-    The nuclear and spectral norms of an exactly symmetric matrix come from
-    its eigenvalues (eigvalsh); any other matrix uses its singular values."""
+    (the max over all row and column Euclidean norms)."""
     M = _as_matrix(M)
     if kind in ("nuclear", "spectral", "linf2") and M.shape[0] != M.shape[1]:
         raise ValueError(f"{kind} norm requires a square matrix, got {M.shape}")
     if kind == "nuclear":
-        return float(_singular_values(M).sum())
+        return float(np.linalg.svd(M, compute_uv=False).sum())
     if kind == "spectral":
-        return float(_singular_values(M).max(initial=0.0))
+        return float(np.linalg.svd(M, compute_uv=False).max(initial=0.0))
     if kind == "frobenius":
         return float(np.linalg.norm(M))
     if kind == "l1":

@@ -194,14 +194,6 @@ def test_sv_threshold_matches_svd_reference(n, symmetric):
         assert np.array_equal(Z, Z.T)
 
 
-@pytest.mark.parametrize("n", [2, 5, 100])
-def test_norm_symmetric_matches_singular_values(n):
-    M = random_symmetric(rng(400 + n), n)
-    s = np.linalg.svd(M, compute_uv=False)
-    assert abs(norm(M, "nuclear") - s.sum()) <= 1e-12 * s.sum()
-    assert abs(norm(M, "spectral") - s.max()) <= 1e-12 * s.max()
-
-
 @pytest.mark.property
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.05, 3.0), st.booleans())
 def test_sv_threshold_prox_optimality(seed, n, tau, symmetric):
