@@ -19,6 +19,7 @@ import numpy as np
 from .instances import InstanceParams, PlantedInstance, derive_seed
 from .linalg import (
     SupportSet,
+    SvdFactors,
     TangentSpace,
     _as_matrix,
     norm,
@@ -202,7 +203,10 @@ class CertificateReport:
 
 def incoherence(B0, rank_tol: float = 1e-8) -> IncoherenceReport:
     """Incoherence parameters of the numerical row/column spaces of B0."""
-    factors = svd(B0, rank_tol)
+    return _incoherence_of(svd(B0, rank_tol))
+
+
+def _incoherence_of(factors: SvdFactors) -> IncoherenceReport:
     n, r = factors.n, factors.rank
     if r == 0:
         raise ValueError("incoherence is undefined for the zero matrix")
@@ -235,10 +239,12 @@ def partition_complement(Gamma: SupportSet, cfg: GolfingConfig) -> list[SupportS
 def golfing_QB(T: TangentSpace, batches: list[SupportSet], p: float):
     """Golfing construction of the low-rank dual half.
 
-    Iterates Y_k = Y_{k-1} + (1/p) * P_{batch_k} P_T (UV^T - Y_{k-1}) and
-    returns (Q_B, trace) with Q_B the projection of the final Y onto the
-    tangent complement and trace the Frobenius norms of the residuals
-    Z_k = UV^T - P_T Y_k, starting from Z_0 = UV^T.
+    Iterates Y_k = Y_{k-1} + (1/p) * P_{batch_k} P_T (UV^T - Y_{k-1}) in the
+    residual form: with Z_0 = UV^T and Z_k = UV^T - P_T Y_k, each batch adds
+    G_k = (1/p) * P_{batch_k} Z_{k-1} to Y and subtracts P_T G_k from Z, one
+    tangent projection per batch. Returns (Q_B, trace) with Q_B the projection
+    of the final Y onto the tangent complement and trace the Frobenius norms
+    of Z_0, ..., Z_k0.
     """
     if not batches:
         raise ValueError("batches must be nonempty")
@@ -247,13 +253,14 @@ def golfing_QB(T: TangentSpace, batches: list[SupportSet], p: float):
     for S in batches:
         if S.n != T.n:
             raise ValueError("batch dimension does not match tangent space")
-    E = T.U @ T.V.T
-    Y = np.zeros_like(E)
-    trace = [float(np.linalg.norm(E))]
+    Z = T.U @ T.V.T
+    Y = np.zeros_like(Z)
+    trace = [float(np.linalg.norm(Z))]
     for S in batches:
-        step = project_T(E - Y, T)
-        Y = Y + project_support(step, S) / p
-        trace.append(float(np.linalg.norm(E - project_T(Y, T))))
+        G = project_support(Z, S) / p
+        Y += G
+        Z -= project_T(G, T)
+        trace.append(float(np.linalg.norm(Z)))
     return project_T_perp(Y, T), trace
 
 
@@ -372,7 +379,7 @@ def verify_certificate(
     joint_residual = float(np.linalg.norm(np.where(on_gamma, E - lam * sign_C0 + Q, 0.0)))
     joint_linf_complement = float(np.abs(np.where(on_gamma, 0.0, E + Q)).max(initial=0.0))
 
-    inc = incoherence(inst.B0, rank_tol)
+    inc = _incoherence_of(factors)
     regime_threshold = regime_c0 * inc.mu * factors.rank * math.log(n) / n
 
     return CertificateReport(

@@ -90,7 +90,8 @@ class SupportSet:
 
     @classmethod
     def from_mask(cls, mask) -> "SupportSet":
-        mask = np.ascontiguousarray(np.asarray(mask, dtype=bool))
+        # a copy, so that freezing it leaves the caller's array writable
+        mask = np.array(mask, dtype=bool, order="C")
         if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
             raise ValueError("mask must be square")
         return cls(mask.shape[0], mask)
@@ -231,26 +232,23 @@ def sv_threshold(M, tau: float) -> np.ndarray:
 
 
 def project_T(Z, T: TangentSpace) -> np.ndarray:
-    """Orthogonal projection U@U.T@Z + Z@V@V.T - U@U.T@Z@V@V.T onto T."""
+    """Orthogonal projection U@U.T@Z + Z@V@V.T - U@U.T@Z@V@V.T onto T.
+
+    With A = U.T@Z and W = Z@V - U@(A@V), the projection is U@A + W@V.T,
+    formed as one GEMM [U W] @ [A; V.T] of inner dimension 2r."""
     Z = _as_matrix(Z, "Z")
     if Z.shape != (T.n, T.n):
         raise ValueError(f"Z shape {Z.shape} does not match tangent space n={T.n}")
-    if T.r == 0:
-        return np.zeros_like(Z)
-    UtZ = T.U.T @ Z
-    ZV = Z @ T.V
-    return T.U @ UtZ + ZV @ T.V.T - T.U @ ((UtZ @ T.V) @ T.V.T)
+    A = T.U.T @ Z
+    W = Z @ T.V - T.U @ (A @ T.V)
+    return np.hstack((T.U, W)) @ np.vstack((A, T.V.T))
 
 
 def project_T_perp(Z, T: TangentSpace) -> np.ndarray:
-    """Orthogonal projection (I - U@U.T) @ Z @ (I - V@V.T) onto the complement of T."""
+    """Orthogonal projection Z - P_T(Z) = (I - U@U.T) @ Z @ (I - V@V.T) onto the
+    complement of T."""
     Z = _as_matrix(Z, "Z")
-    if Z.shape != (T.n, T.n):
-        raise ValueError(f"Z shape {Z.shape} does not match tangent space n={T.n}")
-    if T.r == 0:
-        return Z.copy()
-    W = Z - T.U @ (T.U.T @ Z)
-    return W - (W @ T.V) @ T.V.T
+    return Z - project_T(Z, T)
 
 
 def project_support(Z, S: SupportSet) -> np.ndarray:
@@ -266,8 +264,9 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
 
     Computed as sqrt of the top eigenvalue of the symmetric composition
     P_T P_Gamma P_T by power iteration with a deterministic random start.
-    On hitting the iteration cap a warning is issued and the best estimate
-    returned.
+    The start is projected into T once; the iterates then stay inside T, so
+    each step applies X <- P_T P_Gamma X, one tangent projection. On hitting
+    the iteration cap a warning is issued and the best estimate returned.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -276,16 +275,14 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     if len(S) == 0 or T.r == 0:
         return 0.0
 
-    def apply(X):
-        return project_T(project_support(project_T(X, T), S), T)
-
     rng = np.random.default_rng(0x9E3779B9)
     X = rng.standard_normal((S.n, S.n))
     X /= np.linalg.norm(X)
+    X = project_T(X, T)
     lam_prev = np.inf
     lam = 0.0
     for _ in range(_POWER_ITER_CAP):
-        FX = apply(X)
+        FX = project_T(project_support(X, S), T)
         lam = max(float(np.tensordot(X, FX)), 0.0)
         nrm = np.linalg.norm(FX)
         if nrm == 0.0:

@@ -32,6 +32,41 @@ def svd_threshold_reference(M, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
+def project_T_reference(Z, T):
+    """Tangent projection by the three-term formula UU^T Z + Z VV^T - UU^T Z VV^T."""
+    UUt = T.U @ T.U.T
+    VVt = T.V @ T.V.T
+    return UUt @ Z + Z @ VVt - UUt @ Z @ VVt
+
+
+def golfing_reference(T, batches, p):
+    """Golfing with two tangent projections per batch:
+    Y_k = Y_{k-1} + P_{batch_k} P_T (UV^T - Y_{k-1}) / p, trace ||UV^T - P_T Y_k||."""
+    E = T.U @ T.V.T
+    Y = np.zeros_like(E)
+    trace = [float(np.linalg.norm(E))]
+    for S in batches:
+        Y = Y + np.where(S.mask, project_T_reference(E - Y, T), 0.0) / p
+        trace.append(float(np.linalg.norm(E - project_T_reference(Y, T))))
+    return Y - project_T_reference(Y, T), trace
+
+
+def opnorm_reference(S, T, tol=1e-6):
+    """Power iteration on P_T P_Gamma P_T from the start opnorm_PGammaPT draws;
+    returns (sqrt of the top eigenvalue, number of steps)."""
+    X = np.random.default_rng(0x9E3779B9).standard_normal((S.n, S.n))
+    X /= np.linalg.norm(X)
+    lam_prev = np.inf
+    for step in range(1, 10_001):
+        FX = project_T_reference(np.where(S.mask, project_T_reference(X, T), 0.0), T)
+        lam = max(float(np.tensordot(X, FX)), 0.0)
+        X = FX / np.linalg.norm(FX)
+        if abs(lam - lam_prev) <= tol * lam:
+            return float(np.sqrt(lam)), step
+        lam_prev = lam
+    raise AssertionError("reference power iteration did not converge")
+
+
 @pytest.fixture
 def tmp_chdir(tmp_path, monkeypatch):
     """Run a test from inside a fresh temporary directory."""

@@ -38,7 +38,7 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import rng
+from conftest import golfing_reference, rng
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -238,6 +238,39 @@ def test_golfing_validation():
         golfing_QB(T, [SupportSet.full(7)], p=0.5)
 
 
+@pytest.mark.parametrize("q, p", [(0.3, 0.3), (0.3, 0.05)])
+def test_golfing_matches_two_projection_reference(q, p):
+    # at p = 0.05 each batch overshoots by q/p = 6 and the residual grows
+    T = block_tangent(30, 20)
+    g = rng(77)
+    batches = [SupportSet(30, g.random((30, 30)) < q) for _ in range(12)]
+    Q_B, trace = golfing_QB(T, batches, p)
+    ref_Q_B, ref_trace = golfing_reference(T, batches, p)
+    assert np.linalg.norm(Q_B - ref_Q_B) <= 1e-12 * np.linalg.norm(ref_Q_B)
+    assert np.allclose(trace, ref_trace, rtol=1e-12, atol=0.0)
+    assert (ref_trace[-1] > ref_trace[0]) == (p < q)
+
+
+def test_golfing_projects_once_per_batch(monkeypatch):
+    import qcr.linalg as linalg_mod
+
+    calls = []
+    real = linalg_mod.project_T
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "project_T", counting)
+    monkeypatch.setattr(certificate, "project_T", counting)
+    T = block_tangent(20, 12)
+    g = rng(78)
+    batches = [SupportSet(20, g.random((20, 20)) < 0.3) for _ in range(7)]
+    golfing_QB(T, batches, 0.3)
+    # one per batch, plus the final projection onto the tangent complement
+    assert len(calls) == 7 + 1
+
+
 def median_decay_ratio(trace) -> float:
     """Median step ratio over the decaying segment of a golfing trace.
 
@@ -422,6 +455,22 @@ def test_verify_runs_power_iteration_once(monkeypatch):
     monkeypatch.setattr(certificate, "opnorm_PGammaPT", counting)
     verify_certificate(gen_planted(InstanceParams(n=50, n_c=40, gamma=0.85, rho=0.10, seed=12)))
     assert len(calls) == 1
+
+
+def test_verify_factors_planted_block_once(monkeypatch):
+    inst = gen_planted(InstanceParams(n=50, n_c=40, gamma=0.85, rho=0.10, seed=12))
+    expected = incoherence(inst.B0, DEFAULT_RANK_TOL)
+    calls = []
+    real = certificate.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certificate, "svd", counting)
+    rep = verify_certificate(inst)
+    assert len(calls) == 1
+    assert rep.incoherence == expected
 
 
 def test_verify_empty_noise_support():

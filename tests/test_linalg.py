@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qcr.linalg as linalg_mod
 from qcr.linalg import (
     NORM_KINDS,
     SupportSet,
@@ -22,7 +23,7 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import rng, svd_threshold_reference
+from conftest import opnorm_reference, project_T_reference, rng, svd_threshold_reference
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -255,6 +256,14 @@ def test_support_set_mask_read_only():
         S.mask[0, 0] = True
 
 
+def test_support_set_from_mask_leaves_caller_array_writable():
+    m = np.zeros((3, 3), dtype=bool)
+    S = SupportSet.from_mask(m)
+    m[0, 0] = True
+    assert len(S) == 0
+    assert not S.mask[0, 0]
+
+
 def test_project_support():
     S = SupportSet.from_indices(2, [(0, 1)])
     Z = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -265,17 +274,30 @@ def test_project_support():
 
 
 @pytest.mark.property
-@given(st.integers(0, 2**32 - 1), st.integers(3, 10), st.integers(1, 3))
-def test_projector_algebra(seed, n, r):
-    T = random_tangent(n, min(r, n - 1), seed)
-    Z = rng(seed ^ 0xABCD).standard_normal((n, n))
+@given(st.integers(0, 2**32 - 1),
+       st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_projector_algebra(seed, n_r):
+    n, r = n_r
+    T = random_tangent(n, r, seed)
+    g = rng(seed ^ 0xABCD)
+    Z, Z2 = g.standard_normal((n, n)), g.standard_normal((n, n))
     PZ = project_T(Z, T)
     QZ = project_T_perp(Z, T)
     assert np.abs(project_T(PZ, T) - PZ).max() < 1e-10
     assert np.abs(project_T_perp(QZ, T) - QZ).max() < 1e-10
     assert np.abs(PZ + QZ - Z).max() < 1e-10
+    # self-adjoint: <P Z, Z2> = <Z, P Z2>
+    assert abs(np.sum(PZ * Z2) - np.sum(Z * project_T(Z2, T))) < 1e-10
     assert abs(np.sum(PZ * QZ)) < 1e-8
     assert np.abs(project_T_perp(PZ, T)).max() < 1e-10
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, 10])
+def test_project_T_matches_three_term_reference(r):
+    T = random_tangent(10, r, 40 + r)
+    assert r == 0 or np.abs(T.U - T.V).max() > 0.1
+    Z = rng(41 + r).standard_normal((10, 10))
+    assert np.abs(project_T(Z, T) - project_T_reference(Z, T)).max() < 1e-12
 
 
 def test_projector_rank_zero():
@@ -343,9 +365,25 @@ def test_opnorm_in_unit_interval(seed, n, r):
     assert -1e-12 <= val <= 1.0 + 1e-9
 
 
-def test_opnorm_warns_at_iteration_cap(monkeypatch):
-    import qcr.linalg as linalg_mod
+@pytest.mark.parametrize("n, r, density", [(12, 2, 0.3), (30, 1, 0.1), (20, 3, 0.6)])
+def test_opnorm_matches_reference_with_one_projection_per_step(monkeypatch, n, r, density):
+    T = random_tangent(n, r, n + r)
+    S = SupportSet(n, rng(n * r).random((n, n)) < density)
+    expected, steps = opnorm_reference(S, T)
+    calls = []
+    real = linalg_mod.project_T
 
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "project_T", counting)
+    val = opnorm_PGammaPT(S, T)
+    assert abs(val - expected) <= 1e-9 * expected
+    assert len(calls) == steps + 1
+
+
+def test_opnorm_warns_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(linalg_mod, "_POWER_ITER_CAP", 3)
     T = random_tangent(6, 2, 7)
     S = SupportSet.from_indices(6, [(i, j) for i in range(6) for j in range(3)])
