@@ -67,6 +67,21 @@ def opnorm_reference(S, T, tol=1e-6):
     raise AssertionError("reference power iteration did not converge")
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Replace function `name` in each module by one counting wrapper around the
+    first module's; return the list that collects the call arguments."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 @pytest.fixture
 def tmp_chdir(tmp_path, monkeypatch):
     """Run a test from inside a fresh temporary directory."""

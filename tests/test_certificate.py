@@ -38,7 +38,7 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import golfing_reference, rng
+from conftest import count_calls, golfing_reference, rng
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -254,15 +254,7 @@ def test_golfing_matches_two_projection_reference(q, p):
 def test_golfing_projects_once_per_batch(monkeypatch):
     import qcr.linalg as linalg_mod
 
-    calls = []
-    real = linalg_mod.project_T
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod, "project_T", counting)
-    monkeypatch.setattr(certificate, "project_T", counting)
+    calls = count_calls(monkeypatch, "project_T", linalg_mod, certificate)
     T = block_tangent(20, 12)
     g = rng(78)
     batches = [SupportSet(20, g.random((20, 20)) < 0.3) for _ in range(7)]
@@ -445,14 +437,7 @@ def test_verify_deterministic():
 
 
 def test_verify_runs_power_iteration_once(monkeypatch):
-    calls = []
-    real = certificate.opnorm_PGammaPT
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(certificate, "opnorm_PGammaPT", counting)
+    calls = count_calls(monkeypatch, "opnorm_PGammaPT", certificate)
     verify_certificate(gen_planted(InstanceParams(n=50, n_c=40, gamma=0.85, rho=0.10, seed=12)))
     assert len(calls) == 1
 
@@ -460,14 +445,7 @@ def test_verify_runs_power_iteration_once(monkeypatch):
 def test_verify_factors_planted_block_once(monkeypatch):
     inst = gen_planted(InstanceParams(n=50, n_c=40, gamma=0.85, rho=0.10, seed=12))
     expected = incoherence(inst.B0, DEFAULT_RANK_TOL)
-    calls = []
-    real = certificate.svd
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(certificate, "svd", counting)
+    calls = count_calls(monkeypatch, "svd", certificate)
     rep = verify_certificate(inst)
     assert len(calls) == 1
     assert rep.incoherence == expected

@@ -23,7 +23,7 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import opnorm_reference, project_T_reference, rng, svd_threshold_reference
+from conftest import count_calls, opnorm_reference, project_T_reference, rng, svd_threshold_reference
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -370,14 +370,7 @@ def test_opnorm_matches_reference_with_one_projection_per_step(monkeypatch, n, r
     T = random_tangent(n, r, n + r)
     S = SupportSet(n, rng(n * r).random((n, n)) < density)
     expected, steps = opnorm_reference(S, T)
-    calls = []
-    real = linalg_mod.project_T
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod, "project_T", counting)
+    calls = count_calls(monkeypatch, "project_T", linalg_mod)
     val = opnorm_PGammaPT(S, T)
     assert abs(val - expected) <= 1e-9 * expected
     assert len(calls) == steps + 1
