@@ -29,6 +29,7 @@ from .linalg import (
     project_T_perp,
     svd,
 )
+from .solver import SolverOptions
 
 __all__ = [
     "IncoherenceReport",
@@ -117,7 +118,6 @@ class GolfingConfig:
     (1 - q)**k0 = p."""
 
     k0: int
-    q: float
     p: float
     seed: int
 
@@ -128,19 +128,16 @@ class GolfingConfig:
         # separately requires a positive p for its 1/p scaling
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if abs((1.0 - self.q) ** self.k0 - self.p) > 1e-12:
-            raise ValueError("inconsistent config: (1 - q)**k0 must equal p to 1e-12")
+
+    @property
+    def q(self) -> float:
+        return 1.0 - self.p ** (1.0 / self.k0)
 
     @classmethod
     def for_problem(cls, n: int, p: float, seed: int, k0: int | None = None) -> "GolfingConfig":
         if k0 is None:
             k0 = 20 * math.ceil(math.log(n))
-        if k0 < 1:
-            raise ValueError(f"k0 must be >= 1, got {k0}")
-        q = 1.0 - p ** (1.0 / k0)
-        return cls(k0=k0, q=q, p=p, seed=seed)
+        return cls(k0=k0, p=p, seed=seed)
 
     @classmethod
     def for_instance(
@@ -327,8 +324,6 @@ def verify_certificate(
     cfg: GolfingConfig | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
     regime_c0: float = 1.0,
-    neumann_tol: float = 1e-10,
-    neumann_max_terms: int = 200,
 ) -> CertificateReport:
     """Construct both dual halves for a planted instance and measure every
     sufficient condition.
@@ -344,7 +339,7 @@ def verify_certificate(
     if not np.any(inst.B0):
         raise ValueError("certificate verification requires a nonzero planted block")
     if lam is None:
-        lam = 1.0 / math.sqrt(n)
+        lam = SolverOptions().resolve_lam(n)
     if cfg is None:
         cfg = GolfingConfig.for_instance(params)
 
@@ -357,9 +352,7 @@ def verify_certificate(
     batches = partition_complement(Gamma, cfg)
     Q_B, trace = golfing_QB(T, batches, cfg.p)
     opn = opnorm_PGammaPT(Gamma, T)
-    Q_C = neumann_QC(
-        Gamma, T, sign_C0, lam, tol=neumann_tol, max_terms=neumann_max_terms, opnorm=opn
-    )
+    Q_C = neumann_QC(Gamma, T, sign_C0, lam, opnorm=opn)
 
     on_gamma = Gamma.mask
     measured = {

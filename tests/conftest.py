@@ -32,6 +32,25 @@ def svd_threshold_reference(M, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
+def dykstra_reference(W, total, tol=1e-10, max_iters=5000):
+    """Projection onto {X : 0 <= X <= 1, sum(X) >= total} by Dykstra's
+    alternating projections with correction terms, run to a tol fixed point."""
+    x = W
+    p = np.zeros_like(W)
+    q = np.zeros_like(W)
+    for _ in range(max_iters):
+        y = np.clip(x + p, 0.0, 1.0)
+        p = x + p - y
+        z = y + q
+        deficit = total - float(z.sum())
+        x_new = z + deficit / W.size if deficit > 0 else z
+        q = z - x_new
+        if np.abs(x_new - x).max(initial=0.0) <= tol:
+            return x_new
+        x = x_new
+    raise AssertionError("reference Dykstra projection did not converge")
+
+
 def project_T_reference(Z, T):
     """Tangent projection by the three-term formula UU^T Z + Z VV^T - UU^T Z VV^T."""
     UUt = T.U @ T.U.T

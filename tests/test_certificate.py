@@ -132,19 +132,16 @@ def test_config_q_consistent_with_p(p):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GolfingConfig(k0=0, q=0.5, p=0.5, seed=0)
+        GolfingConfig(k0=0, p=0.5, seed=0)
     with pytest.raises(ValueError):
-        GolfingConfig(k0=10, q=0.5, p=1.5, seed=0)
-    with pytest.raises(ValueError):
-        GolfingConfig(k0=10, q=0.2, p=0.85, seed=0)  # (1-q)^k0 != p
+        GolfingConfig(k0=10, p=1.5, seed=0)
     with pytest.raises(ValueError, match="k0 must be >= 1, got 0"):
         GolfingConfig.for_problem(50, p=0.5, seed=0, k0=0)
 
 
 def test_config_extreme_q_values():
-    # q = 1 forces p = 0; q = 0 forces p = 1
-    GolfingConfig(k0=5, q=1.0, p=0.0, seed=0)
-    GolfingConfig(k0=5, q=0.0, p=1.0, seed=0)
+    assert GolfingConfig(k0=5, p=0.0, seed=0).q == 1.0
+    assert GolfingConfig(k0=5, p=1.0, seed=0).q == 0.0
 
 
 # ---------------------------------------------------------------- partitioning
@@ -161,14 +158,14 @@ def test_partition_batch_count_and_disjoint_from_gamma():
 
 def test_partition_q_one_gives_full_complement():
     G = gen_bernoulli_support(15, 0.4, seed=2)
-    cfg = GolfingConfig(k0=4, q=1.0, p=0.0, seed=3)
+    cfg = GolfingConfig(k0=4, p=0.0, seed=3)
     for b in partition_complement(G, cfg):
         assert np.array_equal(b.mask, ~G.mask)
 
 
 def test_partition_q_zero_gives_empty_batches():
     G = gen_bernoulli_support(15, 0.4, seed=2)
-    cfg = GolfingConfig(k0=4, q=0.0, p=1.0, seed=3)
+    cfg = GolfingConfig(k0=4, p=1.0, seed=3)
     for b in partition_complement(G, cfg):
         assert len(b) == 0
 

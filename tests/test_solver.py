@@ -28,7 +28,7 @@ from qcr.solver import (
     solve_rpca,
 )
 
-from conftest import svd_threshold_reference
+from conftest import dykstra_reference, rng, svd_threshold_reference
 
 
 def planted(n=50, n_c=40, gamma=0.85, rho=0.1, seed=21):
@@ -266,8 +266,56 @@ def test_solution_feasible_with_active_constraint():
     assert res.B_star.min() >= -1e-8
     assert res.B_star.max() <= 1.0 + 1e-8
     assert res.B_star.sum() >= target - 1e-6 * target
+    # the projection clips into the box, so B* = Z3 lies in it exactly
+    assert res.B_star.min() >= 0.0
+    assert res.B_star.max() <= 1.0
     # the extra mass is genuinely forced by the constraint
     assert solve_rpca(inst.A).B_star.sum() < target
+
+
+# ---------------------------------------------------------------- box/halfspace projection
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("fill", [0.2, 0.5, 0.9, 0.999])
+def test_projection_matches_dykstra(seed, fill):
+    # fill is the target as a share of W.size; targets above the clipped sum bind
+    W = rng(seed).normal(0.4, 0.8, size=(12, 12))
+    total = fill * W.size
+    X = solver._project_box_halfspace(W, total)
+    assert X.min() >= 0.0 and X.max() <= 1.0
+    assert X.sum() >= total
+    clipped = np.clip(W, 0.0, 1.0)
+    if clipped.sum() >= total:
+        assert np.array_equal(X, clipped)
+    # at its default tol=1e-10 the reference stops up to 1.4e-8 short of the
+    # projection on the fill=0.999 targets, so run it tighter
+    ref = dykstra_reference(W, total, tol=1e-13)
+    assert np.abs(X - ref).max() <= 1e-9
+    # clipping ref into the box drops the mass it held outside, so it may lie
+    # closer to W than the (feasible) projection by that rounding-level amount
+    assert np.linalg.norm(X - W) <= np.linalg.norm(np.clip(ref, 0.0, 1.0) - W) + 1e-10
+
+
+@pytest.mark.property
+@given(
+    st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=64),
+    st.floats(0.0, 1.0),
+)
+def test_projection_is_shifted_clip(values, fill):
+    # KKT form: X = clip(W + t, 0, 1) for one t >= 0
+    W = np.array(values)
+    X = solver._project_box_halfspace(W, fill * W.size)
+    free = (X > 0.0) & (X < 1.0)
+    if free.any():
+        t = float(np.mean((X - W)[free]))
+    else:
+        t = max(0.0, float((1.0 - W)[X == 1.0].max(initial=0.0)))
+    assert t >= -1e-12
+    assert np.abs(X - np.clip(W + t, 0.0, 1.0)).max() <= 1e-12
+    # complementary slackness: a positive shift only where the target binds
+    if t > 1e-12:
+        assert X.sum() <= fill * W.size + 1e-9
 
 
 def test_infeasible_target_beyond_box():
