@@ -19,11 +19,9 @@ __version__ = "0.1.0"
 
 from .certificate import (
     CertificateReport,
-    ConcentrationReport,
     GolfingConfig,
     IncoherenceReport,
     NeumannDivergenceError,
-    check_concentration,
     golfing_QB,
     incoherence,
     neumann_QC,
@@ -31,12 +29,10 @@ from .certificate import (
     verify_certificate,
 )
 from .experiments import (
-    EtaSweepEntry,
     GridSpec,
     RecoveryGrid,
     export_grid,
     planted_size,
-    run_eta_sweep,
     run_phase_grid,
     run_size_grid,
 )
@@ -67,7 +63,6 @@ from .solver import (
     RECOVERY_TOL,
     DecompositionResult,
     InfeasibleError,
-    IterRecord,
     QuasiCliqueParams,
     SolverOptions,
     recovery_success,
@@ -78,15 +73,12 @@ from .solver import (
 
 __all__ = [
     "CertificateReport",
-    "ConcentrationReport",
     "DecompositionResult",
-    "EtaSweepEntry",
     "GolfingConfig",
     "GridSpec",
     "IncoherenceReport",
     "InfeasibleError",
     "InstanceParams",
-    "IterRecord",
     "NORM_KINDS",
     "NeumannDivergenceError",
     "PlantedInstance",
@@ -97,7 +89,6 @@ __all__ = [
     "SupportSet",
     "SvdFactors",
     "TangentSpace",
-    "check_concentration",
     "derive_seed",
     "export_grid",
     "gen_bernoulli_support",
@@ -116,7 +107,6 @@ __all__ = [
     "project_T_perp",
     "recovery_success",
     "relative_error",
-    "run_eta_sweep",
     "run_phase_grid",
     "run_size_grid",
     "soft_threshold",

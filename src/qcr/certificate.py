@@ -35,14 +35,12 @@ __all__ = [
     "IncoherenceReport",
     "GolfingConfig",
     "CertificateReport",
-    "ConcentrationReport",
     "NeumannDivergenceError",
     "incoherence",
     "partition_complement",
     "golfing_QB",
     "neumann_QC",
     "verify_certificate",
-    "check_concentration",
     "DEFAULT_RANK_TOL",
     "Check",
     "CONDITIONS",
@@ -155,17 +153,6 @@ class GolfingConfig:
             seed=derive_seed(params.seed, _CERT_SEED_TAG) if seed is None else seed,
             k0=k0,
         )
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    """Measured deviations of the sampled projections against the bounds they
-    are expected to satisfy (bounds reported with unit leading constants)."""
-
-    opnorm_deviation: float
-    opnorm_bound: float
-    linf_contraction: float
-    linf_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,16 +317,15 @@ def verify_certificate(
 
     The tangent space comes from the truncated SVD of the planted block at
     rank_tol (defaulting to the spectral-gap cut that isolates the planted
-    direction); the noise support of the instance plays Gamma; lam defaults to
-    1/sqrt(n); cfg defaults to batches at overall probability p = gamma with a
-    seed derived from the instance seed.
+    direction); the noise support of the instance plays Gamma; lam, checked
+    like SolverOptions.lam, defaults to 1/sqrt(n); cfg defaults to batches at
+    overall probability p = gamma with a seed derived from the instance seed.
     """
     params = inst.params
     n = params.n
     if not np.any(inst.B0):
         raise ValueError("certificate verification requires a nonzero planted block")
-    if lam is None:
-        lam = SolverOptions().resolve_lam(n)
+    lam = SolverOptions(lam=lam).resolve_lam(n)
     if cfg is None:
         cfg = GolfingConfig.for_instance(params)
 
@@ -391,32 +377,3 @@ def verify_certificate(
         regime_ok=cfg.p >= regime_threshold,
     )
 
-
-def check_concentration(T: TangentSpace, Gamma_k: SupportSet, p: float, Z) -> ConcentrationReport:
-    """Measure the two sampled-projection deviations against their expected
-    bounds: the spectral deviation of the rescaled support projection from the
-    identity, and the entrywise contraction of the rescaled tangent/support
-    composition."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    Z = _as_matrix(Z, "Z")
-    if Z.shape != (T.n, T.n) or Gamma_k.n != T.n:
-        raise ValueError("dimension mismatch")
-    n = T.n
-    logn = math.log(n) if n > 1 else 1.0
-
-    deviation = project_support(Z, Gamma_k) / p - Z
-    opnorm_deviation = norm(deviation, "spectral")
-    opnorm_bound = (logn / p) * norm(Z, "linf") + math.sqrt(logn / p) * norm(Z, "linf2")
-
-    PtZ = project_T(Z, T)
-    contraction = PtZ - project_T(project_support(PtZ, Gamma_k), T) / p
-    linf_contraction = norm(contraction, "linf")
-    linf_bound = 0.5 * norm(Z, "linf")
-
-    return ConcentrationReport(
-        opnorm_deviation=opnorm_deviation,
-        opnorm_bound=opnorm_bound,
-        linf_contraction=linf_contraction,
-        linf_bound=linf_bound,
-    )

@@ -14,26 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import InstanceParams, derive_seed, gen_planted
-from .solver import (
-    DecompositionResult,
-    InfeasibleError,
-    QuasiCliqueParams,
-    SolverOptions,
-    recovery_success,
-    relative_error,
-    solve_quasi_clique,
-    solve_rpca,
-)
+from .solver import SolverOptions, recovery_success, relative_error, solve_rpca
 
 __all__ = [
     "GridSpec",
     "SIZE_GRID",
     "PHASE_GRID",
     "RecoveryGrid",
-    "EtaSweepEntry",
     "run_size_grid",
     "run_phase_grid",
-    "run_eta_sweep",
     "export_grid",
     "planted_size",
 ]
@@ -91,13 +80,6 @@ class RecoveryGrid:
     mean_rel_error: np.ndarray
     wall_times: np.ndarray
     complete: bool = True
-
-
-@dataclass(frozen=True, eq=False)
-class EtaSweepEntry:
-    eta: int
-    result: DecompositionResult | None
-    error: str | None
 
 
 def planted_size(n: int, fraction: float) -> int:
@@ -200,28 +182,6 @@ def run_phase_grid(spec: GridSpec, threads: int | None = None) -> RecoveryGrid:
     if not {"n", "n_c"} <= set(spec.fixed):
         raise ValueError("phase grid requires fixed n and n_c")
     return _run_grid("phase", spec, threads)
-
-
-def run_eta_sweep(A, gamma: float, eta_values, opts: SolverOptions | None = None) -> list[EtaSweepEntry]:
-    """One constrained solve per target size eta, in order. Per-eta failures
-    (infeasible targets included) are recorded and the sweep continues."""
-    eta_values = list(eta_values)
-    if not eta_values:
-        raise ValueError("eta_values must be nonempty")
-    for eta in eta_values:
-        if int(eta) != eta or eta < 1:
-            raise ValueError(f"eta values must be positive integers, got {eta}")
-    entries = []
-    for eta in eta_values:
-        try:
-            res = solve_quasi_clique(A, QuasiCliqueParams(gamma=gamma, eta=int(eta)), opts)
-            entries.append(EtaSweepEntry(eta=int(eta), result=res, error=None))
-        except InfeasibleError as exc:
-            entries.append(EtaSweepEntry(eta=int(eta), result=None, error=str(exc)))
-        except Exception as exc:
-            log.warning("eta sweep failed at eta=%d", eta, exc_info=True)
-            entries.append(EtaSweepEntry(eta=int(eta), result=None, error=str(exc)))
-    return entries
 
 
 def _write_text(path: str, text: str) -> None:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NORM_KINDS",
     "SvdFactors",
     "SupportSet",
     "TangentSpace",

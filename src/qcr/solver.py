@@ -6,8 +6,7 @@ variant min ||X||_* + lambda*||A - X||_1 s.t. sum(X) >= gamma*eta^2, X in [0,1].
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ __all__ = [
     "SolverOptions",
     "QuasiCliqueParams",
     "DecompositionResult",
-    "IterRecord",
     "InfeasibleError",
     "solve_rpca",
     "solve_quasi_clique",
@@ -36,7 +34,9 @@ class InfeasibleError(ValueError):
 @dataclass(frozen=True)
 class SolverOptions:
     """Solver knobs. lam defaults to 1/sqrt(n) and mu0 to 0.25/mean(|M|),
-    both resolved against the input matrix at solve time when left None."""
+    both resolved against the input matrix at solve time when left None.
+    mu_growth is read by solve_rpca only: solve_quasi_clique ignores it and
+    rebalances its penalty by a factor 2 every 10 iterations instead."""
 
     lam: float | None = None
     mu0: float | None = None
@@ -45,14 +45,14 @@ class SolverOptions:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.mu0 is not None and not self.mu0 > 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
-        if self.mu_growth < 1.0:
-            raise ValueError(f"mu_growth must be >= 1, got {self.mu_growth}")
-        if not self.tol_primal > 0:
-            raise ValueError(f"tol_primal must be positive, got {self.tol_primal}")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if self.mu0 is not None and not 0 < self.mu0 < math.inf:
+            raise ValueError(f"mu0 must be positive and finite, got {self.mu0}")
+        if not 1.0 <= self.mu_growth < math.inf:
+            raise ValueError(f"mu_growth must be finite and >= 1, got {self.mu_growth}")
+        if not 0 < self.tol_primal < math.inf:
+            raise ValueError(f"tol_primal must be positive and finite, got {self.tol_primal}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -80,18 +80,6 @@ class QuasiCliqueParams:
             raise ValueError(f"eta must be a positive integer, got {self.eta}")
 
 
-@dataclass(frozen=True)
-class IterRecord:
-    """Per-iteration solver trace entry. al_before/al_after are the augmented
-    Lagrangian evaluated before and after the primal pass, at the multiplier
-    and penalty in force during that pass."""
-
-    al_before: float
-    al_after: float
-    mu: float
-    primal_residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
     B_star: np.ndarray
@@ -100,30 +88,9 @@ class DecompositionResult:
     primal_residual: float
     objective: float
     converged: bool
-    trace: tuple[IterRecord, ...] | None = field(default=None, repr=False)
 
 
-def _augmented_lagrangian(M, B, C, Y, mu, lam):
-    R = M - B - C
-    return (
-        norm(B, "nuclear")
-        + lam * float(np.abs(C).sum())
-        + float(np.tensordot(Y, R))
-        + 0.5 * mu * float((R * R).sum())
-    )
-
-
-def _check_symmetry_preserved(M_in, B_out, label):
-    if np.array_equal(M_in, M_in.T):
-        asym = float(np.abs(B_out - B_out.T).max(initial=0.0))
-        if asym > 1e-8 * (1.0 + float(np.abs(B_out).max(initial=0.0))):
-            warnings.warn(
-                f"{label} lost symmetry (max asymmetry {asym:.2e}) on symmetric input",
-                RuntimeWarning,
-            )
-
-
-def solve_rpca(M, opts: SolverOptions | None = None, record_trace: bool = False) -> DecompositionResult:
+def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
     """Minimize ||B||_* + lam*||C||_1 subject to B + C = M.
 
     Inexact augmented-Lagrangian iteration with exact proximal steps: B by
@@ -141,29 +108,22 @@ def solve_rpca(M, opts: SolverOptions | None = None, record_trace: bool = False)
     C = np.zeros_like(M)
     Y = np.zeros_like(M)
     hist: list[float] = []
-    trace: list[IterRecord] = []
     converged = False
     residual = float(np.linalg.norm(M)) / norm_M
 
     for _k in range(opts.max_iters):
-        al_before = _augmented_lagrangian(M, B, C, Y, mu, lam) if record_trace else 0.0
         B = sv_threshold(M - C + Y / mu, 1.0 / mu)
         C = soft_threshold(M - B + Y / mu, lam / mu)
         R = M - B - C
-        if record_trace:
-            al_after = _augmented_lagrangian(M, B, C, Y, mu, lam)
         Y = Y + mu * R
         residual = float(np.linalg.norm(R)) / norm_M
         hist.append(residual)
-        if record_trace:
-            trace.append(IterRecord(al_before, al_after, mu, residual))
         if residual <= opts.tol_primal:
             converged = True
             break
         if len(hist) > 10 and hist[-1] > 0.9 * hist[-11]:
             mu *= opts.mu_growth
 
-    _check_symmetry_preserved(M, B, "solve_rpca")
     objective = norm(B, "nuclear") + lam * norm(C, "l1")
     return DecompositionResult(
         B_star=B,
@@ -172,7 +132,6 @@ def solve_rpca(M, opts: SolverOptions | None = None, record_trace: bool = False)
         primal_residual=residual,
         objective=objective,
         converged=converged,
-        trace=tuple(trace) if record_trace else None,
     )
 
 
@@ -268,7 +227,6 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
                 U2 *= 2.0
                 U3 *= 2.0
 
-    _check_symmetry_preserved(A, Z3, "solve_quasi_clique")
     objective = norm(Z3, "nuclear") + lam * norm(A - Z3, "l1")
     return DecompositionResult(
         B_star=Z3,

@@ -51,6 +51,17 @@ def dykstra_reference(W, total, tol=1e-10, max_iters=5000):
     raise AssertionError("reference Dykstra projection did not converge")
 
 
+def augmented_lagrangian(M, B, C, Y, mu, lam):
+    """||B||_* + lam*||C||_1 + <Y, M - B - C> + (mu/2) ||M - B - C||_F^2."""
+    R = M - B - C
+    return (
+        float(np.linalg.norm(B, "nuc"))
+        + lam * float(np.abs(C).sum())
+        + float(np.tensordot(Y, R))
+        + 0.5 * mu * float((R * R).sum())
+    )
+
+
 def project_T_reference(Z, T):
     """Tangent projection by the three-term formula UU^T Z + Z VV^T - UU^T Z VV^T."""
     UUt = T.U @ T.U.T

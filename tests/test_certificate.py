@@ -2,7 +2,6 @@
 Neumann series against a dense oracle, end-to-end verification."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from qcr.certificate import (
     DEFAULT_RANK_TOL,
     GolfingConfig,
     NeumannDivergenceError,
-    check_concentration,
     golfing_QB,
     incoherence,
     neumann_QC,
@@ -464,6 +462,14 @@ def test_verify_lambda_gate():
     assert not rep.overall
 
 
+def test_verify_rejects_invalid_lambda():
+    # the certificate takes its lambda through the solver's option check
+    inst = gen_planted(InstanceParams(n=40, n_c=30, gamma=0.85, rho=0.05, seed=8))
+    for lam in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            verify_certificate(inst, lam=lam)
+
+
 def test_verify_zero_block_rejected():
     # pick a seed whose single-vertex block draws no self-loop
     for seed in range(50):
@@ -481,44 +487,3 @@ def test_verify_custom_config_respected():
     rep = verify_certificate(inst, cfg=cfg)
     assert rep.config == cfg
     assert len(rep.golfing_trace) == 13
-
-
-# ---------------------------------------------------------------- concentration
-
-
-def test_concentration_zero_matrix():
-    T = block_tangent(20, 15)
-    G = gen_bernoulli_support(20, 0.5, seed=1)
-    rep = check_concentration(T, G, 0.5, np.zeros((20, 20)))
-    assert rep.opnorm_deviation == 0.0
-    assert rep.linf_contraction == 0.0
-    assert rep.opnorm_bound == 0.0
-    assert rep.linf_bound == 0.0
-
-
-def test_concentration_exact_at_full_sampling():
-    T = block_tangent(20, 15)
-    Z = rng(2).standard_normal((20, 20))
-    rep = check_concentration(T, SupportSet.full(20), 1.0, Z)
-    assert rep.opnorm_deviation <= 1e-12
-    assert rep.linf_contraction <= 1e-12
-
-
-def test_concentration_validation():
-    T = block_tangent(10, 5)
-    with pytest.raises(ValueError):
-        check_concentration(T, SupportSet.full(10), 0.0, np.zeros((10, 10)))
-    with pytest.raises(ValueError):
-        check_concentration(T, SupportSet.full(9), 0.5, np.zeros((10, 10)))
-
-
-def test_concentration_tangent_contraction_high_probability():
-    # the entrywise contraction bound holds on the vast majority of samples
-    T = block_tangent(100, 85)
-    E = T.U @ T.V.T
-    hits = 0
-    for s in range(200):
-        G = gen_bernoulli_support(100, 0.85, seed=1000 + s)
-        rep = check_concentration(T, G, 0.85, E)
-        hits += rep.linf_contraction <= rep.linf_bound
-    assert hits >= 190

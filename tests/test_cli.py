@@ -85,9 +85,18 @@ def test_solve_nonconvergence_exit4_still_writes(tmp_chdir, capsys):
 
 def test_solve_rejects_nonpositive_lambda(tmp_chdir, capsys):
     run(capsys, *GEN, "--out", "inst.txt")
-    rc, _, err = run(capsys, "solve", "--input", "inst.txt", "--lambda", "0")
+    for lam in ("0", "inf", "nan"):
+        rc, _, err = run(capsys, "solve", "--input", "inst.txt", "--lambda", lam)
+        assert rc == 2
+        assert "lam must be positive" in err
+
+
+@pytest.mark.parametrize("growth", ["inf", "nan"])
+def test_solve_rejects_nonfinite_mu_growth(tmp_chdir, capsys, growth):
+    run(capsys, *GEN, "--out", "inst.txt")
+    rc, _, err = run(capsys, "solve", "--input", "inst.txt", "--mu-growth", growth)
     assert rc == 2
-    assert "lam" in err
+    assert "mu_growth must be finite" in err
 
 
 def test_solve_quasi_clique_defaults_from_instance(tmp_chdir, capsys):
@@ -164,6 +173,14 @@ def test_certify_flags_forwarded(tmp_chdir, capsys):
     )
     doc = json.loads(open("rep.json").read())
     assert doc["config"] == {"k0": 8, "q": pytest.approx(1 - 0.5 ** (1 / 8)), "p": 0.5, "seed": 3}
+
+
+@pytest.mark.parametrize("lam", ["0", "inf", "nan"])
+def test_certify_rejects_invalid_lambda(tmp_chdir, capsys, lam):
+    run(capsys, *GEN, "--out", "inst.txt")
+    rc, _, err = run(capsys, "certify", "--input", "inst.txt", "--lambda", lam)
+    assert rc == 2
+    assert "lam must be positive" in err
 
 
 def test_certify_k0_zero_exit2(tmp_chdir, capsys):

@@ -1,5 +1,5 @@
 """Recovery-grid harness tests: seeding determinism, rate quantization,
-export file formats, eta sweep bookkeeping."""
+and export file formats."""
 
 import json
 
@@ -9,16 +9,13 @@ import pytest
 import qcr.experiments as experiments
 from qcr import __version__
 from qcr.experiments import (
-    EtaSweepEntry,
     GridSpec,
     RecoveryGrid,
     export_grid,
     planted_size,
-    run_eta_sweep,
     run_phase_grid,
     run_size_grid,
 )
-from qcr.instances import InstanceParams, gen_planted
 
 
 def small_phase_spec(trials=2, base_seed=7):
@@ -212,31 +209,3 @@ def test_export_write_failure_raises_oserror(tmp_path):
     grid = handmade_grid([[0.5]])
     with pytest.raises(OSError):
         export_grid(grid, str(tmp_path / "missing_dir" / "g"))
-
-
-# ---------------------------------------------------------------- eta sweep
-
-
-def test_eta_sweep_records_entries_in_order():
-    inst = gen_planted(InstanceParams(n=30, n_c=22, gamma=0.9, rho=0.1, seed=5))
-    entries = run_eta_sweep(inst.A, 0.9, [1, 31, 22])
-    assert [e.eta for e in entries] == [1, 31, 22]
-    assert entries[0].error is None and entries[0].result is not None
-    # eta = 31 demands 0.9*31^2 = 864.9 > n^2 * density available
-    assert entries[1].result is None and "target" in entries[1].error
-    assert entries[2].error is None and entries[2].result.converged
-
-
-def test_eta_sweep_validation():
-    inst = gen_planted(InstanceParams(n=10, n_c=5, gamma=0.9, rho=0.1, seed=5))
-    with pytest.raises(ValueError):
-        run_eta_sweep(inst.A, 0.9, [])
-    with pytest.raises(ValueError):
-        run_eta_sweep(inst.A, 0.9, [2.5])
-    with pytest.raises(ValueError):
-        run_eta_sweep(inst.A, 0.9, [0])
-
-
-def test_eta_sweep_entry_shape():
-    e = EtaSweepEntry(eta=3, result=None, error="x")
-    assert e.eta == 3 and e.result is None and e.error == "x"

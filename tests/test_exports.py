@@ -1,0 +1,53 @@
+"""Export-list tests: every public name has one home module, and every function
+the perfbench tracer wraps still exists, so a deletion cannot leave a dangling
+re-export or trace target behind."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import qcr
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def submodule_exports():
+    """{submodule name: its __all__} for every module of the qcr package."""
+    out = {}
+    for info in pkgutil.iter_modules(qcr.__path__):
+        mod = importlib.import_module(f"qcr.{info.name}")
+        out[info.name] = list(getattr(mod, "__all__", ()))
+    return out
+
+
+def traced_names():
+    """The TRACED tuple of perfbench/spans.py, read from its source without
+    importing it."""
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED assignment in {SPANS}")
+
+
+def test_package_exports_have_one_home_module():
+    exports = submodule_exports()
+    for name in qcr.__all__:
+        if name == "__version__":
+            continue
+        homes = [mod for mod, names in exports.items() if name in names]
+        assert len(homes) == 1, f"{name} is exported by {homes}"
+        home = importlib.import_module(f"qcr.{homes[0]}")
+        assert getattr(qcr, name) is getattr(home, name)
+
+
+def test_traced_names_resolve_to_callables():
+    traced = traced_names()
+    assert traced
+    for dotted in traced:
+        module, func = dotted.split(".")
+        target = getattr(importlib.import_module(f"qcr.{module}"), func, None)
+        assert callable(target), f"{dotted} does not resolve to a callable"

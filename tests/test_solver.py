@@ -1,6 +1,7 @@
 """Decomposition solver tests: exact splits, augmented-Lagrangian descent,
 constrained mode feasibility, and a small convex-programming cross-check."""
 
+import math
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from qcr.solver import (
     solve_rpca,
 )
 
-from conftest import dykstra_reference, rng, svd_threshold_reference
+from conftest import augmented_lagrangian, dykstra_reference, rng, svd_threshold_reference
 
 
 def planted(n=50, n_c=40, gamma=0.85, rho=0.1, seed=21):
@@ -49,6 +50,10 @@ def test_options_validation():
         SolverOptions(tol_primal=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
+    for bad in (math.inf, math.nan):
+        for field in ("lam", "mu0", "mu_growth", "tol_primal"):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                SolverOptions(**{field: bad})
 
 
 def test_options_defaults_resolve():
@@ -121,22 +126,46 @@ def test_degenerate_lambda_small_puts_everything_in_C():
     assert relative_error(res.C_star, M) <= 1e-6
 
 
-def test_augmented_lagrangian_decreases_within_each_pass():
+def record_prox_calls(monkeypatch, name):
+    """Replace solver.<name> by a wrapper; return the list of (input, tau,
+    output) triples it collects, one per call."""
+    calls = []
+    real = getattr(solver, name)
+
+    def recording(W, tau):
+        out = real(W, tau)
+        calls.append((W, tau, out))
+        return out
+
+    monkeypatch.setattr(solver, name, recording)
+    return calls
+
+
+def test_augmented_lagrangian_decreases_within_each_pass(monkeypatch):
     # each primal pass is a pair of exact prox minimizations at fixed
-    # multiplier, so the augmented Lagrangian cannot go up within a pass
+    # multiplier, so the augmented Lagrangian cannot go up within a pass.
+    # Pass k is recovered from its two prox calls: the B-step threshold is
+    # 1/mu, and the C-step input M - B + Y/mu gives the multiplier Y.
     inst = planted(n=40, n_c=30, gamma=0.9, rho=0.1, seed=5)
-    res = solve_rpca(inst.A, record_trace=True)
-    assert res.trace is not None and len(res.trace) == res.iterations
-    for rec in res.trace:
-        scale = max(1.0, abs(rec.al_before))
-        assert rec.al_after <= rec.al_before + 1e-9 * scale
-    assert all(rec.mu > 0 for rec in res.trace)
-    assert res.trace[-1].primal_residual == res.primal_residual
+    M = inst.A
+    lam = 1.0 / np.sqrt(M.shape[0])
+    b_calls = record_prox_calls(monkeypatch, "sv_threshold")
+    c_calls = record_prox_calls(monkeypatch, "soft_threshold")
+    res = solve_rpca(M)
+    assert len(b_calls) == len(c_calls) == res.iterations
 
-
-def test_trace_absent_by_default():
-    inst = planted(n=30, n_c=20, seed=2)
-    assert solve_rpca(inst.A).trace is None
+    B = C = np.zeros_like(M)
+    for (_, tau_B, B_new), (W_C, tau_C, C_new) in zip(b_calls, c_calls):
+        mu = 1.0 / tau_B
+        assert mu > 0
+        assert tau_C == pytest.approx(lam / mu, rel=1e-14)
+        Y = mu * (W_C - M + B_new)
+        al_before = augmented_lagrangian(M, B, C, Y, mu, lam)
+        al_after = augmented_lagrangian(M, B_new, C_new, Y, mu, lam)
+        assert al_after <= al_before + 1e-9 * max(1.0, abs(al_before))
+        B, C = B_new, C_new
+    assert np.array_equal(B, res.B_star) and np.array_equal(C, res.C_star)
+    assert float(np.linalg.norm(M - B - C)) / float(np.linalg.norm(M)) == res.primal_residual
 
 
 def test_nonconvergence_reported_not_raised():
@@ -253,6 +282,16 @@ def test_planted_quasi_clique_recovery():
     assert res.converged
     assert recovery_success(res.B_star, inst.block_pattern)
     assert np.array_equal(res.C_star, inst.A - res.B_star)
+
+
+def test_quasi_clique_ignores_mu_growth():
+    # the constrained solver rebalances its penalty by a fixed factor 2
+    inst = planted(n=40, n_c=30, gamma=0.9, rho=0.1, seed=5)
+    qc = QuasiCliqueParams(gamma=0.9, eta=30)
+    slow = solve_quasi_clique(inst.A, qc, SolverOptions(mu_growth=1.0))
+    fast = solve_quasi_clique(inst.A, qc, SolverOptions(mu_growth=50.0))
+    assert slow.iterations == fast.iterations
+    assert np.array_equal(slow.B_star, fast.B_star)
 
 
 def test_solution_feasible_with_active_constraint():
