@@ -9,6 +9,7 @@ JSON report per seed under results/certificates/ plus a summary JSON.
 import argparse
 import json
 import os
+import time
 
 from qcr.certificate import CONDITIONS, verify_certificate
 from qcr.fileio import write_report
@@ -32,6 +33,7 @@ def main() -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     condition_passes = [0] * len(CONDITIONS)
     overall_passes = 0
+    t0 = time.perf_counter()
     for k in range(args.count):
         seed = derive_seed(args.base_seed, k)
         inst = gen_planted(
@@ -42,6 +44,8 @@ def main() -> None:
             condition_passes[i] += ok
         overall_passes += rep.overall
         write_report(rep, os.path.join(args.out_dir, f"report_{k:03d}.json"))
+    # timing goes to stdout only, so that summary.json stays deterministic
+    wall = time.perf_counter() - t0
 
     summary = {
         "count": args.count,
@@ -58,6 +62,7 @@ def main() -> None:
     for label, passes in zip(CONDITION_LABELS, condition_passes):
         print(f"{label}: {passes}/{args.count}")
     print(f"overall: {overall_passes}/{args.count}")
+    print(f"wall time: {wall:.2f} s total, {wall / max(args.count, 1):.3f} s per certificate")
     print(f"wrote per-seed reports and summary.json to {args.out_dir}")
 
 

@@ -22,10 +22,12 @@ from .linalg import (
     SvdFactors,
     TangentSpace,
     _as_matrix,
+    _Entries,
+    _tangent_at,
+    _tangent_dot,
+    _tangent_factors_at,
     norm,
     opnorm_PGammaPT,
-    project_support,
-    project_T,
     project_T_perp,
     svd,
 )
@@ -134,7 +136,8 @@ class GolfingConfig:
     @classmethod
     def for_problem(cls, n: int, p: float, seed: int, k0: int | None = None) -> "GolfingConfig":
         if k0 is None:
-            k0 = 20 * math.ceil(math.log(n))
+            # at least one round of 20 batches, also at n = 1 where log n = 0
+            k0 = 20 * max(1, math.ceil(math.log(n)))
         return cls(k0=k0, p=p, seed=seed)
 
     @classmethod
@@ -225,10 +228,13 @@ def golfing_QB(T: TangentSpace, batches: list[SupportSet], p: float):
 
     Iterates Y_k = Y_{k-1} + (1/p) * P_{batch_k} P_T (UV^T - Y_{k-1}) in the
     residual form: with Z_0 = UV^T and Z_k = UV^T - P_T Y_k, each batch adds
-    G_k = (1/p) * P_{batch_k} Z_{k-1} to Y and subtracts P_T G_k from Z, one
-    tangent projection per batch. Returns (Q_B, trace) with Q_B the projection
-    of the final Y onto the tangent complement and trace the Frobenius norms
-    of Z_0, ..., Z_k0.
+    G_k = (1/p) * P_{batch_k} Z_{k-1} to Y and subtracts P_T G_k from Z. Z
+    lives in T and is held as its factors (A, W), Z = U@A + W@V.T, starting
+    from A = V.T, W = 0; a batch reads Z on its entries and projects G back
+    to factors, O(|batch| r + n r^2), so the only dense projection is the
+    last one. Returns (Q_B, trace) with Q_B the projection of the final Y
+    onto the tangent complement and trace the Frobenius norms
+    sqrt(||A||^2 + ||W||^2) of Z_0, ..., Z_k0.
     """
     if not batches:
         raise ValueError("batches must be nonempty")
@@ -237,15 +243,20 @@ def golfing_QB(T: TangentSpace, batches: list[SupportSet], p: float):
     for S in batches:
         if S.n != T.n:
             raise ValueError("batch dimension does not match tangent space")
-    Z = T.U @ T.V.T
-    Y = np.zeros_like(Z)
-    trace = [float(np.linalg.norm(Z))]
+    A = T.V.T.copy()
+    W = np.zeros_like(T.U)
+    Y = np.zeros(T.n * T.n)
+    trace = [math.sqrt(_tangent_dot(A, W, A, W))]
     for S in batches:
-        G = project_support(Z, S) / p
-        Y += G
-        Z -= project_T(G, T)
-        trace.append(float(np.linalg.norm(Z)))
-    return project_T_perp(Y, T), trace
+        E = _Entries(S, T)
+        G = _tangent_at(A, W, E) / p
+        # a batch holds each entry once, so the fancy-index add is exact
+        Y[E.flat] += G
+        dA, dW = _tangent_factors_at(G, E, T)
+        A -= dA
+        W -= dW
+        trace.append(math.sqrt(_tangent_dot(A, W, A, W)))
+    return project_T_perp(Y.reshape(T.n, T.n), T), trace
 
 
 def neumann_QC(
@@ -261,7 +272,10 @@ def neumann_QC(
 
     Q_C = lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0, truncated once a
     term's Frobenius norm falls below tol * ||sign_C0||_F or max_terms terms
-    have been accumulated. Raises NeumannDivergenceError when the composed
+    have been accumulated. Each term is held as its values on Gamma's
+    entries; the next term projects them to tangent factors and reads those
+    back on Gamma, O(|Gamma| r + n r^2), and the sum is projected onto the
+    tangent complement once. Raises NeumannDivergenceError when the composed
     operator norm makes the series divergent. opnorm is that norm,
     ||P_Gamma P_T||, when the caller has already computed it with
     opnorm_PGammaPT(Gamma, T); left None, it is computed here.
@@ -288,10 +302,11 @@ def neumann_QC(
             "the series does not converge"
         )
 
-    term = sign_C0
-    acc = sign_C0.copy()
+    E = _Entries(Gamma, T)
+    term = sign_C0[E.rows, E.cols]
+    acc = term.copy()
     for _ in range(1, max_terms):
-        term = project_support(project_T(term, T), Gamma)
+        term = _tangent_at(*_tangent_factors_at(term, E, T), E)
         acc += term
         if float(np.linalg.norm(term)) <= tol * base:
             break
@@ -302,7 +317,9 @@ def neumann_QC(
                 f"{float(np.linalg.norm(term)):.2e} above tolerance",
                 RuntimeWarning,
             )
-    return lam * project_T_perp(acc, T)
+    dense = np.zeros(Gamma.n * Gamma.n)
+    dense[E.flat] = acc
+    return lam * project_T_perp(dense.reshape(Gamma.n, Gamma.n), T)
 
 
 def verify_certificate(
@@ -319,13 +336,17 @@ def verify_certificate(
     rank_tol (defaulting to the spectral-gap cut that isolates the planted
     direction); the noise support of the instance plays Gamma; lam, checked
     like SolverOptions.lam, defaults to 1/sqrt(n); cfg defaults to batches at
-    overall probability p = gamma with a seed derived from the instance seed.
+    overall probability p = gamma with a seed derived from the instance seed;
+    regime_c0, the constant of the sampling-regime threshold
+    c0 * mu * r * log(n) / n, must be positive and finite.
     """
     params = inst.params
     n = params.n
     if not np.any(inst.B0):
         raise ValueError("certificate verification requires a nonzero planted block")
     lam = SolverOptions(lam=lam).resolve_lam(n)
+    if not 0 < regime_c0 < math.inf:
+        raise ValueError(f"regime_c0 must be positive and finite, got {regime_c0}")
     if cfg is None:
         cfg = GolfingConfig.for_instance(params)
 

@@ -232,16 +232,62 @@ def sv_threshold(M, tau: float) -> np.ndarray:
     return (U * s) @ Vt
 
 
+def _tangent_factors(Z, T: TangentSpace):
+    """Factors (A, W) of P_T(Z) = U @ A + W @ V.T: A = U.T @ Z and
+    W = Z @ V - U @ (A @ V), so that U.T @ W = 0."""
+    A = T.U.T @ Z
+    return A, Z @ T.V - T.U @ (A @ T.V)
+
+
+class _Entries:
+    """Entries (rows, cols) of a support set, with the rows U[rows] and
+    V[cols] of a tangent space's factors, gathered once for the sparse
+    tangent kernels below."""
+
+    def __init__(self, S: SupportSet, T: TangentSpace):
+        n, r = T.n, T.r
+        self.flat = np.flatnonzero(S.mask)
+        self.rows, self.cols = np.divmod(self.flat, n)
+        self.U = T.U[self.rows]
+        self.V = T.V[self.cols]
+        # bincount bins of the (n, r) factor entries each sampled entry feeds
+        k = np.arange(r)
+        self.row_bins = (self.rows[:, None] * r + k).ravel()
+        self.col_bins = (self.cols[:, None] * r + k).ravel()
+
+
+def _tangent_factors_at(vals, E: _Entries, T: TangentSpace):
+    """Factors (A, W) of P_T(Z) for the Z that holds vals on E and zeros
+    elsewhere: A.T and Z @ V are bincounts of the sampled rows of U and V,
+    O(|E| r + n r^2)."""
+    n, r = T.n, T.r
+    A = np.bincount(E.col_bins, (E.U * vals[:, None]).ravel(), n * r).reshape(n, r).T
+    ZV = np.bincount(E.row_bins, (E.V * vals[:, None]).ravel(), n * r).reshape(n, r)
+    return A, ZV - T.U @ (A @ T.V)
+
+
+def _tangent_at(A, W, E: _Entries):
+    """Entries of U @ A + W @ V.T on E, O(|E| r)."""
+    return np.einsum("ij,ji->i", E.U, A[:, E.cols]) + np.einsum("ij,ij->i", W[E.rows], E.V)
+
+
+def _tangent_dot(A1, W1, A2, W2) -> float:
+    """<U A1 + W1 V.T, U A2 + W2 V.T> = <A1, A2> + <W1, W2>, as U and V are
+    orthonormal and U.T @ W = 0."""
+    return float(np.vdot(A1, A2) + np.vdot(W1, W2))
+
+
 def project_T(Z, T: TangentSpace) -> np.ndarray:
     """Orthogonal projection U@U.T@Z + Z@V@V.T - U@U.T@Z@V@V.T onto T.
 
-    With A = U.T@Z and W = Z@V - U@(A@V), the projection is U@A + W@V.T,
-    formed as one GEMM [U W] @ [A; V.T] of inner dimension 2r."""
+    With the factors A = U.T@Z and W = Z@V - U@(A@V) of the projection, which
+    the certificate kernels keep in place of n x n tangent matrices, it is
+    U@A + W@V.T, formed as one GEMM [U W] @ [A; V.T] of inner dimension 2r:
+    O(n^2 r)."""
     Z = _as_matrix(Z, "Z")
     if Z.shape != (T.n, T.n):
         raise ValueError(f"Z shape {Z.shape} does not match tangent space n={T.n}")
-    A = T.U.T @ Z
-    W = Z @ T.V - T.U @ (A @ T.V)
+    A, W = _tangent_factors(Z, T)
     return np.hstack((T.U, W)) @ np.vstack((A, T.V.T))
 
 
@@ -265,9 +311,12 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
 
     Computed as sqrt of the top eigenvalue of the symmetric composition
     P_T P_Gamma P_T by power iteration with a deterministic random start.
-    The start is projected into T once; the iterates then stay inside T, so
-    each step applies X <- P_T P_Gamma X, one tangent projection. On hitting
-    the iteration cap a warning is issued and the best estimate returned.
+    The start is projected into T once; the iterates then stay inside T and
+    are held as their factors (A, W), X = U@A + W@V.T. Each step
+    X <- P_T P_Gamma X reads X on Gamma's entries and projects those values
+    back to factors, O(|Gamma| r + n r^2) instead of a dense n x n
+    projection. On hitting the iteration cap a warning is issued and the
+    best estimate returned.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -279,16 +328,17 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     rng = np.random.default_rng(0x9E3779B9)
     X = rng.standard_normal((S.n, S.n))
     X /= np.linalg.norm(X)
-    X = project_T(X, T)
+    A, W = _tangent_factors(X, T)
+    E = _Entries(S, T)
     lam_prev = np.inf
     lam = 0.0
     for _ in range(_POWER_ITER_CAP):
-        FX = project_T(project_support(X, S), T)
-        lam = max(float(np.tensordot(X, FX)), 0.0)
-        nrm = np.linalg.norm(FX)
+        FA, FW = _tangent_factors_at(_tangent_at(A, W, E), E, T)
+        lam = max(_tangent_dot(A, W, FA, FW), 0.0)
+        nrm = np.sqrt(_tangent_dot(FA, FW, FA, FW))
         if nrm == 0.0:
             return 0.0
-        X = FX / nrm
+        A, W = FA / nrm, FW / nrm
         if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
             return float(np.sqrt(lam))
         lam_prev = lam

@@ -138,20 +138,29 @@ def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
 def _project_box_halfspace(W, total: float):
     """Euclidean projection onto {X : 0 <= X <= 1, sum(X) >= total}: by the
     KKT conditions, clip(W + t, 0, 1) for the least t >= 0 whose sum reaches
-    total. The sum grows with t and is W.size at t = 1 - min(W); 64 bisection
-    halvings that keep the feasible end pin t down to the spacing of doubles."""
+    total. That sum is piecewise linear in t, its slope rising by one at each
+    breakpoint -w and falling by one at each 1 - w, so one sweep over the
+    sorted breakpoints finds t. Should rounding leave the sum short, t moves
+    up by growing multiples of its ulp until the result is feasible. The
+    caller guarantees total <= W.size."""
     X = np.clip(W, 0.0, 1.0)
     if float(X.sum()) >= total:
         return X
-    lo, hi = 0.0, 1.0 - float(W.min())
-    X = np.ones_like(W)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        Y = np.clip(W + mid, 0.0, 1.0)
-        if float(Y.sum()) >= total:
-            hi, X = mid, Y
-        else:
-            lo = mid
+    a = np.sort(-W, axis=None)
+    pts = np.concatenate((a, a + 1.0))
+    order = np.argsort(pts, kind="stable")
+    pts = pts[order]
+    slope = np.cumsum(np.where(order < a.size, 1.0, -1.0))
+    # sum at each breakpoint; it is 0 at the first, where every w + t <= 0
+    reach = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(pts))))
+    k = min(int(np.searchsorted(reach, total)), pts.size - 1)
+    t = pts[k - 1] + (total - reach[k - 1]) / slope[k - 1]
+    step = np.spacing(t)
+    X = np.clip(W + t, 0.0, 1.0)
+    # ends once t lifts every entry to 1 at the latest, as total <= W.size
+    while float(X.sum()) < total:
+        t, step = t + step, 2.0 * step
+        X = np.clip(W + t, 0.0, 1.0)
     return X
 
 

@@ -97,6 +97,21 @@ def opnorm_reference(S, T, tol=1e-6):
     raise AssertionError("reference power iteration did not converge")
 
 
+def neumann_reference(Gamma, T, sign_C0, lam, tol=1e-10, max_terms=200):
+    """Neumann series lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0 on dense
+    n x n terms with the three-term projection, truncated by the rule of
+    neumann_QC: stop after the first term with norm <= tol * ||sign_C0||."""
+    base = float(np.linalg.norm(sign_C0))
+    term = sign_C0
+    acc = sign_C0.copy()
+    for _ in range(1, max_terms):
+        term = np.where(Gamma.mask, project_T_reference(term, T), 0.0)
+        acc = acc + term
+        if float(np.linalg.norm(term)) <= tol * base:
+            break
+    return lam * (acc - project_T_reference(acc, T))
+
+
 def count_calls(monkeypatch, name, *modules):
     """Replace function `name` in each module by one counting wrapper around the
     first module's; return the list that collects the call arguments."""

@@ -36,7 +36,7 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import count_calls, golfing_reference, rng
+from conftest import count_calls, golfing_reference, neumann_reference, rng
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -120,6 +120,12 @@ def test_config_default_batch_count():
     cfg = GolfingConfig.for_problem(100, p=0.85, seed=0)
     assert cfg.k0 == 20 * math.ceil(math.log(100))
     assert cfg.k0 == 100
+
+
+def test_config_default_batch_count_floors_at_one_round():
+    # log(1) = 0 would give no batches; from n = 2 on the floor changes nothing
+    for n, k0 in ((1, 20), (2, 20), (3, 40), (100, 100)):
+        assert GolfingConfig.for_problem(n, p=0.5, seed=0).k0 == k0
 
 
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.85, 1.0])
@@ -247,15 +253,19 @@ def test_golfing_matches_two_projection_reference(q, p):
 
 
 def test_golfing_projects_once_per_batch(monkeypatch):
+    # each batch projects its entries to tangent factors once; the only dense
+    # n x n projection is the final one onto the tangent complement
     import qcr.linalg as linalg_mod
 
-    calls = count_calls(monkeypatch, "project_T", linalg_mod, certificate)
     T = block_tangent(20, 12)
     g = rng(78)
-    batches = [SupportSet(20, g.random((20, 20)) < 0.3) for _ in range(7)]
-    golfing_QB(T, batches, 0.3)
-    # one per batch, plus the final projection onto the tangent complement
-    assert len(calls) == 7 + 1
+    for k in (1, 7, 30):
+        batches = [SupportSet(20, g.random((20, 20)) < 0.3) for _ in range(k)]
+        dense = count_calls(monkeypatch, "project_T", linalg_mod)
+        sparse = count_calls(monkeypatch, "_tangent_factors_at", linalg_mod, certificate)
+        golfing_QB(T, batches, 0.3)
+        assert len(dense) == 1
+        assert len(sparse) == k
 
 
 def median_decay_ratio(trace) -> float:
@@ -389,6 +399,50 @@ def test_neumann_warns_when_truncated_early():
     sgn = np.sign(inst.C0)
     with pytest.warns(RuntimeWarning, match="truncated"):
         neumann_QC(inst.noise_support, T, sgn, 0.1, tol=1e-14, max_terms=3)
+
+
+# ---------------------------------------------------------------- factored kernels vs dense references
+
+
+def rel_close(got, ref, rtol=1e-12) -> bool:
+    """Frobenius distance within rtol of the reference's norm (absolute when
+    the reference is zero)."""
+    return float(np.linalg.norm(got - ref)) <= rtol * max(float(np.linalg.norm(ref)), 1.0)
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("q, p", [(0.2, 0.5), (0.3, 0.05)])
+def test_golfing_factored_matches_dense_reference(r, q, p):
+    # independent draws overlap one another; every third batch is empty; at
+    # p < q each batch overshoots and the residual grows
+    n = 15
+    T = random_tangent(n, r, 90 + r)
+    assert r == 0 or np.abs(T.U - T.V).max() > 0.1
+    g = rng(91 + r)
+    batches = [
+        SupportSet.empty(n) if k % 3 == 2 else SupportSet(n, g.random((n, n)) < q)
+        for k in range(12)
+    ]
+    assert (batches[0].mask & batches[1].mask).any()
+    Q_B, trace = golfing_QB(T, batches, p)
+    ref_Q_B, ref_trace = golfing_reference(T, batches, p)
+    assert rel_close(Q_B, ref_Q_B)
+    assert np.allclose(trace, ref_trace, rtol=1e-12, atol=1e-12)
+    if r:
+        assert (ref_trace[-1] > ref_trace[0]) == (p < q)
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("density", [0.0, 0.1])
+def test_neumann_factored_matches_dense_reference(r, density):
+    n = 20
+    T = random_tangent(n, r, 97 + r)
+    G = SupportSet(n, rng(98 + r).random((n, n)) < density)
+    sgn = np.where(G.mask, rng(99 + r).choice([-1.0, 1.0], size=(n, n)), 0.0)
+    assert opnorm_PGammaPT(G, T) < 0.9
+    got = neumann_QC(G, T, sgn, lam=0.3)
+    ref = neumann_reference(G, T, sgn, 0.3) if len(G) else np.zeros((n, n))
+    assert rel_close(got, ref)
 
 
 # ---------------------------------------------------------------- verification

@@ -190,6 +190,29 @@ def test_certify_k0_zero_exit2(tmp_chdir, capsys):
     assert "k0 must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("c0", ["nan", "inf", "-1", "0"])
+def test_certify_rejects_invalid_c0(tmp_chdir, capsys, c0):
+    run(capsys, *GEN, "--out", "inst.txt")
+    rc, _, err = run(capsys, "certify", "--input", "inst.txt", "--c0", c0, "--out", "rep.json")
+    assert rc == 2
+    assert "regime_c0 must be positive and finite" in err
+    assert not (tmp_chdir / "rep.json").exists()
+
+
+def test_certify_single_vertex_default_k0(tmp_chdir, capsys):
+    # log(1) = 0, so the default schedule must still hold one round of batches
+    run(capsys, "gen", "--n", "1", "--nc", "1", "--gamma", "1", "--rho", "0", "--out", "inst.txt")
+    rc, out, _ = run(capsys, "certify", "--input", "inst.txt", "--out", "rep.json")
+    doc = json.loads(open("rep.json").read())
+    assert doc["config"]["k0"] == 20
+    assert len(doc["golfing_trace"]) == 20 + 1
+    # lambda defaults to 1/sqrt(1) = 1, which the lambda gate rejects
+    assert doc["lambda"] == 1.0
+    assert "[FAIL] lambda" in out
+    assert not doc["overall"]
+    assert rc == 1
+
+
 # ---------------------------------------------------------------- norms
 
 
