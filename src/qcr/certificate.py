@@ -134,13 +134,6 @@ class GolfingConfig:
         return 1.0 - self.p ** (1.0 / self.k0)
 
     @classmethod
-    def for_problem(cls, n: int, p: float, seed: int, k0: int | None = None) -> "GolfingConfig":
-        if k0 is None:
-            # at least one round of 20 batches, also at n = 1 where log n = 0
-            k0 = 20 * max(1, math.ceil(math.log(n)))
-        return cls(k0=k0, p=p, seed=seed)
-
-    @classmethod
     def for_instance(
         cls,
         params: InstanceParams,
@@ -148,13 +141,15 @@ class GolfingConfig:
         seed: int | None = None,
         k0: int | None = None,
     ) -> "GolfingConfig":
-        """for_problem at the instance's size, with p defaulting to gamma and
-        seed to one derived from the instance seed."""
-        return cls.for_problem(
-            params.n,
+        """Schedule for an instance: p defaults to gamma, seed to one derived
+        from the instance seed, and k0 to 20 * max(1, ceil(log n))."""
+        if k0 is None:
+            # at least one round of 20 batches, also at n = 1 where log n = 0
+            k0 = 20 * max(1, math.ceil(math.log(params.n)))
+        return cls(
+            k0=k0,
             p=params.gamma if p is None else p,
             seed=derive_seed(params.seed, _CERT_SEED_TAG) if seed is None else seed,
-            k0=k0,
         )
 
 

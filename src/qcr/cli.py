@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, solve, certify, grid, norms. Flags override values from an
-optional flat key=value config file (--config); config keys match the long
-flag names with dashes replaced by underscores. Exit codes: 0 success (for
+optional flat key=value config file (--config); a config key is the long flag
+name without its leading dashes and with the other dashes replaced by
+underscores (lambda for --lambda, max_iters for --max-iters), and keys that no
+flag of the subcommand uses are ignored. Exit codes: 0 success (for
 certify: all conditions hold), 1 certificate conditions fail, 2 validation
 error, 3 I/O error, 4 solver did not converge (result still written), 5 the
 certificate series did not converge.
@@ -108,7 +110,7 @@ _MODE_LABELS = {"plain": "plain_decomposition", "quasi_clique": "quasi_clique_co
 
 # (flag/config key, SolverOptions field, cast)
 _SOLVER_KEYS = (
-    ("lam", "lam", float),
+    ("lambda", "lam", float),
     ("mu0", "mu0", float),
     ("mu_growth", "mu_growth", float),
     ("tol", "tol_primal", float),
@@ -168,7 +170,7 @@ def cmd_solve(args, cfg) -> int:
 _GOLFING_KEYS = (("p", "p", float), ("k0", "k0", int), ("cert_seed", "seed", int))
 
 # (flag/config key, verify_certificate argument, cast)
-_CERTIFY_KEYS = (("lam", "lam", float), ("rank_tol", "rank_tol", float), ("c0", "regime_c0", float))
+_CERTIFY_KEYS = (("lambda", "lam", float), ("rank_tol", "rank_tol", float), ("c0", "regime_c0", float))
 
 
 def cmd_certify(args, cfg) -> int:
@@ -189,10 +191,6 @@ def cmd_certify(args, cfg) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {check.label}: {measured:.6f} {check.relation} {threshold}")
     print(f"overall: {report.overall} -> {out}")
     return EXIT_OK if report.overall else EXIT_CERT_FAILED
-
-
-def _default_sizes(n_max: int) -> tuple[int, ...]:
-    return tuple(range(25, n_max + 1, 25))
 
 
 # --kind -> (headline grid, axis keys, fixed-parameter keys), each key a
@@ -218,13 +216,9 @@ def cmd_grid(args, cfg) -> int:
     base, axis_keys, fixed_keys = _GRIDS[kind]
     threads = _merged(args, cfg, "threads", int)
 
-    axes = _given(args, cfg, axis_keys)
-    n_max = _merged(args, cfg, "n_max", int)
-    if kind == "size" and "axis1_values" not in axes and n_max is not None:
-        axes["axis1_values"] = _default_sizes(n_max)
     spec = dataclasses.replace(
         base,
-        **axes,
+        **_given(args, cfg, axis_keys),
         fixed={**base.fixed, **_given(args, cfg, fixed_keys)},
         **_given(args, cfg, (("trials", "trials", int), ("base_seed", "base_seed", int))),
     )
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the decomposition for an instance or matrix file")
     p.add_argument("--input")
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", metavar="LAM", type=float)
     p.add_argument("--mode", choices=tuple(_MODE_LABELS))
     p.add_argument("--eta", type=int)
     p.add_argument("--gamma", type=float)
@@ -290,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="construct and verify the dual certificate")
     p.add_argument("--input")
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", metavar="LAM", type=float)
     p.add_argument("--p", type=float)
     p.add_argument("--k0", type=int)
     p.add_argument("--cert-seed", dest="cert_seed", type=int)
@@ -306,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-seed", dest="base_seed", type=int)
     p.add_argument("--threads", type=int)
     p.add_argument("--n-list", dest="n_list", type=_int_list)
-    p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--fractions", type=_float_list)
     p.add_argument("--gammas", type=_float_list)
     p.add_argument("--rhos", type=_float_list)

@@ -4,6 +4,7 @@ solver results and certificate reports, and flat key=value config files."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -76,6 +77,8 @@ def read_instance(path: str) -> PlantedInstance:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad triplet line {ln!r}") from exc
+        if not math.isfinite(v):
+            raise FileFormatError(f"{path}: non-finite value in triplet line {ln!r}")
         if not (0 <= i < n and 0 <= j < n):
             raise FileFormatError(f"{path}: index ({i}, {j}) out of range for n={n}")
         A[i, j] = v
@@ -92,14 +95,17 @@ def write_matrix_csv(M, path: str) -> None:
 def read_matrix_csv(path: str) -> np.ndarray:
     rows = []
     with open(path) as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.strip()
             if not ln:
                 continue
             try:
-                rows.append([float(x) for x in ln.split(",")])
+                row = [float(x) for x in ln.split(",")]
             except ValueError as exc:
                 raise FileFormatError(f"{path}: bad CSV row {ln!r}") from exc
+            if not all(map(math.isfinite, row)):
+                raise FileFormatError(f"{path}:{lineno}: non-finite entry in CSV row")
+            rows.append(row)
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise FileFormatError(f"{path}: empty or ragged CSV matrix")
     return np.asarray(rows)

@@ -133,22 +133,11 @@ def gen_planted(params: InstanceParams) -> PlantedInstance:
     return PlantedInstance.from_adjacency(params, A)
 
 
-def gen_bernoulli_support(n: int, p: float, seed: int, symmetric: bool = False) -> SupportSet:
-    """Include each index pair independently with probability p. With
-    symmetric=True the upper triangle is sampled and (i, j), (j, i) are
-    included together."""
+def gen_bernoulli_support(n: int, p: float, seed: int) -> SupportSet:
+    """Include each index pair independently with probability p."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    rng = _rng(seed)
-    if symmetric:
-        iu, ju = np.triu_indices(n)
-        draws = rng.random(iu.size) < p
-        mask = np.zeros((n, n), dtype=bool)
-        mask[iu[draws], ju[draws]] = True
-        mask |= mask.T
-    else:
-        mask = rng.random((n, n)) < p
-    return SupportSet(n, mask)
+    return SupportSet(n, _rng(seed).random((n, n)) < p)
 
 
 def gen_random_sign_sparse(n: int, p: float, seed: int) -> np.ndarray:

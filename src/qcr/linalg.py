@@ -50,14 +50,12 @@ def _as_square(M, name="M"):
 class SvdFactors:
     """Truncated SVD M ~ U @ diag(sigma) @ V.T with numerical rank r = len(sigma).
 
-    Kept singular values satisfy sigma[i] > rank_tol * sigma[0]; sigma is
-    nonincreasing and U, V are column-orthonormal.
+    sigma is nonincreasing and U, V are column-orthonormal.
     """
 
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    rank_tol: float
 
     def __post_init__(self):
         if self.U.shape != self.V.shape or self.U.shape[1] != self.sigma.shape[0]:
@@ -72,9 +70,6 @@ class SvdFactors:
     @property
     def rank(self) -> int:
         return self.sigma.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,41 +91,6 @@ class SupportSet:
         if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
             raise ValueError("mask must be square")
         return cls(mask.shape[0], mask)
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "SupportSet":
-        mask = np.zeros((n, n), dtype=bool)
-        for i, j in indices:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"index ({i}, {j}) out of range for n={n}")
-            mask[i, j] = True
-        return cls(n, mask)
-
-    @classmethod
-    def empty(cls, n: int) -> "SupportSet":
-        return cls(n, np.zeros((n, n), dtype=bool))
-
-    @classmethod
-    def full(cls, n: int) -> "SupportSet":
-        return cls(n, np.ones((n, n), dtype=bool))
-
-    @property
-    def indices(self) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(self.mask)
-        return list(zip(ii.tolist(), jj.tolist()))
-
-    def complement(self) -> "SupportSet":
-        return SupportSet(self.n, ~self.mask)
-
-    def intersect(self, other: "SupportSet") -> "SupportSet":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return SupportSet(self.n, self.mask & other.mask)
-
-    def union(self, other: "SupportSet") -> "SupportSet":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return SupportSet(self.n, self.mask | other.mask)
 
     def __len__(self) -> int:
         return int(self.mask.sum())
@@ -176,7 +136,6 @@ def svd(M, rank_tol: float = 1e-8) -> SvdFactors:
         np.ascontiguousarray(U[:, :r]),
         np.ascontiguousarray(s[:r]),
         np.ascontiguousarray(Vt[:r].T),
-        rank_tol,
     )
 
 

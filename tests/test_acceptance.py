@@ -9,7 +9,6 @@ every seed); the test states the requirement faithfully and is expected to
 fail rather than loosen it.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -24,55 +23,35 @@ from qcr.certificate import (
     neumann_QC,
     verify_certificate,
 )
-from qcr.experiments import GridSpec, planted_size, run_phase_grid, run_size_grid
+from qcr.experiments import PHASE_GRID, SIZE_GRID, planted_size, run_phase_grid, run_size_grid
 from qcr.instances import InstanceParams, derive_seed, gen_planted
 from qcr.linalg import SupportSet, TangentSpace, project_support, project_T, svd
-from qcr.solver import RECOVERY_TOL, relative_error, solve_rpca
+from qcr.solver import RECOVERY_TOL, SolverOptions, relative_error, solve_rpca
 
 cp = pytest.importorskip("cvxpy")
 
 pytestmark = pytest.mark.acceptance
 
-SIZE_SPEC = GridSpec(
-    axis1_name="n",
-    axis1_values=(25, 50, 75, 100),
-    axis2_name="fraction",
-    axis2_values=tuple(round(0.1 * k, 1) for k in range(1, 11)),
-    fixed={"gamma": 0.85, "rho": 0.25},
-    trials=10,
-    base_seed=0,
-)
-
-PHASE_SPEC = GridSpec(
-    axis1_name="gamma",
-    axis1_values=tuple(round(0.5 + 0.1 * k, 1) for k in range(6)),
-    axis2_name="rho",
-    axis2_values=tuple(round(0.1 * k, 1) for k in range(8)),
-    fixed={"n": 100, "n_c": 85},
-    trials=10,
-    base_seed=0,
-)
-
 
 @pytest.fixture(scope="module")
 def size_grid():
     start = time.perf_counter()
-    grid = run_size_grid(SIZE_SPEC)
+    grid = run_size_grid(SIZE_GRID)
     return grid, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def phase_grid():
     start = time.perf_counter()
-    grid = run_phase_grid(PHASE_SPEC)
+    grid = run_phase_grid(PHASE_GRID)
     return grid, time.perf_counter() - start
 
 
 def test_size_grid_reproduction(size_grid):
     grid, elapsed = size_grid
     rate = grid.success_rate
-    fractions = SIZE_SPEC.axis2_values
-    ns = SIZE_SPEC.axis1_values
+    fractions = SIZE_GRID.axis2_values
+    ns = SIZE_GRID.axis1_values
 
     low = rate[:, fractions.index(0.1)]
     high_cells = [
@@ -97,8 +76,8 @@ def test_size_grid_reproduction(size_grid):
 def test_phase_grid_reproduction(phase_grid):
     grid, elapsed = phase_grid
     rate = grid.success_rate
-    gammas = PHASE_SPEC.axis1_values
-    rhos = PHASE_SPEC.axis2_values
+    gammas = PHASE_GRID.axis1_values
+    rhos = PHASE_GRID.axis2_values
 
     fail_cols = [j for j, r in enumerate(rhos) if r >= 0.6]
     fail_mass = float(rate[:, fail_cols].max())
@@ -126,23 +105,21 @@ def test_recovery_criterion_fidelity(size_grid):
     grid, _ = size_grid
     checked = 0
     for i, j in ((0, 0), (1, 5), (3, 2)):
-        n = int(SIZE_SPEC.axis1_values[i])
-        frac = float(SIZE_SPEC.axis2_values[j])
+        n = int(SIZE_GRID.axis1_values[i])
+        frac = float(SIZE_GRID.axis2_values[j])
         n_c = planted_size(n, frac)
         successes = 0
-        for t in range(SIZE_SPEC.trials):
-            seed = derive_seed(SIZE_SPEC.base_seed, i, j, t)
-            inst = gen_planted(
-                InstanceParams(n=n, n_c=n_c, gamma=0.85, rho=0.25, seed=seed)
-            )
+        for t in range(SIZE_GRID.trials):
+            seed = derive_seed(SIZE_GRID.base_seed, i, j, t)
+            inst = gen_planted(InstanceParams(n=n, n_c=n_c, **SIZE_GRID.fixed, seed=seed))
             res = solve_rpca(inst.A)
             rel = relative_error(res.B_star, inst.block_pattern)
             ok = res.converged and rel <= RECOVERY_TOL
             successes += ok
             checked += 1
-        assert successes / SIZE_SPEC.trials == grid.success_rate[i, j], (
+        assert successes / SIZE_GRID.trials == grid.success_rate[i, j], (
             f"cell (n={n}, fraction={frac}): recomputed rate "
-            f"{successes / SIZE_SPEC.trials} != reported {grid.success_rate[i, j]}"
+            f"{successes / SIZE_GRID.trials} != reported {grid.success_rate[i, j]}"
         )
     print(f"[recovery criterion] {checked} trials recomputed from scratch; all rates match")
 
@@ -159,7 +136,7 @@ def test_solver_oracle_equivalence():
         rho = float(rng.uniform(0.0, 0.4))
         inst = gen_planted(InstanceParams(n=n, n_c=n_c, gamma=gamma, rho=rho, seed=seed))
         res = solve_rpca(inst.A)
-        lam = 1.0 / math.sqrt(n)
+        lam = SolverOptions().resolve_lam(n)
         B = cp.Variable((n, n))
         C = cp.Variable((n, n))
         prob = cp.Problem(

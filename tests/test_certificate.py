@@ -117,7 +117,7 @@ def test_incoherence_bounds_row_norms_of_E(seed, n, r):
 
 
 def test_config_default_batch_count():
-    cfg = GolfingConfig.for_problem(100, p=0.85, seed=0)
+    cfg = GolfingConfig.for_instance(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.1, seed=0))
     assert cfg.k0 == 20 * math.ceil(math.log(100))
     assert cfg.k0 == 100
 
@@ -125,12 +125,14 @@ def test_config_default_batch_count():
 def test_config_default_batch_count_floors_at_one_round():
     # log(1) = 0 would give no batches; from n = 2 on the floor changes nothing
     for n, k0 in ((1, 20), (2, 20), (3, 40), (100, 100)):
-        assert GolfingConfig.for_problem(n, p=0.5, seed=0).k0 == k0
+        params = InstanceParams(n=n, n_c=1, gamma=0.5, rho=0.0, seed=0)
+        assert GolfingConfig.for_instance(params).k0 == k0
 
 
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.85, 1.0])
 def test_config_q_consistent_with_p(p):
-    cfg = GolfingConfig.for_problem(50, p=p, seed=1)
+    cfg = GolfingConfig.for_instance(InstanceParams(n=50, n_c=40, gamma=p, rho=0.1, seed=1))
+    assert cfg.p == p
     assert abs((1.0 - cfg.q) ** cfg.k0 - p) <= 1e-12
 
 
@@ -140,7 +142,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GolfingConfig(k0=10, p=1.5, seed=0)
     with pytest.raises(ValueError, match="k0 must be >= 1, got 0"):
-        GolfingConfig.for_problem(50, p=0.5, seed=0, k0=0)
+        GolfingConfig.for_instance(InstanceParams(n=50, n_c=40, gamma=0.5, rho=0.1, seed=0), k0=0)
 
 
 def test_config_extreme_q_values():
@@ -153,11 +155,11 @@ def test_config_extreme_q_values():
 
 def test_partition_batch_count_and_disjoint_from_gamma():
     G = gen_bernoulli_support(20, 0.3, seed=4)
-    cfg = GolfingConfig.for_problem(20, p=0.7, seed=9)
+    cfg = GolfingConfig(k0=60, p=0.7, seed=9)
     batches = partition_complement(G, cfg)
     assert len(batches) == cfg.k0
     for b in batches:
-        assert not b.intersect(G).mask.any()
+        assert not (b.mask & G.mask).any()
 
 
 def test_partition_q_one_gives_full_complement():
@@ -176,7 +178,7 @@ def test_partition_q_zero_gives_empty_batches():
 
 def test_partition_deterministic():
     G = gen_bernoulli_support(20, 0.3, seed=4)
-    cfg = GolfingConfig.for_problem(20, p=0.7, seed=11)
+    cfg = GolfingConfig(k0=60, p=0.7, seed=11)
     a = partition_complement(G, cfg)
     b = partition_complement(G, cfg)
     assert all(np.array_equal(x.mask, y.mask) for x, y in zip(a, b))
@@ -190,7 +192,7 @@ def test_partition_uncovered_fraction_matches_binomial_model():
     comp = ~G.mask
     fracs = []
     for s in range(100):
-        batches = partition_complement(G, GolfingConfig.for_problem(n, p=p, seed=s))
+        batches = partition_complement(G, GolfingConfig(k0=80, p=p, seed=s))
         union = np.zeros((n, n), dtype=bool)
         for b in batches:
             union |= b.mask
@@ -203,7 +205,7 @@ def test_partition_uncovered_fraction_matches_binomial_model():
 
 def test_golfing_single_full_batch_exact():
     T = random_tangent(10, 2, 5)
-    Q_B, trace = golfing_QB(T, [SupportSet.full(10)], p=1.0)
+    Q_B, trace = golfing_QB(T, [SupportSet(10, np.ones((10, 10), dtype=bool))], p=1.0)
     assert np.abs(Q_B).max() <= 1e-12
     assert trace[-1] <= 1e-12
     assert len(trace) == 2
@@ -213,7 +215,7 @@ def test_golfing_single_full_batch_exact():
 def test_golfing_empty_batches_do_nothing():
     T = random_tangent(10, 2, 6)
     E_norm = float(np.linalg.norm(T.U @ T.V.T))
-    Q_B, trace = golfing_QB(T, [SupportSet.empty(10)] * 3, p=0.5)
+    Q_B, trace = golfing_QB(T, [SupportSet(10, np.zeros((10, 10), dtype=bool))] * 3, p=0.5)
     assert np.abs(Q_B).max() == 0.0
     assert all(abs(t - E_norm) < 1e-12 for t in trace)
 
@@ -234,9 +236,9 @@ def test_golfing_validation():
     with pytest.raises(ValueError):
         golfing_QB(T, [], p=0.5)
     with pytest.raises(ValueError):
-        golfing_QB(T, [SupportSet.full(6)], p=0.0)
+        golfing_QB(T, [SupportSet(6, np.ones((6, 6), dtype=bool))], p=0.0)
     with pytest.raises(ValueError):
-        golfing_QB(T, [SupportSet.full(7)], p=0.5)
+        golfing_QB(T, [SupportSet(7, np.ones((7, 7), dtype=bool))], p=0.5)
 
 
 @pytest.mark.parametrize("q, p", [(0.3, 0.3), (0.3, 0.05)])
@@ -298,7 +300,7 @@ def test_golfing_trace_contracts_with_dense_batches():
 
 def test_neumann_empty_support_is_zero():
     T = random_tangent(8, 2, 1)
-    out = neumann_QC(SupportSet.empty(8), T, np.zeros((8, 8)), lam=0.3)
+    out = neumann_QC(SupportSet(8, np.zeros((8, 8), dtype=bool)), T, np.zeros((8, 8)), lam=0.3)
     assert np.array_equal(out, np.zeros((8, 8)))
 
 
@@ -313,7 +315,7 @@ def test_neumann_single_term():
 def dense_neumann_oracle(G: SupportSet, T: TangentSpace, sgn, lam):
     """Solve the support-restricted system (I - P_G P_T P_G) w = sgn directly."""
     n = G.n
-    idx = [i * n + j for (i, j) in G.indices]
+    idx = np.flatnonzero(G.mask).tolist()
     L = np.zeros((len(idx), len(idx)))
     for a, flat in enumerate(idx):
         E = np.zeros((n, n))
@@ -331,10 +333,11 @@ def test_neumann_matches_dense_linear_system():
     g = rng(7)
     n = 8
     T = random_tangent(n, 2, 70)
-    flat = g.choice(n * n, size=6, replace=False)
-    G = SupportSet.from_indices(n, [(int(k) // n, int(k) % n) for k in flat])
+    mask = np.zeros(n * n, dtype=bool)
+    mask[g.choice(n * n, size=6, replace=False)] = True
+    G = SupportSet(n, mask.reshape(n, n))
     sgn = np.zeros((n, n))
-    for i, j in G.indices:
+    for i, j in zip(*np.nonzero(G.mask)):
         sgn[i, j] = g.choice([-1.0, 1.0])
     got = neumann_QC(G, T, sgn, lam=0.3, tol=1e-12, max_terms=500)
     ref = dense_neumann_oracle(G, T, sgn, 0.3)
@@ -420,7 +423,8 @@ def test_golfing_factored_matches_dense_reference(r, q, p):
     assert r == 0 or np.abs(T.U - T.V).max() > 0.1
     g = rng(91 + r)
     batches = [
-        SupportSet.empty(n) if k % 3 == 2 else SupportSet(n, g.random((n, n)) < q)
+        SupportSet(n, np.zeros((n, n), dtype=bool)) if k % 3 == 2
+        else SupportSet(n, g.random((n, n)) < q)
         for k in range(12)
     ]
     assert (batches[0].mask & batches[1].mask).any()
@@ -537,7 +541,7 @@ def test_verify_zero_block_rejected():
 
 def test_verify_custom_config_respected():
     inst = gen_planted(InstanceParams(n=40, n_c=32, gamma=0.85, rho=0.10, seed=9))
-    cfg = GolfingConfig.for_problem(40, p=0.6, seed=5, k0=12)
+    cfg = GolfingConfig(k0=12, p=0.6, seed=5)
     rep = verify_certificate(inst, cfg=cfg)
     assert rep.config == cfg
     assert len(rep.golfing_trace) == 13

@@ -124,6 +124,18 @@ def test_solve_csv_matrix_has_no_verdict(tmp_chdir, capsys):
     assert "recovery" not in read_result("res.json")
 
 
+@pytest.mark.parametrize("command", ["solve", "certify", "norms"])
+@pytest.mark.parametrize("name, content, where", [
+    ("inst.txt", "3 2 0.9 0.1 0\n0 1 1\n1 0 nan\n", "inst.txt: non-finite value in triplet line '1 0 nan'"),
+    ("m.csv", "0,1,0\n1,0,1\n0,inf,0\n", "m.csv:3: non-finite entry"),
+], ids=["txt", "csv"])
+def test_nonfinite_data_file_exit3(tmp_chdir, capsys, command, name, content, where):
+    (tmp_chdir / name).write_text(content)
+    rc, _, err = run(capsys, command, "--input", name)
+    assert rc == 3
+    assert where in err
+
+
 def test_solve_missing_input_exit3(tmp_chdir, capsys):
     rc, _, err = run(capsys, "solve", "--input", "absent.txt")
     assert rc == 3
@@ -290,6 +302,15 @@ def test_grid_unknown_kind_usage_error(tmp_chdir, capsys):
 
 
 # ---------------------------------------------------------------- config file
+
+
+@pytest.mark.parametrize("command, out", [("solve", "res.json"), ("certify", "rep.json")])
+def test_config_file_lambda_key(tmp_chdir, capsys, command, out):
+    # the config key of --lambda is its flag name, lambda
+    run(capsys, *GEN, "--out", "inst.txt")
+    (tmp_chdir / "run.cfg").write_text("lambda = 0.3\n")
+    run(capsys, "--config", "run.cfg", command, "--input", "inst.txt", "--out", out)
+    assert json.loads(open(out).read())["lambda"] == 0.3
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_chdir, capsys):

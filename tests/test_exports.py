@@ -1,4 +1,5 @@
-"""Export-list tests: every public name has one home module, and every function
+"""Export-list tests: the package exports exactly the public names of its five
+library modules, every public name has one home module, and every function
 the perfbench tracer wraps still exists, so a deletion cannot leave a dangling
 re-export or trace target behind."""
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import qcr
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+LIBRARY_MODULES = ("instances", "linalg", "solver", "certificate", "experiments")
 
 
 def submodule_exports():
@@ -42,6 +44,17 @@ def test_package_exports_have_one_home_module():
         assert len(homes) == 1, f"{name} is exported by {homes}"
         home = importlib.import_module(f"qcr.{homes[0]}")
         assert getattr(qcr, name) is getattr(home, name)
+
+
+def test_package_exports_are_the_library_modules_exports():
+    names = {"__version__"}
+    for module in LIBRARY_MODULES:
+        mod = importlib.import_module(f"qcr.{module}")
+        names.update(mod.__all__)
+        for name in mod.__all__:
+            assert getattr(qcr, name) is getattr(mod, name)
+    assert set(qcr.__all__) == names
+    assert len(qcr.__all__) == len(names)
 
 
 def test_traced_names_resolve_to_callables():

@@ -83,6 +83,8 @@ def test_regenerate_matches_read(tmp_path):
         "20 14 0.85 0.2 5\n0 1\n",
         "20 14 0.85 0.2 5\n0 1 fish\n",
         "20 14 0.85 0.2 5\n0 25 1\n",
+        "20 14 0.85 0.2 5\n0 1 nan\n",
+        "20 14 0.85 0.2 5\n0 1 -inf\n",
         "0 0 0.85 0.2 5\n",
     ],
 )
@@ -123,6 +125,9 @@ def test_matrix_csv_ragged_rejected(tmp_path):
     with pytest.raises(FileFormatError):
         read_matrix_csv(str(path))
     path.write_text("1.0,two\n")
+    with pytest.raises(FileFormatError):
+        read_matrix_csv(str(path))
+    path.write_text("1.0,nan\n")
     with pytest.raises(FileFormatError):
         read_matrix_csv(str(path))
     path.write_text("\n")

@@ -40,21 +40,21 @@ def test_svd_identity():
     f = svd(np.eye(3))
     assert f.rank == 3
     assert np.allclose(f.sigma, 1.0)
-    assert np.allclose(f.reconstruct(), np.eye(3), atol=1e-12)
+    assert np.allclose((f.U * f.sigma) @ f.V.T, np.eye(3), atol=1e-12)
 
 
 def test_svd_ones_rank_one():
     f = svd(np.ones((4, 4)))
     assert f.rank == 1
     assert abs(f.sigma[0] - 4.0) < 1e-12
-    assert np.allclose(f.reconstruct(), np.ones((4, 4)), atol=1e-12)
+    assert np.allclose((f.U * f.sigma) @ f.V.T, np.ones((4, 4)), atol=1e-12)
 
 
 def test_svd_zero_matrix():
     f = svd(np.zeros((5, 5)))
     assert f.rank == 0
     assert f.sigma.shape == (0,)
-    assert np.allclose(f.reconstruct(), 0.0)
+    assert np.allclose((f.U * f.sigma) @ f.V.T, 0.0)
 
 
 def test_svd_rank_tol_truncates():
@@ -65,7 +65,8 @@ def test_svd_rank_tol_truncates():
 
 def test_svd_reconstruct_full_rank():
     M = rng(11).standard_normal((7, 7))
-    assert np.abs(svd(M).reconstruct() - M).max() < 1e-10
+    f = svd(M)
+    assert np.abs((f.U * f.sigma) @ f.V.T - M).max() < 1e-10
 
 
 def test_svd_rejects_nonfinite():
@@ -234,24 +235,8 @@ def test_soft_threshold_prox_optimality(seed, n, tau):
 # ---------------------------------------------------------------- support sets
 
 
-def test_support_set_constructors():
-    S = SupportSet.from_indices(3, [(0, 1), (2, 2)])
-    assert len(S) == 2
-    assert S.indices == [(0, 1), (2, 2)]
-    assert len(S.complement()) == 7
-    assert len(SupportSet.empty(4)) == 0
-    assert len(SupportSet.full(4)) == 16
-
-
-def test_support_set_algebra():
-    A = SupportSet.from_indices(3, [(0, 0), (1, 1)])
-    B = SupportSet.from_indices(3, [(1, 1), (2, 2)])
-    assert A.intersect(B).indices == [(1, 1)]
-    assert A.union(B).indices == [(0, 0), (1, 1), (2, 2)]
-
-
 def test_support_set_mask_read_only():
-    S = SupportSet.empty(3)
+    S = SupportSet(3, np.zeros((3, 3), dtype=bool))
     with pytest.raises(ValueError):
         S.mask[0, 0] = True
 
@@ -265,7 +250,7 @@ def test_support_set_from_mask_leaves_caller_array_writable():
 
 
 def test_project_support():
-    S = SupportSet.from_indices(2, [(0, 1)])
+    S = SupportSet.from_mask([[False, True], [False, False]])
     Z = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(project_support(Z, S), [[0.0, 2.0], [0.0, 0.0]])
 
@@ -329,26 +314,27 @@ def dense_opnorm(S: SupportSet, T: TangentSpace) -> float:
 
 def test_opnorm_empty_support():
     T = random_tangent(5, 2, 0)
-    assert opnorm_PGammaPT(SupportSet.empty(5), T) == 0.0
+    assert opnorm_PGammaPT(SupportSet(5, np.zeros((5, 5), dtype=bool)), T) == 0.0
 
 
 def test_opnorm_zero_tangent():
     T = TangentSpace(U=np.zeros((5, 0)), V=np.zeros((5, 0)))
-    assert opnorm_PGammaPT(SupportSet.full(5), T) == 0.0
+    assert opnorm_PGammaPT(SupportSet(5, np.ones((5, 5), dtype=bool)), T) == 0.0
 
 
 def test_opnorm_full_support_full_tangent():
     # U spanning R^n makes P_T the identity, so the norm is exactly 1
     T = random_tangent(4, 4, 5)
-    val = opnorm_PGammaPT(SupportSet.full(4), T, tol=1e-12)
+    val = opnorm_PGammaPT(SupportSet(4, np.ones((4, 4), dtype=bool)), T, tol=1e-12)
     assert abs(val - 1.0) < 1e-9
 
 
 def test_opnorm_matches_dense_oracle():
     g = rng(17)
     T = random_tangent(6, 2, 99)
-    flat = g.choice(36, size=8, replace=False)
-    S = SupportSet.from_indices(6, [(int(k) // 6, int(k) % 6) for k in flat])
+    mask = np.zeros(36, dtype=bool)
+    mask[g.choice(36, size=8, replace=False)] = True
+    S = SupportSet(6, mask.reshape(6, 6))
     expected = dense_opnorm(S, T)
     assert abs(opnorm_PGammaPT(S, T, tol=1e-9) - expected) < 1e-6
 
@@ -359,8 +345,9 @@ def test_opnorm_in_unit_interval(seed, n, r):
     g = rng(seed)
     T = random_tangent(n, min(r, n - 1), seed ^ 0x55)
     k = int(g.integers(0, n * n + 1))
-    flat = g.choice(n * n, size=k, replace=False)
-    S = SupportSet.from_indices(n, [(int(x) // n, int(x) % n) for x in flat])
+    mask = np.zeros(n * n, dtype=bool)
+    mask[g.choice(n * n, size=k, replace=False)] = True
+    S = SupportSet(n, mask.reshape(n, n))
     val = opnorm_PGammaPT(S, T)
     assert -1e-12 <= val <= 1.0 + 1e-9
 
@@ -384,7 +371,9 @@ def test_opnorm_matches_reference_with_one_projection_per_step(monkeypatch, n, r
 def test_opnorm_warns_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(linalg_mod, "_POWER_ITER_CAP", 3)
     T = random_tangent(6, 2, 7)
-    S = SupportSet.from_indices(6, [(i, j) for i in range(6) for j in range(3)])
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[:, :3] = True
+    S = SupportSet(6, mask)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         opnorm_PGammaPT(S, T, tol=1e-16)
