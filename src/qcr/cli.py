@@ -3,11 +3,12 @@
 Subcommands: gen, solve, certify, grid, norms. Flags override values from an
 optional flat key=value config file (--config); a config key is the long flag
 name without its leading dashes and with the other dashes replaced by
-underscores (lambda for --lambda, max_iters for --max-iters), and keys that no
-flag of the subcommand uses are ignored. Exit codes: 0 success (for
-certify: all conditions hold), 1 certificate conditions fail, 2 validation
-error, 3 I/O error, 4 solver did not converge (result still written), 5 the
-certificate series did not converge.
+underscores (lambda for --lambda, max_iters for --max-iters). Keys of another
+subcommand's flags are ignored; a key that no subcommand has is a validation
+error. Exit codes: 0 success (for certify: all conditions hold), 1
+certificate conditions fail, 2 validation error, 3 I/O error, 4 solver did
+not converge (result still written), 5 the certificate series did not
+converge.
 """
 
 from __future__ import annotations
@@ -50,15 +51,23 @@ EXIT_NEUMANN = 5
 EXIT_INTERRUPTED = 130
 
 
+# config-file spellings of a boolean, compared case-insensitively
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _merged(args, cfg: dict, key: str, cast, default=None):
     """Flag value if given, else config-file value, else default."""
     val = getattr(args, key, None)
     if val is not None:
         return val
-    if key in cfg:
-        raw = cfg[key]
-        return raw.lower() in ("1", "true", "yes") if cast is bool else cast(raw)
-    return default
+    if key not in cfg:
+        return default
+    raw = cfg[key]
+    if cast is not bool:
+        return cast(raw)
+    if raw.lower() not in _BOOLEANS:
+        raise ValueError(f"config key {key!r} must be 1/0/true/false/yes/no, got {raw!r}")
+    return _BOOLEANS[raw.lower()]
 
 
 def _given(args, cfg: dict, keys) -> dict:
@@ -315,6 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.set_defaults(func=cmd_norms)
 
+    # a config file may set any option of any subcommand
+    config_keys = {a.dest for cmd in sub.choices.values() for a in cmd._actions} - {"help"}
+    parser.set_defaults(config_keys=frozenset(config_keys))
     return parser
 
 
@@ -331,6 +343,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    unknown = sorted(set(cfg) - args.config_keys)
+    if unknown:
+        print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
     try:

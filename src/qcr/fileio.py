@@ -122,10 +122,47 @@ def read_matrix_any(path: str):
 
 def _matrix_payload(M: np.ndarray, path_base: str, tag: str):
     if M.shape[0] <= MATRIX_INLINE_LIMIT:
-        return {tag: M.tolist()}
+        return {tag: M}
     sidecar = f"{path_base}.{tag}.csv"
     write_matrix_csv(M, sidecar)
     return {f"{tag}_path": sidecar}
+
+
+def _write_json(doc: dict, path: str) -> None:
+    """Write the non-empty doc as json.dump(doc, fh, indent=2) and a newline
+    would, byte for byte, taking each ndarray value as its nested list.
+    Matrices of finite floats are written a row at a time with
+    float.__repr__, json's spelling of a finite float, instead of through
+    json's pure-Python encoder and without holding their nested lists; each
+    run of other values is one json.dumps call."""
+    runs: list[tuple[bool, dict]] = []
+    for key, value in doc.items():
+        rows = (
+            isinstance(value, np.ndarray)
+            and value.ndim == 2
+            and value.size > 0
+            and value.dtype.kind == "f"
+            and bool(np.isfinite(value).all())
+        )
+        if not rows and isinstance(value, np.ndarray):
+            value = value.tolist()
+        if not runs or runs[-1][0] != rows:
+            runs.append((rows, {}))
+        runs[-1][1][key] = value
+    with open(path, "w") as fh:
+        for i, (rows, values) in enumerate(runs):
+            fh.write(",\n" if i else "{\n")
+            if not rows:
+                fh.write(json.dumps(values, indent=2)[2:-2])
+                continue
+            for j, (key, M) in enumerate(values.items()):
+                fh.write((",\n" if j else "") + f"  {json.dumps(key)}: [")
+                for r, row in enumerate(M):
+                    fh.write(f"{',' if r else ''}\n    [\n      ")
+                    fh.write(",\n      ".join(map(float.__repr__, row.tolist())))
+                    fh.write("\n    ]")
+                fh.write("\n  ]")
+        fh.write("\n}\n")
 
 
 def write_result(
@@ -148,9 +185,7 @@ def write_result(
         doc.update(extras)
     doc.update(_matrix_payload(np.asarray(result.B_star), path, "B_star"))
     doc.update(_matrix_payload(np.asarray(result.C_star), path, "C_star"))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def read_result(path: str) -> dict:
@@ -194,11 +229,9 @@ def write_report(report: CertificateReport, path: str, include_matrices: bool = 
         "regime_ok": report.regime_ok,
     }
     if include_matrices:
-        doc["Q_B"] = np.asarray(report.Q_B).tolist()
-        doc["Q_C"] = np.asarray(report.Q_C).tolist()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        doc["Q_B"] = np.asarray(report.Q_B)
+        doc["Q_C"] = np.asarray(report.Q_C)
+    _write_json(doc, path)
 
 
 def parse_config_file(path: str) -> dict[str, str]:

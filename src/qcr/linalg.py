@@ -170,25 +170,121 @@ def soft_threshold(M, tau: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
-def sv_threshold(M, tau: float) -> np.ndarray:
+def sv_threshold(M, tau: float, *, warm=None) -> np.ndarray:
     """Singular-value shrinkage U @ diag(max(sigma - tau, 0)) @ V.T, the prox of
     tau*||.||_*.
 
-    An exactly symmetric M takes the symmetric eigen path: with M = Q diag(w) Q.T
-    (eigh), the prox is Q diag(sign(w) * max(|w| - tau, 0)) Q.T, symmetrized
-    so that the output is exactly symmetric too. The solvers' other steps are
+    An exactly symmetric M takes the symmetric eigen path: with M = Q diag(w) Q.T,
+    the prox is Q diag(sign(w) * max(|w| - tau, 0)) Q.T, symmetrized so that
+    the output is exactly symmetric too. The solvers' other steps are
     entrywise, so a symmetric input keeps every later prox on this path. Any
-    other M uses the SVD."""
+    other M uses the SVD.
+
+    warm, on the eigen path, is a matrix whose range is close to the span of
+    the eigenvectors the prox keeps, such as the previous output of an
+    iterative solver. For n >= 128 and a warm of rank at most 8, the prox
+    is first tried as a certified low-rank prox (see _certified_prox): a few
+    block subspace steps from the range of warm, accepted only when a
+    residual bound and two Cholesky factorizations prove the result within
+    sqrt(2) * 1e-13 * ||M||_F of the exact prox. Otherwise the prox is one
+    full eigh. warm only picks the path: the output depends on M, tau and
+    warm alone. Below n = 128 a full eigh costs no more than the attempt."""
     M = _as_square(M)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if np.array_equal(M, M.T):
-        w, Q = np.linalg.eigh(M)
-        R = (Q * (np.sign(w) * np.maximum(np.abs(w) - tau, 0.0))) @ Q.T
+        R = None
+        if warm is not None and M.shape[0] >= _WARM_MIN_N:
+            warm = _as_square(warm, "warm")
+            if warm.shape != M.shape:
+                raise ValueError(f"warm shape {warm.shape} does not match M shape {M.shape}")
+            R = _certified_prox(M, tau, warm)
+        if R is None:
+            w, Q = np.linalg.eigh(M)
+            keep = np.abs(w) > tau
+            w, Q = w[keep], Q[:, keep]
+            R = (Q * (w - np.copysign(tau, w))) @ Q.T
         return 0.5 * (R + R.T)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     return (U * s) @ Vt
+
+
+# The certified low-rank prox: the least n it is tried at, the largest warm
+# rank, the start vectors added to the warm range, the most block steps, the
+# residual bound relative to ||M||_F and the seed of the sketch of warm.
+_WARM_MIN_N = 128
+_WARM_RANK_MAX = 8
+_WARM_EXTRA = 4
+_WARM_STEPS = 8
+_WARM_RTOL = 1e-13
+_WARM_SEED = 0x5EED
+
+
+def _certified_prox(M, tau: float, warm):
+    """The prox of the symmetric M from block subspace steps started at the
+    range of warm, or None when it cannot be certified.
+
+    The steps end with Ritz pairs (Q, theta) of M, kept where |theta| > tau.
+    With the residual R = M Q - Q diag(theta) and D = (I - QQ.T) M (I - QQ.T),
+    the matrix M - R Q.T - Q R.T is block diagonal: diag(theta) on range(Q),
+    D on its complement. When -tau I < D < tau I, which the Cholesky
+    factorizations of tau I - D and tau I + D prove, its prox is exactly
+    Q diag(sign(theta) (|theta| - tau)) Q.T. The prox is nonexpansive, so
+    that is within ||R Q.T + Q R.T||_F = sqrt(2) ||R||_F of the prox of M.
+    It is accepted when ||R||_F <= 1e-13 ||M||_F.
+
+    Each step filters the block by M^2 - tau^2 I / 2, a multiple of the
+    Chebyshev polynomial T_2(M / tau), which is at most 1 in magnitude on
+    the spectrum the prox drops, then orthonormalizes it and takes the Ritz
+    pairs. The attempt ends early, with None, when warm has rank above
+    _WARM_RANK_MAX, when a kept Ritz value lies within a factor 2 of tau
+    (the steps would converge too slowly) or when the residual, shrinking
+    at its last rate, would miss the bound within _WARM_STEPS steps."""
+    n = M.shape[0]
+    b = _WARM_RANK_MAX + _WARM_EXTRA
+    if not tau > 0.0 or n <= 2 * b:
+        return None
+    # a cheap exit for a warm of high rank: b of its columns already span
+    # more than _WARM_RANK_MAX dimensions
+    C = warm[:, :: n // b][:, :b]
+    g = np.linalg.eigvalsh(C.T @ C)
+    if np.count_nonzero(g > 1e-12 * g[-1]) > _WARM_RANK_MAX:
+        return None
+    omega = np.random.default_rng(_WARM_SEED).standard_normal((n, b))
+    U, s, _ = np.linalg.svd(warm @ omega, full_matrices=False)
+    k = int(np.count_nonzero(s > 1e-10 * s[0]))
+    if not 0 < k <= _WARM_RANK_MAX:
+        return None
+    V = np.linalg.qr(np.hstack((U[:, :k], omega[:, :_WARM_EXTRA])))[0]
+    bound = _WARM_RTOL * float(np.linalg.norm(M))
+    last = np.inf
+    for step in range(_WARM_STEPS):
+        MV = M @ V
+        theta, S = np.linalg.eigh(V.T @ MV)
+        keep = np.abs(theta) > tau
+        if not keep.any() or np.abs(theta[keep]).min() < 2.0 * tau:
+            return None
+        Q, MQ, theta = V @ S[:, keep], MV @ S[:, keep], theta[keep]
+        res = float(np.linalg.norm(MQ - Q * theta))
+        if res <= bound:
+            break
+        if res * (res / last) ** (_WARM_STEPS - 1 - step) > bound:
+            return None
+        last = res
+        V = np.linalg.qr(M @ MV - (0.5 * tau * tau) * V)[0]
+    # tau I - D = [Q E] [E Q].T - M + tau I, with E = MQ - Q (Q.T MQ) / 2
+    E = MQ - 0.5 * Q @ (Q.T @ MQ)
+    D = np.hstack((Q, E)) @ np.vstack((E.T, Q.T)) - M
+    D.flat[:: n + 1] += tau
+    try:
+        np.linalg.cholesky(D)
+        D *= -1.0
+        D.flat[:: n + 1] += 2.0 * tau
+        np.linalg.cholesky(D)
+    except np.linalg.LinAlgError:
+        return None
+    return (Q * (theta - np.copysign(tau, theta))) @ Q.T
 
 
 def _tangent_factors(Z, T: TangentSpace):

@@ -94,8 +94,8 @@ def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
     """Minimize ||B||_* + lam*||C||_1 subject to B + C = M.
 
     Inexact augmented-Lagrangian iteration with exact proximal steps: B by
-    singular-value shrinkage, C by entrywise shrinkage, followed by a dual
-    ascent step on the constraint. The penalty grows by mu_growth whenever the
+    singular-value shrinkage (warm-started from the previous B), C by
+    entrywise shrinkage, followed by a dual ascent step on the constraint. The penalty grows by mu_growth whenever the
     primal residual has not shrunk by a factor 0.9 over the last 10 iterations.
     """
     M = _as_square(M)
@@ -112,7 +112,7 @@ def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
     residual = float(np.linalg.norm(M)) / norm_M
 
     for _k in range(opts.max_iters):
-        B = sv_threshold(M - C + Y / mu, 1.0 / mu)
+        B = sv_threshold(M - C + Y / mu, 1.0 / mu, warm=B)
         C = soft_threshold(M - B + Y / mu, lam / mu)
         R = M - B - C
         Y = Y + mu * R
@@ -168,7 +168,8 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
     """Minimize ||X||_* + lam*||A - X||_1 over X in [0,1]^{n x n} with
     sum(X) >= gamma * eta**2.
 
-    Three-operator consensus splitting: one copy takes the nuclear prox, one
+    Three-operator consensus splitting: one copy takes the nuclear prox
+    (warm-started from its previous value), one
     the l1 prox of the residual A - X, one the Euclidean projection onto the
     box/halfspace intersection (clip(W + t, 0, 1) with the least shift t >= 0
     that meets the density target). The penalty is rebalanced every 10
@@ -206,7 +207,7 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
 
     for k in range(1, opts.max_iters + 1):
         iterations = k
-        Z1 = sv_threshold(X - U1, 1.0 / pen)
+        Z1 = sv_threshold(X - U1, 1.0 / pen, warm=Z1)
         Z2 = A - soft_threshold(A - (X - U2), lam / pen)
         Z3 = _project_box_halfspace(X - U3, target)
         X_new = (Z1 + U1 + Z2 + U2 + Z3 + U3) / 3.0

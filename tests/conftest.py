@@ -26,8 +26,9 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def svd_threshold_reference(M, tau):
-    """Singular-value shrinkage by the SVD formula, whatever path sv_threshold takes."""
+def svd_threshold_reference(M, tau, *, warm=None):
+    """Singular-value shrinkage by the SVD formula, whatever path sv_threshold
+    takes; warm, which only picks that path, is ignored."""
     U, s, Vt = np.linalg.svd(M)
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 

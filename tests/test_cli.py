@@ -343,6 +343,44 @@ def test_config_file_include_matrices(tmp_chdir, capsys, cfg_line, flags, has_ma
     assert ("Q_C" in doc) is has_matrices
 
 
+@pytest.mark.parametrize("text, has_matrices", [
+    ("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False),
+])
+def test_config_file_boolean_spellings(tmp_chdir, capsys, text, has_matrices):
+    run(capsys, *GEN, "--out", "inst.txt")
+    (tmp_chdir / "run.cfg").write_text(f"include_matrices = {text}\n")
+    rc, _, _ = run(capsys, "--config", "run.cfg", "certify", "--input", "inst.txt", "--out", "rep.json")
+    assert rc in (0, 1)
+    assert ("Q_B" in json.loads(open("rep.json").read())) is has_matrices
+
+
+def test_config_file_bad_boolean_exit2(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    (tmp_chdir / "run.cfg").write_text("include_matrices = ture\n")
+    rc, _, err = run(capsys, "--config", "run.cfg", "certify", "--input", "inst.txt", "--out", "rep.json")
+    assert rc == 2
+    assert "'include_matrices'" in err and "'ture'" in err
+    assert not (tmp_chdir / "rep.json").exists()
+
+
+def test_config_file_unknown_key_exit2(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    (tmp_chdir / "run.cfg").write_text("lam = 0.3\n")
+    rc, _, err = run(capsys, "--config", "run.cfg", "solve", "--input", "inst.txt", "--out", "res.json")
+    assert rc == 2
+    assert "unknown config key 'lam'" in err
+    assert not (tmp_chdir / "res.json").exists()
+
+
+def test_config_file_other_subcommand_keys_ignored(tmp_chdir, capsys):
+    # nc and rho are gen's keys and include_matrices is certify's; solve reads none
+    run(capsys, *GEN, "--out", "inst.txt")
+    (tmp_chdir / "run.cfg").write_text("nc = 5\nrho = 0.9\ninclude_matrices = yes\n")
+    rc, _, _ = run(capsys, "--config", "run.cfg", "solve", "--input", "inst.txt", "--out", "res.json")
+    assert rc == 0
+    assert "Q_B" not in json.loads(open("res.json").read())
+
+
 def test_config_file_bad_line_exit2(tmp_chdir, capsys):
     (tmp_chdir / "run.cfg").write_text("nonsense\n")
     rc, _, err = run(capsys, "--config", "run.cfg", "gen")

@@ -1,6 +1,7 @@
 """File format tests: instance text round-trips, CSV matrices, JSON result
 and report documents, config parsing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from qcr.fileio import (
     write_result,
 )
 from qcr.instances import InstanceParams, gen_planted
-from qcr.solver import solve_rpca
+from qcr.solver import DecompositionResult, solve_rpca
 
 from conftest import rng
 
@@ -165,6 +166,40 @@ def test_result_json_round_trip(tmp_path):
     assert doc["recovery"] is True
     assert np.allclose(np.asarray(doc["B_star"]), res.B_star)
     assert np.allclose(np.asarray(doc["C_star"]), res.C_star)
+
+
+def awkward_matrix(n, seed):
+    """Normal entries with -0.0, 1e-300, 1e16 and integral floats mixed in."""
+    M = rng(seed).standard_normal((n, n))
+    M.flat[: min(6, n * n)] = [-0.0, 1e-300, 1e16, 3.0, -2.0, 0.0][: min(6, n * n)]
+    return M
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_result_bytes_match_json_dump(tmp_path, n):
+    B, C = awkward_matrix(n, 10 + n), awkward_matrix(n, 20 + n)
+    res = DecompositionResult(B, C, iterations=7, primal_residual=1e-9, objective=12.0, converged=True)
+    path = tmp_path / "res.json"
+    write_result(res, str(path), lam=0.25, mode="plain_decomposition", extras={"recovery": False, "x": -0.0})
+    doc = {
+        "mode": "plain_decomposition", "lambda": 0.25, "n": n, "iterations": 7,
+        "primal_residual": 1e-9, "objective": 12.0, "converged": True,
+        "recovery": False, "x": -0.0, "B_star": B.tolist(), "C_star": C.tolist(),
+    }
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_report_bytes_match_json_dump(tmp_path, n):
+    inst = gen_planted(InstanceParams(n=30, n_c=24, gamma=0.85, rho=0.1, seed=2))
+    rep = dataclasses.replace(verify_certificate(inst), Q_B=awkward_matrix(n, 30 + n), Q_C=awkward_matrix(n, 40 + n))
+    plain, full = tmp_path / "plain.json", tmp_path / "full.json"
+    write_report(rep, str(plain))
+    write_report(rep, str(full), include_matrices=True)
+    doc = json.loads(plain.read_text())
+    assert plain.read_text() == json.dumps(doc, indent=2) + "\n"
+    doc.update(Q_B=rep.Q_B.tolist(), Q_C=rep.Q_C.tolist())
+    assert full.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_result_sidecar_for_large_matrices(tmp_path, monkeypatch):

@@ -196,6 +196,66 @@ def test_sv_threshold_matches_svd_reference(n, symmetric):
         assert np.array_equal(Z, Z.T)
 
 
+def spiked(n, seed, spikes, bulk=0.999):
+    """Symmetric Q diag(w) Q.T with the eigenvalues `spikes` and n - len(spikes)
+    more spread over [-bulk, bulk], Q a random orthogonal matrix; returns the
+    matrix and Q."""
+    g = rng(seed)
+    Q, _ = np.linalg.qr(g.standard_normal((n, n)))
+    w = np.concatenate((spikes, g.uniform(-bulk, bulk, n - len(spikes))))
+    M = (Q * w) @ Q.T
+    return 0.5 * (M + M.T), Q
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_certified_prox_matches_svd_reference(n):
+    # rank one plus symmetric noise, warm-started from the prox of a nearby
+    # matrix, as a solver's previous iterate would be
+    g = rng(500 + n)
+    u = np.ones(n) / math.sqrt(n)
+    M = 30.0 * np.outer(u, u) + random_symmetric(g, n) / (4.0 * math.sqrt(n))
+    tau = 1.0
+    warm = svd_threshold_reference(M + 1e-3 * random_symmetric(g, n), tau)
+    Z = linalg_mod._certified_prox(M, tau, warm)
+    assert Z is not None
+    assert np.abs(Z - svd_threshold_reference(M, tau)).max() <= 1e-11
+    out = sv_threshold(M, tau, warm=warm)
+    assert np.abs(out - svd_threshold_reference(M, tau)).max() <= 1e-11
+    assert np.array_equal(out, out.T)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_certified_prox_falls_back_on_eigenvalue_outside_warm(sign):
+    # an eigenvalue of magnitude 1.001 tau outside the warm range, above a
+    # bulk reaching 0.999 tau, stays out of the block; only the Cholesky of
+    # tau I - D (sign +1) or tau I + D (sign -1) can see it
+    n, tau = 200, 1.0
+    M, Q = spiked(n, 7, [30.0, sign * 1.001])
+    warm = 29.0 * np.outer(Q[:, 0], Q[:, 0])
+    assert linalg_mod._certified_prox(M, tau, warm) is None
+    assert np.array_equal(sv_threshold(M, tau, warm=warm), sv_threshold(M, tau))
+
+
+@pytest.mark.parametrize("tau, warm", [(0.0, "spike"), (1.0, "zero"), (1.0, "full rank")])
+def test_certified_prox_needs_positive_tau_and_low_rank_warm(tau, warm):
+    n = 200
+    M, Q = spiked(n, 8, [30.0], bulk=0.5)
+    W = {
+        "spike": 29.0 * np.outer(Q[:, 0], Q[:, 0]),
+        "zero": np.zeros((n, n)),
+        "full rank": random_symmetric(rng(10), n),
+    }[warm]
+    assert linalg_mod._certified_prox(M, tau, W) is None
+    assert np.array_equal(sv_threshold(M, tau, warm=W), sv_threshold(M, tau))
+
+
+@pytest.mark.parametrize("warm", [np.zeros((200, 100)), np.full((200, 200), np.nan)])
+def test_sv_threshold_rejects_bad_warm(warm):
+    M, _ = spiked(200, 8, [30.0], bulk=0.5)
+    with pytest.raises(ValueError, match="warm"):
+        sv_threshold(M, 1.0, warm=warm)
+
+
 @pytest.mark.property
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.05, 3.0), st.booleans())
 def test_sv_threshold_prox_optimality(seed, n, tau, symmetric):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qcr.linalg as linalg
 import qcr.solver as solver
 from qcr.experiments import PHASE_GRID
 from qcr.instances import (
@@ -29,7 +30,7 @@ from qcr.solver import (
     solve_rpca,
 )
 
-from conftest import augmented_lagrangian, dykstra_reference, rng, svd_threshold_reference
+from conftest import augmented_lagrangian, count_calls, dykstra_reference, rng, svd_threshold_reference
 
 
 def planted(n=50, n_c=40, gamma=0.85, rho=0.1, seed=21):
@@ -132,8 +133,8 @@ def record_prox_calls(monkeypatch, name):
     calls = []
     real = getattr(solver, name)
 
-    def recording(W, tau):
-        out = real(W, tau)
+    def recording(W, tau, **kwargs):
+        out = real(W, tau, **kwargs)
         calls.append((W, tau, out))
         return out
 
@@ -213,6 +214,34 @@ def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j, recovered):
     assert eigen[1] == recovered
     monkeypatch.setattr(solver, "sv_threshold", svd_threshold_reference)
     assert phase_grid_trial(i, j) == eigen
+
+
+@pytest.mark.parametrize("solve", [
+    solve_rpca, lambda A: solve_quasi_clique(A, QuasiCliqueParams(gamma=0.85, eta=100)),
+], ids=["rpca", "quasi_clique"])
+def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
+    # from the iteration where B* is rank one, the warm-started prox skips
+    # the full eigh; the solve matches one that always takes the eigh
+    inst = planted(n=200, n_c=100, seed=0)
+    real = solver.sv_threshold
+    monkeypatch.setattr(solver, "sv_threshold", lambda M, tau, **kwargs: real(M, tau))
+    reference = solve(inst.A)
+    monkeypatch.setattr(solver, "sv_threshold", real)
+    calls = count_calls(monkeypatch, "sv_threshold", solver)
+    certified = []
+    real_prox = linalg._certified_prox
+
+    def counting(M, tau, warm):
+        out = real_prox(M, tau, warm)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_certified_prox", counting)
+    res = solve(inst.A)
+    assert len(calls) == res.iterations == reference.iterations
+    assert 3 * sum(certified) >= len(calls)
+    assert recovery_success(res.B_star, inst.block_pattern)
+    assert np.abs(res.B_star - reference.B_star).max() <= 1e-9
 
 
 def test_rejects_nonsquare():
