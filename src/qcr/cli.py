@@ -64,7 +64,10 @@ def _merged(args, cfg: dict, key: str, cast, default=None):
         return default
     raw = cfg[key]
     if cast is not bool:
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r} must be {_CAST_NAMES[cast]}, got {raw!r}") from None
     if raw.lower() not in _BOOLEANS:
         raise ValueError(f"config key {key!r} must be 1/0/true/false/yes/no, got {raw!r}")
     return _BOOLEANS[raw.lower()]
@@ -93,6 +96,15 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+# what a config value must spell for each cast that can reject it
+_CAST_NAMES = {
+    int: "an integer",
+    float: "a float",
+    _int_list: "a comma-separated list of integers",
+    _float_list: "a comma-separated list of floats",
+}
 
 
 def cmd_gen(args, cfg) -> int:
@@ -166,6 +178,7 @@ def cmd_solve(args, cfg) -> int:
     write_result(result, out, lam=lam_used, mode=label, extras=extras)
     print(
         f"mode={label} lambda={lam_used:.6g} iterations={result.iterations} "
+        f"final_penalty={result.final_penalty:.6g} "
         f"primal_residual={result.primal_residual:.3e} objective={result.objective:.8g} "
         f"converged={result.converged} -> {out}"
     )

@@ -33,10 +33,15 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver knobs. lam defaults to 1/sqrt(n) and mu0 to 0.25/mean(|M|),
-    both resolved against the input matrix at solve time when left None.
-    mu_growth is read by solve_rpca only: solve_quasi_clique ignores it and
-    rebalances its penalty by a factor 2 every 10 iterations instead."""
+    """Solver knobs. lam defaults to 1/sqrt(n), resolved at solve time when
+    left None. mu0 is the starting penalty; when left None each solver picks
+    its own from the input matrix: solve_rpca starts at 0.25/mean(|M|)
+    (resolve_mu0), solve_quasi_clique at 1.25/||A||_2, the inexact-ALM start
+    of Lin, Chen and Ma (arXiv:1009.5055), under which the nuclear prox
+    threshold 1/pen begins near the top eigenvalue and keeps few of them. A
+    given mu0 overrides both. mu_growth is read by solve_rpca only:
+    solve_quasi_clique ignores it and rebalances its penalty by a factor 2
+    every 10 iterations instead."""
 
     lam: float | None = None
     mu0: float | None = None
@@ -88,6 +93,7 @@ class DecompositionResult:
     primal_residual: float
     objective: float
     converged: bool
+    final_penalty: float | None = None  # mu (solve_rpca) or pen (solve_quasi_clique) at exit
 
 
 def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
@@ -132,6 +138,7 @@ def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
         primal_residual=residual,
         objective=objective,
         converged=converged,
+        final_penalty=mu,
     )
 
 
@@ -146,15 +153,29 @@ def _project_box_halfspace(W, total: float):
     X = np.clip(W, 0.0, 1.0)
     if float(X.sum()) >= total:
         return X
-    a = np.sort(-W, axis=None)
-    pts = np.concatenate((a, a + 1.0))
+    del X
+    # the breakpoints, slopes and sums are built in place, without the
+    # temporaries of concatenate and diff, and freed before the final clip:
+    # a binding call holds at most three arrays of 2 * W.size entries
+    N = W.size
+    pts = np.empty(2 * N)
+    np.negative(W, out=pts[:N].reshape(W.shape))
+    pts[:N].sort()
+    np.add(pts[:N], 1.0, out=pts[N:])
     order = np.argsort(pts, kind="stable")
     pts = pts[order]
-    slope = np.cumsum(np.where(order < a.size, 1.0, -1.0))
+    slope = np.where(order < N, 1.0, -1.0)
+    del order
+    np.cumsum(slope, out=slope)
     # sum at each breakpoint; it is 0 at the first, where every w + t <= 0
-    reach = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(pts))))
+    reach = np.empty(2 * N)
+    reach[0] = 0.0
+    np.subtract(pts[1:], pts[:-1], out=reach[1:])
+    reach[1:] *= slope[:-1]
+    np.cumsum(reach[1:], out=reach[1:])
     k = min(int(np.searchsorted(reach, total)), pts.size - 1)
     t = pts[k - 1] + (total - reach[k - 1]) / slope[k - 1]
+    del pts, slope, reach
     step = np.spacing(t)
     X = np.clip(W + t, 0.0, 1.0)
     # ends once t lifts every entry to 1 at the latest, as total <= W.size
@@ -193,7 +214,8 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
             f"sum(A) = {total_mass:g}; recovery is structurally impossible"
         )
 
-    pen = opts.resolve_mu0(A)
+    # sum(A) >= target > 0 above, so A is nonzero
+    pen = opts.mu0 if opts.mu0 is not None else 1.25 / norm(A, "spectral")
     norm_A = max(float(np.linalg.norm(A)), 1e-12)
     X = np.clip(A, 0.0, 1.0)
     Z1 = X.copy()
@@ -201,6 +223,7 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
     U1 = np.zeros_like(A)
     U2 = np.zeros_like(A)
     U3 = np.zeros_like(A)
+    gap = np.empty_like(A)
     r_primal = np.inf
     converged = False
     iterations = 0
@@ -211,15 +234,15 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
         Z2 = A - soft_threshold(A - (X - U2), lam / pen)
         Z3 = _project_box_halfspace(X - U3, target)
         X_new = (Z1 + U1 + Z2 + U2 + Z3 + U3) / 3.0
-        r_primal = max(
-            float(np.linalg.norm(Z1 - X_new)),
-            float(np.linalg.norm(Z2 - X_new)),
-            float(np.linalg.norm(Z3 - X_new)),
-        ) / norm_A
+        # each consensus gap Z_i - X_new, formed once in one buffer, feeds
+        # both the primal residual and the scaled dual update
+        r_primal = 0.0
+        for Z, U in ((Z1, U1), (Z2, U2), (Z3, U3)):
+            np.subtract(Z, X_new, out=gap)
+            r_primal = max(r_primal, float(np.linalg.norm(gap)))
+            U += gap
+        r_primal /= norm_A
         r_dual = pen * float(np.linalg.norm(X_new - X)) / norm_A
-        U1 += Z1 - X_new
-        U2 += Z2 - X_new
-        U3 += Z3 - X_new
         X = X_new
         if r_primal <= opts.tol_primal and r_dual <= opts.tol_primal:
             converged = True
@@ -245,6 +268,7 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
         primal_residual=r_primal,
         objective=objective,
         converged=converged,
+        final_penalty=pen,
     )
 
 

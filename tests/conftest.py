@@ -52,6 +52,29 @@ def dykstra_reference(W, total, tol=1e-10, max_iters=5000):
     raise AssertionError("reference Dykstra projection did not converge")
 
 
+def shifted_clip_reference(W, total):
+    """The box/halfspace projection clip(W + t, 0, 1) by one sweep over the
+    sorted breakpoints, each intermediate a fresh array (concatenate, argsort,
+    diff); the solver builds the same arrays in place and must agree bitwise."""
+    X = np.clip(W, 0.0, 1.0)
+    if float(X.sum()) >= total:
+        return X
+    a = np.sort(-W, axis=None)
+    pts = np.concatenate((a, a + 1.0))
+    order = np.argsort(pts, kind="stable")
+    pts = pts[order]
+    slope = np.cumsum(np.where(order < a.size, 1.0, -1.0))
+    reach = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(pts))))
+    k = min(int(np.searchsorted(reach, total)), pts.size - 1)
+    t = pts[k - 1] + (total - reach[k - 1]) / slope[k - 1]
+    step = np.spacing(t)
+    X = np.clip(W + t, 0.0, 1.0)
+    while float(X.sum()) < total:
+        t, step = t + step, 2.0 * step
+        X = np.clip(W + t, 0.0, 1.0)
+    return X
+
+
 def augmented_lagrangian(M, B, C, Y, mu, lam):
     """||B||_* + lam*||C||_1 + <Y, M - B - C> + (mu/2) ||M - B - C||_F^2."""
     R = M - B - C

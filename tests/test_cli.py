@@ -9,7 +9,7 @@ from qcr.certificate import verify_certificate
 from qcr.cli import main
 from qcr.experiments import PHASE_GRID, SIZE_GRID, RecoveryGrid
 from qcr.fileio import read_instance, read_result, write_matrix_csv, write_report
-from qcr.solver import solve_rpca
+from qcr.solver import QuasiCliqueParams, solve_quasi_clique, solve_rpca
 
 
 def run(capsys, *argv):
@@ -81,6 +81,17 @@ def test_solve_nonconvergence_exit4_still_writes(tmp_chdir, capsys):
     doc = read_result("res.json")
     assert doc["converged"] is False
     assert doc["iterations"] == 2
+
+
+def test_solve_reports_final_penalty(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    rc, out, _ = run(capsys, "solve", "--input", "inst.txt", "--mode", "quasi_clique", "--out", "res.json")
+    assert rc == 0
+    doc = read_result("res.json")
+    res = solve_quasi_clique(read_instance("inst.txt").A, QuasiCliqueParams(gamma=0.9, eta=22))
+    assert doc["final_penalty"] == res.final_penalty
+    assert list(doc)[3:5] == ["iterations", "final_penalty"]
+    assert f"final_penalty={res.final_penalty:.6g}" in out
 
 
 def test_solve_rejects_nonpositive_lambda(tmp_chdir, capsys):
@@ -361,6 +372,19 @@ def test_config_file_bad_boolean_exit2(tmp_chdir, capsys):
     assert rc == 2
     assert "'include_matrices'" in err and "'ture'" in err
     assert not (tmp_chdir / "rep.json").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("max_iters = abc", "config key 'max_iters' must be an integer, got 'abc'"),
+    ("tol = abc", "config key 'tol' must be a float, got 'abc'"),
+])
+def test_config_file_bad_number_names_key_exit2(tmp_chdir, capsys, line, message):
+    run(capsys, *GEN, "--out", "inst.txt")
+    (tmp_chdir / "run.cfg").write_text(line + "\n")
+    rc, _, err = run(capsys, "--config", "run.cfg", "solve", "--input", "inst.txt", "--out", "res.json")
+    assert rc == 2
+    assert message in err
+    assert not (tmp_chdir / "res.json").exists()
 
 
 def test_config_file_unknown_key_exit2(tmp_chdir, capsys):

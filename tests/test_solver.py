@@ -30,7 +30,14 @@ from qcr.solver import (
     solve_rpca,
 )
 
-from conftest import augmented_lagrangian, count_calls, dykstra_reference, rng, svd_threshold_reference
+from conftest import (
+    augmented_lagrangian,
+    count_calls,
+    dykstra_reference,
+    rng,
+    shifted_clip_reference,
+    svd_threshold_reference,
+)
 
 
 def planted(n=50, n_c=40, gamma=0.85, rho=0.1, seed=21):
@@ -244,6 +251,50 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
     assert np.abs(res.B_star - reference.B_star).max() <= 1e-9
 
 
+N200_QC = QuasiCliqueParams(gamma=0.85, eta=100)
+
+
+def test_quasi_clique_old_start_given_as_mu0_keeps_its_schedule():
+    # the former default start 0.25/mean|A|, passed explicitly, runs the
+    # former schedule; the default spectral start needs fewer iterations
+    A = planted(n=200, n_c=100, seed=0).A
+    old = solve_quasi_clique(A, N200_QC, SolverOptions(mu0=0.25 / np.abs(A).mean()))
+    new = solve_quasi_clique(A, N200_QC)
+    assert old.converged and new.converged
+    assert old.iterations == 75
+    assert new.iterations < old.iterations
+
+
+def test_quasi_clique_spectral_start_certifies_half_an_n200_solve(monkeypatch):
+    # under 1.25/||A||_2 the prox threshold starts near the top eigenvalue,
+    # so most prox calls keep few eigenvalues and skip the full eigh
+    inst = planted(n=200, n_c=100, seed=0)
+    certified = []
+    real_prox = linalg._certified_prox
+
+    def counting(M, tau, warm):
+        out = real_prox(M, tau, warm)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_certified_prox", counting)
+    res = solve_quasi_clique(inst.A, N200_QC)
+    assert len(certified) == res.iterations
+    assert 2 * sum(certified) >= res.iterations
+    assert recovery_success(res.B_star, inst.block_pattern)
+
+
+def test_final_penalty_is_the_start_times_the_schedule():
+    # pen only doubles or halves, so it stays the start times a power of 2;
+    # with mu_growth 2 the same holds for solve_rpca's mu
+    inst = planted(n=60, n_c=45, seed=11)
+    qc = solve_quasi_clique(inst.A, QuasiCliqueParams(gamma=0.85, eta=45))
+    assert math.frexp(qc.final_penalty / (1.25 / linalg.norm(inst.A, "spectral")))[0] == 0.5
+    opts = SolverOptions(mu_growth=2.0)
+    plain = solve_rpca(inst.A, opts)
+    assert math.frexp(plain.final_penalty / opts.resolve_mu0(inst.A))[0] == 0.5
+
+
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         solve_rpca(np.ones((3, 4)))
@@ -363,6 +414,22 @@ def test_projection_matches_dykstra(seed, fill):
     # clipping ref into the box drops the mass it held outside, so it may lie
     # closer to W than the (feasible) projection by that rounding-level amount
     assert np.linalg.norm(X - W) <= np.linalg.norm(np.clip(ref, 0.0, 1.0) - W) + 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("fill", [0.3, 0.7, 0.95])
+def test_projection_matches_fresh_array_reference_bitwise(seed, fill):
+    # odd seeds draw normals, even ones a few values with ties, +-0.0 and
+    # entries on the box faces
+    r = rng(seed)
+    if seed % 2:
+        W = r.normal(0.4, 0.8, size=(40, 40))
+    else:
+        W = r.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5], size=(40, 40))
+    X = solver._project_box_halfspace(W, fill * W.size)
+    ref = shifted_clip_reference(W, fill * W.size)
+    assert np.array_equal(X, ref)
+    assert np.array_equal(np.signbit(X), np.signbit(ref))
 
 
 @pytest.mark.property
