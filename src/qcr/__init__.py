@@ -4,10 +4,9 @@ Library layout:
 
 - ``linalg``: dense kernels (truncated SVD, matrix norms, proximal operators,
   tangent-space and support projectors, power-iteration operator norm).
-- ``instances``: seeded planted-instance generation and auxiliary random
-  matrix models.
-- ``solver``: augmented-Lagrangian decomposition solver, plain and
-  quasi-clique constrained modes.
+- ``instances``: seeded planted-instance generation and grid seed derivation.
+- ``solver``: one augmented-Lagrangian loop for the plain decomposition and
+  the quasi-clique constrained program.
 - ``certificate``: dual-certificate construction (golfing plus truncated
   Neumann series) and numerical verification of the optimality conditions.
 - ``experiments``: Monte-Carlo recovery grids over size and density axes.

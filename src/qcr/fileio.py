@@ -177,10 +177,7 @@ def write_result(
         "lambda": lam,
         "n": int(result.B_star.shape[0]),
         "iterations": result.iterations,
-    }
-    if result.final_penalty is not None:
-        doc["final_penalty"] = result.final_penalty
-    doc |= {
+        "final_penalty": result.final_penalty,
         "primal_residual": result.primal_residual,
         "objective": result.objective,
         "converged": result.converged,

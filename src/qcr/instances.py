@@ -1,5 +1,5 @@
-"""Seeded generators for planted quasi-clique instances and the random test
-matrices used by the solver and certificate suites.
+"""Seeded generator for planted quasi-clique instances and the seed
+derivation of the recovery grids.
 
 All randomness flows through numpy's Philox counter-based bit generator so
 that a given seed reproduces the same instance on every platform. Symmetric
@@ -19,9 +19,6 @@ __all__ = [
     "InstanceParams",
     "PlantedInstance",
     "gen_planted",
-    "gen_bernoulli_support",
-    "gen_random_sign_sparse",
-    "gen_low_rank",
     "derive_seed",
 ]
 
@@ -132,29 +129,3 @@ def gen_planted(params: InstanceParams) -> PlantedInstance:
     A = np.maximum(A, A.T)
     return PlantedInstance.from_adjacency(params, A)
 
-
-def gen_bernoulli_support(n: int, p: float, seed: int) -> SupportSet:
-    """Include each index pair independently with probability p."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return SupportSet(n, _rng(seed).random((n, n)) < p)
-
-
-def gen_random_sign_sparse(n: int, p: float, seed: int) -> np.ndarray:
-    """Entries independently +1 with probability p/2, -1 with probability p/2,
-    zero otherwise."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    rng = _rng(seed)
-    u = rng.random((n, n))
-    return np.where(u < p / 2, 1.0, np.where(u < p, -1.0, 0.0))
-
-
-def gen_low_rank(n: int, r: int, seed: int) -> np.ndarray:
-    """Random n x n matrix G @ H.T of rank r with standard-normal factors."""
-    if not (1 <= r <= n):
-        raise ValueError(f"r must satisfy 1 <= r <= n, got r={r}, n={n}")
-    rng = _rng(seed)
-    G = rng.standard_normal((n, r))
-    H = rng.standard_normal((n, r))
-    return G @ H.T

@@ -1,6 +1,6 @@
-"""Augmented-Lagrangian splitting solvers for the rank-sparsity decomposition
+"""One inexact augmented-Lagrangian loop for the rank-sparsity decomposition
 program min ||B||_* + lambda*||C||_1 s.t. B + C = M and its density-constrained
-variant min ||X||_* + lambda*||A - X||_1 s.t. sum(X) >= gamma*eta^2, X in [0,1].
+variant min ||B||_* + lambda*||A - B||_1 s.t. sum(B) >= gamma*eta^2, B in [0,1].
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver knobs. lam defaults to 1/sqrt(n), resolved at solve time when
-    left None. mu0 is the starting penalty; when left None each solver picks
-    its own from the input matrix: solve_rpca starts at 0.25/mean(|M|)
-    (resolve_mu0), solve_quasi_clique at 1.25/||A||_2, the inexact-ALM start
-    of Lin, Chen and Ma (arXiv:1009.5055), under which the nuclear prox
-    threshold 1/pen begins near the top eigenvalue and keeps few of them. A
-    given mu0 overrides both. mu_growth is read by solve_rpca only:
-    solve_quasi_clique ignores it and rebalances its penalty by a factor 2
-    every 10 iterations instead."""
+    """Solver knobs, read alike by both solvers. lam defaults to 1/sqrt(n),
+    resolved at solve time when left None. mu0 is the starting penalty; when
+    left None each solver picks its own from the input matrix: solve_rpca
+    starts at 0.25/mean(|M|) (resolve_mu0), solve_quasi_clique at
+    1.25/||A||_2, the inexact-ALM start of Lin, Chen and Ma
+    (arXiv:1009.5055), under which the nuclear prox threshold 1/mu begins near
+    the top eigenvalue and keeps few of them. A given mu0 overrides both. The
+    penalty grows by mu_growth whenever the primal residual has not shrunk by
+    a factor 0.9 over the last 10 iterations; the solve stops once that
+    residual is at most tol_primal, or after max_iters iterations."""
 
     lam: float | None = None
     mu0: float | None = None
@@ -93,21 +94,18 @@ class DecompositionResult:
     primal_residual: float
     objective: float
     converged: bool
-    final_penalty: float | None = None  # mu (solve_rpca) or pen (solve_quasi_clique) at exit
+    final_penalty: float
 
 
-def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
-    """Minimize ||B||_* + lam*||C||_1 subject to B + C = M.
-
-    Inexact augmented-Lagrangian iteration with exact proximal steps: B by
-    singular-value shrinkage (warm-started from the previous B), C by
-    entrywise shrinkage, followed by a dual ascent step on the constraint. The penalty grows by mu_growth whenever the
-    primal residual has not shrunk by a factor 0.9 over the last 10 iterations.
-    """
-    M = _as_square(M)
-    opts = opts or SolverOptions()
+def _alm(M, c_prox, mu, opts: SolverOptions):
+    """Inexact augmented-Lagrangian iteration for min ||B||_* + g(C) subject
+    to B + C = M, from the penalty mu, on the schedule of SolverOptions.
+    Each pass takes B by singular-value shrinkage (warm-started from the
+    previous B), C by c_prox, then a dual ascent step on the constraint.
+    c_prox(V, kappa) is the prox of g/mu at V, called with kappa = lam/mu:
+    soft_threshold when g = lam*||C||_1. Returns the last B and C and the
+    result's iterations, primal_residual, converged and final_penalty."""
     lam = opts.resolve_lam(M.shape[0])
-    mu = opts.resolve_mu0(M)
     norm_M = max(float(np.linalg.norm(M)), 1e-12)
 
     B = np.zeros_like(M)
@@ -119,7 +117,7 @@ def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
 
     for _k in range(opts.max_iters):
         B = sv_threshold(M - C + Y / mu, 1.0 / mu, warm=B)
-        C = soft_threshold(M - B + Y / mu, lam / mu)
+        C = c_prox(M - B + Y / mu, lam / mu)
         R = M - B - C
         Y = Y + mu * R
         residual = float(np.linalg.norm(R)) / norm_M
@@ -130,16 +128,31 @@ def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
         if len(hist) > 10 and hist[-1] > 0.9 * hist[-11]:
             mu *= opts.mu_growth
 
+    stats = {
+        "iterations": len(hist),
+        "primal_residual": residual,
+        "converged": converged,
+        "final_penalty": mu,
+    }
+    return B, C, stats
+
+
+def _result(B, C, lam: float, stats: dict) -> DecompositionResult:
     objective = norm(B, "nuclear") + lam * norm(C, "l1")
-    return DecompositionResult(
-        B_star=B,
-        C_star=C,
-        iterations=len(hist),
-        primal_residual=residual,
-        objective=objective,
-        converged=converged,
-        final_penalty=mu,
-    )
+    return DecompositionResult(B_star=B, C_star=C, objective=objective, **stats)
+
+
+def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
+    """Minimize ||B||_* + lam*||C||_1 subject to B + C = M.
+
+    The inexact augmented-Lagrangian iteration of SolverOptions, with C by
+    entrywise shrinkage, from the penalty opts.resolve_mu0(M). The reported
+    primal_residual is ||M - B - C||_F / ||M||_F.
+    """
+    M = _as_square(M)
+    opts = opts or SolverOptions()
+    B, C, stats = _alm(M, soft_threshold, opts.resolve_mu0(M), opts)
+    return _result(B, C, opts.resolve_lam(M.shape[0]), stats)
 
 
 def _project_box_halfspace(W, total: float):
@@ -185,23 +198,39 @@ def _project_box_halfspace(W, total: float):
     return X
 
 
-def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = None) -> DecompositionResult:
-    """Minimize ||X||_* + lam*||A - X||_1 over X in [0,1]^{n x n} with
-    sum(X) >= gamma * eta**2.
+def _l1_prox_in_box_halfspace(A, target: float):
+    """The C-step of the quasi-clique program for a 0/1 matrix A: the prox
+    V, kappa -> argmin kappa*||C||_1 + ||C - V||_F^2 / 2 subject to A - C in
+    {X : 0 <= X <= 1, sum(X) >= target}. Over the box, kappa*|a - x| is
+    linear in x for a in {0, 1}, so the prox is a projection:
+    C = A - proj(A - V + kappa*(2A - 1))."""
+    sign = 2.0 * A - 1.0
 
-    Three-operator consensus splitting: one copy takes the nuclear prox
-    (warm-started from its previous value), one
-    the l1 prox of the residual A - X, one the Euclidean projection onto the
-    box/halfspace intersection (clip(W + t, 0, 1) with the least shift t >= 0
-    that meets the density target). The penalty is rebalanced every 10
-    iterations to keep primal and dual residuals comparable; convergence
-    requires both below tol_primal. The reported primal_residual is the
-    largest consensus gap max_i ||Z_i - X||_F / ||A||_F.
+    def prox(V, kappa):
+        return A - _project_box_halfspace(A - V + kappa * sign, target)
+
+    return prox
+
+
+def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = None) -> DecompositionResult:
+    """Minimize ||B||_* + lam*||A - B||_1 over B in [0,1]^{n x n} with
+    sum(B) >= gamma * eta**2, for a 0/1 matrix A.
+
+    The same inexact augmented-Lagrangian iteration as solve_rpca, on
+    B + C = A with the constraint moved onto C: its C-step is the l1 prox
+    subject to A - C in the box/halfspace set (clip(W + t, 0, 1) with the
+    least shift t >= 0 that meets the density target). Only the start
+    differs: 1.25/||A||_2 unless opts.mu0 is given. Returns B* = A - C, which
+    lies in the box exactly, and C* = A - B*. The reported primal_residual is
+    ||A - B - C||_F / ||A||_F with B the last singular-value shrinkage, which
+    is also how far B* lies from it.
     """
     A = _as_square(A)
     opts = opts or SolverOptions()
     n = A.shape[0]
-    lam = opts.resolve_lam(n)
+    other = A[(A != 0.0) & (A != 1.0)]
+    if other.size:
+        raise ValueError(f"solve_quasi_clique needs a 0/1 matrix, got an entry {other[0]:g}")
     target = qc.gamma * qc.eta * qc.eta
     if target > n * n:
         raise InfeasibleError(
@@ -215,61 +244,10 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
         )
 
     # sum(A) >= target > 0 above, so A is nonzero
-    pen = opts.mu0 if opts.mu0 is not None else 1.25 / norm(A, "spectral")
-    norm_A = max(float(np.linalg.norm(A)), 1e-12)
-    X = np.clip(A, 0.0, 1.0)
-    Z1 = X.copy()
-    Z3 = X.copy()
-    U1 = np.zeros_like(A)
-    U2 = np.zeros_like(A)
-    U3 = np.zeros_like(A)
-    gap = np.empty_like(A)
-    r_primal = np.inf
-    converged = False
-    iterations = 0
-
-    for k in range(1, opts.max_iters + 1):
-        iterations = k
-        Z1 = sv_threshold(X - U1, 1.0 / pen, warm=Z1)
-        Z2 = A - soft_threshold(A - (X - U2), lam / pen)
-        Z3 = _project_box_halfspace(X - U3, target)
-        X_new = (Z1 + U1 + Z2 + U2 + Z3 + U3) / 3.0
-        # each consensus gap Z_i - X_new, formed once in one buffer, feeds
-        # both the primal residual and the scaled dual update
-        r_primal = 0.0
-        for Z, U in ((Z1, U1), (Z2, U2), (Z3, U3)):
-            np.subtract(Z, X_new, out=gap)
-            r_primal = max(r_primal, float(np.linalg.norm(gap)))
-            U += gap
-        r_primal /= norm_A
-        r_dual = pen * float(np.linalg.norm(X_new - X)) / norm_A
-        X = X_new
-        if r_primal <= opts.tol_primal and r_dual <= opts.tol_primal:
-            converged = True
-            break
-        # residual balancing; scaled duals must shrink when the penalty grows
-        if k % 10 == 0:
-            if r_primal > 10 * r_dual:
-                pen *= 2.0
-                U1 /= 2.0
-                U2 /= 2.0
-                U3 /= 2.0
-            elif r_dual > 10 * r_primal:
-                pen /= 2.0
-                U1 *= 2.0
-                U2 *= 2.0
-                U3 *= 2.0
-
-    objective = norm(Z3, "nuclear") + lam * norm(A - Z3, "l1")
-    return DecompositionResult(
-        B_star=Z3,
-        C_star=A - Z3,
-        iterations=iterations,
-        primal_residual=r_primal,
-        objective=objective,
-        converged=converged,
-        final_penalty=pen,
-    )
+    mu0 = opts.mu0 if opts.mu0 is not None else 1.25 / norm(A, "spectral")
+    _, C, stats = _alm(A, _l1_prox_in_box_halfspace(A, target), mu0, opts)
+    B_star = A - C
+    return _result(B_star, A - B_star, opts.resolve_lam(n), stats)
 
 
 def relative_error(B_star, B0) -> float:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from qcr.linalg import SupportSet
+
 settings.register_profile(
     "default",
     max_examples=25,
@@ -24,6 +26,32 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 def rng(seed: int) -> np.random.Generator:
     """Counter-based generator so tests are reproducible bit for bit."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def gen_bernoulli_support(n: int, p: float, seed: int) -> SupportSet:
+    """Include each index pair independently with probability p."""
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    return SupportSet(n, rng(seed).random((n, n)) < p)
+
+
+def gen_random_sign_sparse(n: int, p: float, seed: int) -> np.ndarray:
+    """Entries independently +1 with probability p/2, -1 with probability p/2,
+    zero otherwise."""
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    u = rng(seed).random((n, n))
+    return np.where(u < p / 2, 1.0, np.where(u < p, -1.0, 0.0))
+
+
+def gen_low_rank(n: int, r: int, seed: int) -> np.ndarray:
+    """Random n x n matrix G @ H.T of rank r with standard-normal factors."""
+    if not (1 <= r <= n):
+        raise ValueError(f"r must satisfy 1 <= r <= n, got r={r}, n={n}")
+    g = rng(seed)
+    G = g.standard_normal((n, r))
+    H = g.standard_normal((n, r))
+    return G @ H.T
 
 
 def svd_threshold_reference(M, tau, *, warm=None):
@@ -73,6 +101,31 @@ def shifted_clip_reference(W, total):
         t, step = t + step, 2.0 * step
         X = np.clip(W + t, 0.0, 1.0)
     return X
+
+
+def box_halfspace_l1_prox_reference(A, V, kappa, total):
+    """The quasi-clique C-step argmin kappa*||C||_1 + ||C - V||_F^2 / 2
+    subject to A - C in {X : 0 <= X <= 1, sum(X) >= total}, by its KKT form
+    for any A: A - C = clip(A - soft(V - t, kappa), 0, 1) for the least t >= 0
+    whose sum reaches total, found by bisection down to adjacent floats."""
+
+    def X(t):
+        W = V - t
+        return np.clip(A - np.sign(W) * np.maximum(np.abs(W) - kappa, 0.0), 0.0, 1.0)
+
+    lo, hi = 0.0, 1.0
+    if X(lo).sum() >= total:
+        return A - X(lo)
+    while X(hi).sum() < total:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return A - X(hi)
+        if X(mid).sum() >= total:
+            hi = mid
+        else:
+            lo = mid
 
 
 def augmented_lagrangian(M, B, C, Y, mu, lam):

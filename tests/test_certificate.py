@@ -19,12 +19,7 @@ from qcr.certificate import (
     partition_complement,
     verify_certificate,
 )
-from qcr.instances import (
-    InstanceParams,
-    gen_bernoulli_support,
-    gen_low_rank,
-    gen_planted,
-)
+from qcr.instances import InstanceParams, gen_planted
 from qcr.linalg import (
     SupportSet,
     TangentSpace,
@@ -36,7 +31,14 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import count_calls, golfing_reference, neumann_reference, rng
+from conftest import (
+    count_calls,
+    gen_bernoulli_support,
+    gen_low_rank,
+    golfing_reference,
+    neumann_reference,
+    rng,
+)
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:

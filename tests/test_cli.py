@@ -120,6 +120,31 @@ def test_solve_quasi_clique_defaults_from_instance(tmp_chdir, capsys):
     assert read_result("res.json")["mode"] == "quasi_clique_constrained"
 
 
+def test_solve_quasi_clique_converges_on_the_slow_tail_instance(tmp_chdir, capsys):
+    # the residual falls on a slow linear tail here; the growing penalty
+    # takes it below the tolerance in under half the iteration budget
+    run(capsys, "gen", "--n", "40", "--nc", "30", "--gamma", "0.7", "--rho", "0.3", "--seed", "1",
+        "--out", "inst.txt")
+    rc, _, _ = run(capsys, "solve", "--input", "inst.txt", "--mode", "quasi_clique", "--out", "res.json")
+    assert rc == 0
+    doc = read_result("res.json")
+    assert doc["converged"] is True
+    assert doc["primal_residual"] <= 1e-8
+    assert doc["iterations"] < 1000
+    assert doc["objective"] == pytest.approx(100.87971, abs=5e-6)
+
+
+def test_solve_quasi_clique_rejects_a_matrix_that_is_not_0_1(tmp_chdir, capsys):
+    M = np.ones((6, 6))
+    M[0, 1] = M[1, 0] = 0.5
+    write_matrix_csv(M, "m.csv")
+    rc, _, err = run(capsys, "solve", "--input", "m.csv", "--mode", "quasi_clique",
+                     "--gamma", "0.5", "--eta", "4")
+    assert rc == 2
+    assert "0/1 matrix" in err
+    assert not (tmp_chdir / "result.json").exists()
+
+
 def test_solve_quasi_clique_on_csv_needs_eta(tmp_chdir, capsys):
     write_matrix_csv(np.eye(8), "m.csv")
     rc, _, err = run(capsys, "solve", "--input", "m.csv", "--mode", "quasi_clique")

@@ -178,11 +178,13 @@ def awkward_matrix(n, seed):
 @pytest.mark.parametrize("n", [1, 3, 40])
 def test_result_bytes_match_json_dump(tmp_path, n):
     B, C = awkward_matrix(n, 10 + n), awkward_matrix(n, 20 + n)
-    res = DecompositionResult(B, C, iterations=7, primal_residual=1e-9, objective=12.0, converged=True)
+    res = DecompositionResult(
+        B, C, iterations=7, primal_residual=1e-9, objective=12.0, converged=True, final_penalty=0.375
+    )
     path = tmp_path / "res.json"
     write_result(res, str(path), lam=0.25, mode="plain_decomposition", extras={"recovery": False, "x": -0.0})
     doc = {
-        "mode": "plain_decomposition", "lambda": 0.25, "n": n, "iterations": 7,
+        "mode": "plain_decomposition", "lambda": 0.25, "n": n, "iterations": 7, "final_penalty": 0.375,
         "primal_residual": 1e-9, "objective": 12.0, "converged": True,
         "recovery": False, "x": -0.0, "B_star": B.tolist(), "C_star": C.tolist(),
     }

@@ -1,19 +1,14 @@
 """Planted-instance generator tests: exact structure, seeded determinism,
-binomial support counts, auxiliary random models."""
+binomial support counts, and the random test matrices of conftest."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcr.instances import (
-    InstanceParams,
-    derive_seed,
-    gen_bernoulli_support,
-    gen_low_rank,
-    gen_planted,
-    gen_random_sign_sparse,
-)
+from qcr.instances import InstanceParams, derive_seed, gen_planted
+
+from conftest import gen_bernoulli_support, gen_low_rank, gen_random_sign_sparse
 
 
 def params(n=60, n_c=45, gamma=0.85, rho=0.25, seed=0):
@@ -197,7 +192,7 @@ def test_derive_seed_in_range(base, i, j):
     assert 0 <= s < 2**64
 
 
-# ---------------------------------------------------------------- auxiliary models
+# ---------------------------------------------------------------- conftest test matrices
 
 
 def test_bernoulli_support_extremes():

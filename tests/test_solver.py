@@ -1,8 +1,10 @@
 """Decomposition solver tests: exact splits, augmented-Lagrangian descent,
 constrained mode feasibility, and a small convex-programming cross-check."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,7 @@ from hypothesis import strategies as st
 import qcr.linalg as linalg
 import qcr.solver as solver
 from qcr.experiments import PHASE_GRID
-from qcr.instances import (
-    InstanceParams,
-    derive_seed,
-    gen_low_rank,
-    gen_planted,
-    gen_random_sign_sparse,
-)
+from qcr.instances import InstanceParams, derive_seed, gen_planted
 from qcr.solver import (
     RECOVERY_TOL,
     InfeasibleError,
@@ -32,12 +28,17 @@ from qcr.solver import (
 
 from conftest import (
     augmented_lagrangian,
+    box_halfspace_l1_prox_reference,
     count_calls,
     dykstra_reference,
+    gen_low_rank,
+    gen_random_sign_sparse,
     rng,
     shifted_clip_reference,
     svd_threshold_reference,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def planted(n=50, n_c=40, gamma=0.85, rho=0.1, seed=21):
@@ -197,18 +198,32 @@ def test_symmetric_input_keeps_solution_symmetric():
         assert np.array_equal(res.B_star, res.B_star.T)
 
 
-def phase_grid_trial(i, j):
-    """Iterations and recovery decision of trial 0 of PHASE_GRID cell (i, j)."""
-    params = InstanceParams(
+def phase_grid_params(i, j):
+    """Instance parameters of trial 0 of PHASE_GRID cell (i, j)."""
+    return InstanceParams(
         n=PHASE_GRID.fixed["n"],
         n_c=PHASE_GRID.fixed["n_c"],
         gamma=PHASE_GRID.axis1_values[i],
         rho=PHASE_GRID.axis2_values[j],
         seed=derive_seed(PHASE_GRID.base_seed, i, j, 0),
     )
-    inst = gen_planted(params)
+
+
+def phase_grid_trial(i, j):
+    """Iterations, convergence and recovery decision of trial 0 of
+    PHASE_GRID cell (i, j)."""
+    inst = gen_planted(phase_grid_params(i, j))
     res = solve_rpca(inst.A)
-    return res.iterations, res.converged and recovery_success(res.B_star, inst.block_pattern)
+    recovered = res.converged and recovery_success(res.B_star, inst.block_pattern)
+    return {"converged": res.converged, "iterations": res.iterations, "recovered": recovered}
+
+
+def recorded_phase_grid_trial(i, j):
+    """The phase-grid benchmark's reference observation of the same trial,
+    read from perfbench/reference.json without importing perfbench."""
+    p = phase_grid_params(i, j)
+    recorded = json.loads(REFERENCE.read_text())["phase-grid"][str(PHASE_GRID.base_seed)]
+    return recorded[f"gamma={p.gamma}/rho={p.rho}/seed={p.seed}"]
 
 
 @pytest.mark.parametrize("i, j, recovered", [
@@ -216,9 +231,11 @@ def phase_grid_trial(i, j):
 ])
 def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j, recovered):
     # symmetric adjacency matrices take the eigen prox; the SVD prox must give
-    # the same iteration count and recovery decision
+    # the same iteration count and recovery decision, and both must match the
+    # trajectory the benchmark reference pins
     eigen = phase_grid_trial(i, j)
-    assert eigen[1] == recovered
+    assert eigen["recovered"] == recovered
+    assert eigen == recorded_phase_grid_trial(i, j)
     monkeypatch.setattr(solver, "sv_threshold", svd_threshold_reference)
     assert phase_grid_trial(i, j) == eigen
 
@@ -254,17 +271,6 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
 N200_QC = QuasiCliqueParams(gamma=0.85, eta=100)
 
 
-def test_quasi_clique_old_start_given_as_mu0_keeps_its_schedule():
-    # the former default start 0.25/mean|A|, passed explicitly, runs the
-    # former schedule; the default spectral start needs fewer iterations
-    A = planted(n=200, n_c=100, seed=0).A
-    old = solve_quasi_clique(A, N200_QC, SolverOptions(mu0=0.25 / np.abs(A).mean()))
-    new = solve_quasi_clique(A, N200_QC)
-    assert old.converged and new.converged
-    assert old.iterations == 75
-    assert new.iterations < old.iterations
-
-
 def test_quasi_clique_spectral_start_certifies_half_an_n200_solve(monkeypatch):
     # under 1.25/||A||_2 the prox threshold starts near the top eigenvalue,
     # so most prox calls keep few eigenvalues and skip the full eigh
@@ -284,15 +290,32 @@ def test_quasi_clique_spectral_start_certifies_half_an_n200_solve(monkeypatch):
     assert recovery_success(res.B_star, inst.block_pattern)
 
 
+# the instance of `qcr gen --n 40 --nc 30 --gamma 0.7 --rho 0.3 --seed 1`, on
+# which both penalties grow
+SLOW_TAIL = dict(n=40, n_c=30, gamma=0.7, rho=0.3, seed=1)
+SLOW_TAIL_QC = QuasiCliqueParams(gamma=0.7, eta=30)
+
+
 def test_final_penalty_is_the_start_times_the_schedule():
-    # pen only doubles or halves, so it stays the start times a power of 2;
-    # with mu_growth 2 the same holds for solve_rpca's mu
-    inst = planted(n=60, n_c=45, seed=11)
-    qc = solve_quasi_clique(inst.A, QuasiCliqueParams(gamma=0.85, eta=45))
-    assert math.frexp(qc.final_penalty / (1.25 / linalg.norm(inst.A, "spectral")))[0] == 0.5
+    # both solvers grow the penalty by mu_growth only, so with mu_growth 2
+    # it ends at the start times 2**k, and here k >= 1 for both
+    A = planted(**SLOW_TAIL).A
     opts = SolverOptions(mu_growth=2.0)
-    plain = solve_rpca(inst.A, opts)
-    assert math.frexp(plain.final_penalty / opts.resolve_mu0(inst.A))[0] == 0.5
+    qc = solve_quasi_clique(A, SLOW_TAIL_QC, opts)
+    plain = solve_rpca(A, opts)
+    for res, start in ((qc, 1.25 / linalg.norm(A, "spectral")), (plain, opts.resolve_mu0(A))):
+        ratio = res.final_penalty / start
+        assert ratio >= 2.0
+        assert math.frexp(ratio)[0] == 0.5
+
+
+@pytest.mark.parametrize("solve", [
+    solve_rpca, lambda A, opts: solve_quasi_clique(A, SLOW_TAIL_QC, opts),
+], ids=["rpca", "quasi_clique"])
+def test_given_mu0_is_the_penalty_of_the_first_iteration(solve):
+    res = solve(planted(**SLOW_TAIL).A, SolverOptions(mu0=0.37, max_iters=1))
+    assert res.iterations == 1
+    assert res.final_penalty == 0.37
 
 
 def test_rejects_nonsquare():
@@ -364,14 +387,11 @@ def test_planted_quasi_clique_recovery():
     assert np.array_equal(res.C_star, inst.A - res.B_star)
 
 
-def test_quasi_clique_ignores_mu_growth():
-    # the constrained solver rebalances its penalty by a fixed factor 2
-    inst = planted(n=40, n_c=30, gamma=0.9, rho=0.1, seed=5)
-    qc = QuasiCliqueParams(gamma=0.9, eta=30)
-    slow = solve_quasi_clique(inst.A, qc, SolverOptions(mu_growth=1.0))
-    fast = solve_quasi_clique(inst.A, qc, SolverOptions(mu_growth=50.0))
-    assert slow.iterations == fast.iterations
-    assert np.array_equal(slow.B_star, fast.B_star)
+def test_quasi_clique_rejects_a_matrix_that_is_not_0_1():
+    A = planted(n=20, n_c=14, seed=1).A
+    A[3, 5] = A[5, 3] = 0.5
+    with pytest.raises(ValueError, match="0/1 matrix"):
+        solve_quasi_clique(A, QuasiCliqueParams(gamma=0.9, eta=5))
 
 
 def test_solution_feasible_with_active_constraint():
@@ -385,7 +405,8 @@ def test_solution_feasible_with_active_constraint():
     assert res.B_star.min() >= -1e-8
     assert res.B_star.max() <= 1.0 + 1e-8
     assert res.B_star.sum() >= target - 1e-6 * target
-    # the projection clips into the box, so B* = Z3 lies in it exactly
+    # B* = A - C with A - C = clip(W + t, 0, 1) for 0/1 A, so it lies in the
+    # box exactly
     assert res.B_star.min() >= 0.0
     assert res.B_star.max() <= 1.0
     # the extra mass is genuinely forced by the constraint
@@ -393,6 +414,25 @@ def test_solution_feasible_with_active_constraint():
 
 
 # ---------------------------------------------------------------- box/halfspace projection
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kappa", [0.05, 0.6])
+@pytest.mark.parametrize("binds", [False, True])
+def test_c_step_matches_kkt_reference(seed, kappa, binds):
+    # the closed form for 0/1 A against clip(A - soft(V - t, kappa), 0, 1)
+    # with t found by bisection; targets above the t = 0 sum bind
+    r = rng(seed)
+    A = (r.random((30, 30)) < 0.4).astype(float)
+    V = r.normal(0.0, 0.7, size=A.shape)
+    free = box_halfspace_l1_prox_reference(A, V, kappa, 0.0)
+    mass = float((A - free).sum())
+    total = mass + 0.5 * (A.size - mass) if binds else 0.5 * mass
+    C = solver._l1_prox_in_box_halfspace(A, total)(V, kappa)
+    ref = box_halfspace_l1_prox_reference(A, V, kappa, total)
+    assert (float((A - ref).sum()) > mass) == binds
+    assert np.abs(C - ref).max() <= 1e-12
+    assert float((A - C).sum()) >= total
 
 
 @pytest.mark.parametrize("seed", range(4))
