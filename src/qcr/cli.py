@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Subcommands: gen, solve, certify, grid, norms. Flags override values from an
-optional flat key=value config file (--config); a config key is the long flag
-name without its leading dashes and with the other dashes replaced by
-underscores (lambda for --lambda, max_iters for --max-iters). Keys of another
-subcommand's flags are ignored; a key that no subcommand has is a validation
-error. Exit codes: 0 success (for certify: all conditions hold), 1
-certificate conditions fail, 2 validation error, 3 I/O error, 4 solver did
-not converge (result still written), 5 the certificate series did not
-converge.
+Subcommands: gen, solve, certify, grid, norms. Each option is declared once,
+in build_parser, with its type, choices and default. An optional flat
+key=value config file (--config) supplies defaults: a config key is the long
+flag name without its leading dashes and with the other dashes replaced by
+underscores (lambda for --lambda, max_iters for --max-iters). The chosen
+subcommand's config values are converted and checked by their flags' own
+types and choices, then become that subcommand's parser defaults, so flags
+given on the command line win. Keys of another subcommand's flags are
+ignored; a key that no subcommand has is a validation error. Exit codes: 0
+success (for certify: all conditions hold), 1 certificate conditions fail, 2
+validation error, 3 I/O error, 4 solver did not converge (result still
+written), 5 the certificate series did not converge.
 """
 
 from __future__ import annotations
@@ -55,33 +58,28 @@ EXIT_INTERRUPTED = 130
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _merged(args, cfg: dict, key: str, cast, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key not in cfg:
-        return default
-    raw = cfg[key]
-    if cast is not bool:
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ValueError(f"config key {key!r} must be {_CAST_NAMES[cast]}, got {raw!r}") from None
-    if raw.lower() not in _BOOLEANS:
-        raise ValueError(f"config key {key!r} must be 1/0/true/false/yes/no, got {raw!r}")
-    return _BOOLEANS[raw.lower()]
+def _config_value(action: argparse.Action, raw: str):
+    """A config-file value converted and checked as its flag's action would
+    convert and check it on the command line."""
+    key = action.dest
+    if action.nargs == 0:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"config key {key!r} must be 1/0/true/false/yes/no, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r} must be {_CAST_NAMES[action.type]}, got {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        allowed = " or ".join(map(repr, action.choices))
+        raise ValueError(f"{action.option_strings[0]} must be {allowed}, got {raw!r}")
+    return value
 
 
-def _given(args, cfg: dict, keys) -> dict:
-    """Keyword arguments for the (key, keyword, cast) triples whose value a
-    flag or the config file set; unset ones are left to the library default."""
-    out = {}
-    for key, keyword, cast in keys:
-        val = _merged(args, cfg, key, cast)
-        if val is not None:
-            out[keyword] = val
-    return out
+def _given(args, pairs) -> dict:
+    """Keyword arguments for the (key, keyword) pairs whose value a flag or the
+    config file set; unset ones are left to the library default."""
+    return {kw: getattr(args, key) for key, kw in pairs if getattr(args, key) is not None}
 
 
 def _require(value, name: str):
@@ -98,7 +96,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-# what a config value must spell for each cast that can reject it
+# what a config value must spell for each flag type that can reject it
 _CAST_NAMES = {
     int: "an integer",
     float: "a float",
@@ -107,21 +105,20 @@ _CAST_NAMES = {
 }
 
 
-def cmd_gen(args, cfg) -> int:
+def cmd_gen(args) -> int:
     params = InstanceParams(
-        n=_require(_merged(args, cfg, "n", int), "n"),
-        n_c=_require(_merged(args, cfg, "nc", int), "nc"),
-        gamma=_require(_merged(args, cfg, "gamma", float), "gamma"),
-        rho=_require(_merged(args, cfg, "rho", float), "rho"),
-        seed=_merged(args, cfg, "seed", int, 0),
+        n=_require(args.n, "n"),
+        n_c=_require(args.nc, "nc"),
+        gamma=_require(args.gamma, "gamma"),
+        rho=_require(args.rho, "rho"),
+        seed=args.seed,
     )
-    out = _merged(args, cfg, "out", str, "instance.txt")
     inst = gen_planted(params)
-    write_instance(inst, out)
+    write_instance(inst, args.out)
     print(
         f"n={params.n} n_c={params.n_c} gamma={params.gamma} rho={params.rho} "
         f"seed={params.seed} |gamma_support|={len(inst.gamma_support)} "
-        f"|noise_support|={len(inst.noise_support)} -> {out}"
+        f"|noise_support|={len(inst.noise_support)} -> {args.out}"
     )
     return EXIT_OK
 
@@ -129,28 +126,24 @@ def cmd_gen(args, cfg) -> int:
 # --mode value -> the label written to stdout and the result JSON
 _MODE_LABELS = {"plain": "plain_decomposition", "quasi_clique": "quasi_clique_constrained"}
 
-# (flag/config key, SolverOptions field, cast)
+# (flag/config key, SolverOptions field)
 _SOLVER_KEYS = (
-    ("lambda", "lam", float),
-    ("mu0", "mu0", float),
-    ("mu_growth", "mu_growth", float),
-    ("tol", "tol_primal", float),
-    ("max_iters", "max_iters", int),
+    ("lambda", "lam"),
+    ("mu0", "mu0"),
+    ("mu_growth", "mu_growth"),
+    ("tol", "tol_primal"),
+    ("max_iters", "max_iters"),
 )
 
 
-def cmd_solve(args, cfg) -> int:
-    path = _require(_merged(args, cfg, "input", str), "input")
-    M, inst = read_matrix_any(path)
+def cmd_solve(args) -> int:
+    M, inst = read_matrix_any(_require(args.input, "input"))
     n = M.shape[0]
-    mode = _merged(args, cfg, "mode", str, "plain")
-    if mode not in _MODE_LABELS:
-        raise ValueError(f"--mode must be 'plain' or 'quasi_clique', got {mode!r}")
-    label = _MODE_LABELS[mode]
-    opts = SolverOptions(**_given(args, cfg, _SOLVER_KEYS))
-    if mode == "quasi_clique":
-        gamma = _merged(args, cfg, "gamma", float, inst.params.gamma if inst else None)
-        eta = _merged(args, cfg, "eta", int, inst.params.n_c if inst else None)
+    label = _MODE_LABELS[args.mode]
+    opts = SolverOptions(**_given(args, _SOLVER_KEYS))
+    if args.mode == "quasi_clique":
+        gamma = args.gamma if args.gamma is not None else inst.params.gamma if inst else None
+        eta = args.eta if args.eta is not None else inst.params.n_c if inst else None
         qc = QuasiCliqueParams(
             gamma=_require(gamma, "gamma"), eta=_require(eta, "eta")
         )
@@ -174,13 +167,12 @@ def cmd_solve(args, cfg) -> int:
                 "seed": inst.params.seed,
             },
         }
-    out = _merged(args, cfg, "out", str, "result.json")
-    write_result(result, out, lam=lam_used, mode=label, extras=extras)
+    write_result(result, args.out, lam=lam_used, mode=label, extras=extras)
     print(
         f"mode={label} lambda={lam_used:.6g} iterations={result.iterations} "
         f"final_penalty={result.final_penalty:.6g} "
         f"primal_residual={result.primal_residual:.3e} objective={result.objective:.8g} "
-        f"converged={result.converged} -> {out}"
+        f"converged={result.converged} -> {args.out}"
     )
     if inst is not None:
         verdict = "recovered" if extras["recovery"] else "not recovered"
@@ -188,22 +180,20 @@ def cmd_solve(args, cfg) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-# (flag/config key, GolfingConfig.for_instance argument, cast)
-_GOLFING_KEYS = (("p", "p", float), ("k0", "k0", int), ("cert_seed", "seed", int))
+# (flag/config key, GolfingConfig.for_instance argument)
+_GOLFING_KEYS = (("p", "p"), ("k0", "k0"), ("cert_seed", "seed"))
 
-# (flag/config key, verify_certificate argument, cast)
-_CERTIFY_KEYS = (("lambda", "lam", float), ("rank_tol", "rank_tol", float), ("c0", "regime_c0", float))
+# (flag/config key, verify_certificate argument)
+_CERTIFY_KEYS = (("lambda", "lam"), ("rank_tol", "rank_tol"), ("c0", "regime_c0"))
 
 
-def cmd_certify(args, cfg) -> int:
-    path = _require(_merged(args, cfg, "input", str), "input")
-    _, inst = read_matrix_any(path)
+def cmd_certify(args) -> int:
+    _, inst = read_matrix_any(_require(args.input, "input"))
     if inst is None:
         raise ValueError("certify requires an instance file with ground truth, not a bare matrix")
-    golf_cfg = GolfingConfig.for_instance(inst.params, **_given(args, cfg, _GOLFING_KEYS))
-    report = verify_certificate(inst, cfg=golf_cfg, **_given(args, cfg, _CERTIFY_KEYS))
-    out = _merged(args, cfg, "out", str, "report.json")
-    write_report(report, out, include_matrices=_merged(args, cfg, "include_matrices", bool, False))
+    golf_cfg = GolfingConfig.for_instance(inst.params, **_given(args, _GOLFING_KEYS))
+    report = verify_certificate(inst, cfg=golf_cfg, **_given(args, _CERTIFY_KEYS))
+    write_report(report, args.out, include_matrices=args.include_matrices)
 
     lam = report.lam
     rows = [(c, ok, f"{c.threshold(lam):.6f}") for c, ok in zip(CONDITIONS, report.conditions)]
@@ -211,47 +201,42 @@ def cmd_certify(args, cfg) -> int:
     for check, ok, threshold in rows:
         measured = getattr(report, check.measured)
         print(f"[{'PASS' if ok else 'FAIL'}] {check.label}: {measured:.6f} {check.relation} {threshold}")
-    print(f"overall: {report.overall} -> {out}")
+    print(f"overall: {report.overall} -> {args.out}")
     return EXIT_OK if report.overall else EXIT_CERT_FAILED
 
 
 # --kind -> (headline grid, axis keys, fixed-parameter keys), each key a
-# (flag/config key, field, cast) triple
+# (flag/config key, field) pair
 _GRIDS = {
     "size": (
         SIZE_GRID,
-        (("n_list", "axis1_values", _int_list), ("fractions", "axis2_values", _float_list)),
-        (("gamma", "gamma", float), ("rho", "rho", float)),
+        (("n_list", "axis1_values"), ("fractions", "axis2_values")),
+        (("gamma", "gamma"), ("rho", "rho")),
     ),
     "phase": (
         PHASE_GRID,
-        (("gammas", "axis1_values", _float_list), ("rhos", "axis2_values", _float_list)),
-        (("n", "n", int), ("nc", "n_c", int)),
+        (("gammas", "axis1_values"), ("rhos", "axis2_values")),
+        (("n", "n"), ("nc", "n_c")),
     ),
 }
 
 
-def cmd_grid(args, cfg) -> int:
-    kind = _require(_merged(args, cfg, "kind", str), "kind")
-    if kind not in _GRIDS:
-        raise ValueError(f"--kind must be 'size' or 'phase', got {kind!r}")
+def cmd_grid(args) -> int:
+    kind = _require(args.kind, "kind")
     base, axis_keys, fixed_keys = _GRIDS[kind]
-    threads = _merged(args, cfg, "threads", int)
-
     spec = dataclasses.replace(
         base,
-        **_given(args, cfg, axis_keys),
-        fixed={**base.fixed, **_given(args, cfg, fixed_keys)},
-        **_given(args, cfg, (("trials", "trials", int), ("base_seed", "base_seed", int))),
+        **_given(args, axis_keys),
+        fixed={**base.fixed, **_given(args, fixed_keys)},
+        **_given(args, (("trials", "trials"), ("base_seed", "base_seed"))),
     )
 
-    out_dir = _merged(args, cfg, "out_dir", str, ".")
-    prefix = _merged(args, cfg, "prefix", str, f"{kind}_grid")
-    os.makedirs(out_dir, exist_ok=True)
-    path_prefix = os.path.join(out_dir, prefix)
+    prefix = args.prefix if args.prefix is not None else f"{kind}_grid"
+    os.makedirs(args.out_dir, exist_ok=True)
+    path_prefix = os.path.join(args.out_dir, prefix)
 
     runner = run_size_grid if kind == "size" else run_phase_grid
-    grid = runner(spec, threads=threads)
+    grid = runner(spec, threads=args.threads)
     export_grid(grid, path_prefix)
     print(
         f"{kind} grid {grid.success_rate.shape[0]}x{grid.success_rate.shape[1]} "
@@ -264,15 +249,16 @@ def cmd_grid(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_norms(args, cfg) -> int:
-    path = _require(_merged(args, cfg, "input", str), "input")
-    M, _ = read_matrix_any(path)
+def cmd_norms(args) -> int:
+    M, _ = read_matrix_any(_require(args.input, "input"))
     for kind in NORM_KINDS:
         print(f"{kind} = {norm(M, kind)!r}")
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh qcr parser; its default `commands` maps each subcommand name
+    to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="qcr",
         description="Planted quasi-clique recovery: generate instances, solve the convex "
@@ -287,21 +273,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nc", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--rho", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="instance.txt")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve the decomposition for an instance or matrix file")
     p.add_argument("--input")
     p.add_argument("--lambda", metavar="LAM", type=float)
-    p.add_argument("--mode", choices=tuple(_MODE_LABELS))
+    p.add_argument("--mode", choices=tuple(_MODE_LABELS), default="plain")
     p.add_argument("--eta", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--mu0", type=float)
     p.add_argument("--mu-growth", dest="mu_growth", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default="result.json")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="construct and verify the dual certificate")
@@ -312,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-seed", dest="cert_seed", type=int)
     p.add_argument("--rank-tol", dest="rank_tol", type=float)
     p.add_argument("--c0", type=float)
-    p.add_argument("--include-matrices", dest="include_matrices", action="store_true", default=None)
-    p.add_argument("--out")
+    p.add_argument("--include-matrices", dest="include_matrices", action="store_true")
+    p.add_argument("--out", default="report.json")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("grid", help="run a recovery grid and export CSV/PGM/manifest")
     p.add_argument("--kind", choices=tuple(_GRIDS))
     p.add_argument("--trials", type=int)
     p.add_argument("--base-seed", dest="base_seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--n-list", dest="n_list", type=_int_list)
     p.add_argument("--fractions", type=_float_list)
     p.add_argument("--gammas", type=_float_list)
@@ -329,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nc", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--rho", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir", dest="out_dir", default=".")
     p.add_argument("--prefix")
     p.set_defaults(func=cmd_grid)
 
@@ -337,14 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.set_defaults(func=cmd_norms)
 
-    # a config file may set any option of any subcommand
-    config_keys = {a.dest for cmd in sub.choices.values() for a in cmd._actions} - {"help"}
-    parser.set_defaults(config_keys=frozenset(config_keys))
+    parser.set_defaults(commands=sub.choices)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING - 10 * min(args.verbose, 2),
         format="%(levelname)s %(name)s: %(message)s",
@@ -357,13 +342,21 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    unknown = sorted(set(cfg) - args.config_keys)
+    # a config file may set any option of any subcommand
+    known = {a.dest for cmd in args.commands.values() for a in cmd._actions} - {"help"}
+    unknown = sorted(set(cfg) - known)
     if unknown:
         print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
     try:
-        return args.func(args, cfg)
+        # the chosen subcommand's config values become its parser defaults,
+        # so flags parsed again on top of them win
+        command = args.commands[args.command]
+        actions = {a.dest: a for a in command._actions}
+        command.set_defaults(**{k: _config_value(actions[k], v) for k, v in cfg.items() if k in actions})
+        args = parser.parse_args(argv)
+        return args.func(args)
     except NeumannDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEUMANN

@@ -1,12 +1,15 @@
 """Monte-Carlo recovery sweeps over (size x planted fraction) and
 (density x noise) grids, with deterministic seeding, optional process
-parallelism, and CSV/PGM/manifest export."""
+parallelism, and CSV/PGM/manifest export.
+
+A cell's instance parameters are its GridSpec's fixed parameters and its two
+axis values, by name. Every cell is checked to be a valid instance before
+any trial runs; `threads` worker processes (default 1) run the cells."""
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,27 +91,24 @@ def planted_size(n: int, fraction: float) -> int:
     return max(1, int(np.floor(fraction * n + 0.5)))
 
 
-def _cell_params(kind: str, spec: GridSpec, i: int, j: int) -> tuple[int, int, float, float]:
-    a1 = spec.axis1_values[i]
-    a2 = spec.axis2_values[j]
-    if kind == "size":
-        n = int(a1)
-        n_c = planted_size(n, float(a2))
-        return n, n_c, float(spec.fixed["gamma"]), float(spec.fixed["rho"])
-    n = int(spec.fixed["n"])
-    return n, int(spec.fixed["n_c"]), float(a1), float(a2)
+def _cell_params(spec: GridSpec, i: int, j: int, seed: int) -> InstanceParams:
+    """Instance parameters of cell (i, j): the fixed parameters and the two
+    axis values by name, with n_c taken from a planted fraction when the cell
+    gives one instead."""
+    cell = {**spec.fixed, spec.axis1_name: spec.axis1_values[i], spec.axis2_name: spec.axis2_values[j]}
+    n = int(cell["n"])
+    n_c = int(cell["n_c"]) if "n_c" in cell else planted_size(n, float(cell["fraction"]))
+    return InstanceParams(n=n, n_c=n_c, gamma=float(cell["gamma"]), rho=float(cell["rho"]), seed=seed)
 
 
 def _run_cell(args) -> tuple[int, int, int, float, float]:
-    kind, spec, i, j = args
-    n, n_c, gamma, rho = _cell_params(kind, spec, i, j)
+    spec, i, j = args
     start = time.perf_counter()
     successes = 0
     rel_sum = 0.0
     for t in range(spec.trials):
-        seed = derive_seed(spec.base_seed, i, j, t)
         try:
-            inst = gen_planted(InstanceParams(n=n, n_c=n_c, gamma=gamma, rho=rho, seed=seed))
+            inst = gen_planted(_cell_params(spec, i, j, derive_seed(spec.base_seed, i, j, t)))
             res = solve_rpca(inst.A, SolverOptions())
             rel = relative_error(res.B_star, inst.block_pattern)
             if res.converged and recovery_success(res.B_star, inst.block_pattern):
@@ -120,23 +120,17 @@ def _run_cell(args) -> tuple[int, int, int, float, float]:
     return i, j, successes, rel_sum, time.perf_counter() - start
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("QCR_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"QCR_THREADS must be an integer, got {raw!r}") from None
-    return max(1, threads)
-
-
-def _run_grid(kind: str, spec: GridSpec, threads: int | None) -> RecoveryGrid:
+def _run_grid(spec: GridSpec, threads: int) -> RecoveryGrid:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     shape = (len(spec.axis1_values), len(spec.axis2_values))
+    jobs = [(spec, i, j) for i in range(shape[0]) for j in range(shape[1])]
+    # an invalid cell fails every trial the same way, so reject it up front
+    for _, i, j in jobs:
+        _cell_params(spec, i, j, seed=0)
     success = np.zeros(shape)
     mean_rel = np.zeros(shape)
     wall = np.zeros(shape)
-    jobs = [(kind, spec, i, j) for i in range(shape[0]) for j in range(shape[1])]
-    threads = _resolve_threads(threads)
     outcomes: list[tuple[int, int, int, float, float]] = []
     complete = True
     try:
@@ -164,7 +158,7 @@ def _run_grid(kind: str, spec: GridSpec, threads: int | None) -> RecoveryGrid:
     )
 
 
-def run_size_grid(spec: GridSpec, threads: int | None = None) -> RecoveryGrid:
+def run_size_grid(spec: GridSpec, threads: int = 1) -> RecoveryGrid:
     """Recovery rates over (graph size, planted fraction) cells at fixed
     gamma, rho. Each trial solves the plain decomposition at lam = 1/sqrt(n)
     and scores recovery of the planted block pattern."""
@@ -172,16 +166,16 @@ def run_size_grid(spec: GridSpec, threads: int | None = None) -> RecoveryGrid:
         raise ValueError("size grid axes must be (n, fraction)")
     if not {"gamma", "rho"} <= set(spec.fixed):
         raise ValueError("size grid requires fixed gamma and rho")
-    return _run_grid("size", spec, threads)
+    return _run_grid(spec, threads)
 
 
-def run_phase_grid(spec: GridSpec, threads: int | None = None) -> RecoveryGrid:
+def run_phase_grid(spec: GridSpec, threads: int = 1) -> RecoveryGrid:
     """Recovery rates over (gamma, rho) cells at fixed n, n_c."""
     if (spec.axis1_name, spec.axis2_name) != ("gamma", "rho"):
         raise ValueError("phase grid axes must be (gamma, rho)")
     if not {"n", "n_c"} <= set(spec.fixed):
         raise ValueError("phase grid requires fixed n and n_c")
-    return _run_grid("phase", spec, threads)
+    return _run_grid(spec, threads)
 
 
 def _write_text(path: str, text: str) -> None:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import qcr.cli as cli
 from qcr.certificate import verify_certificate
-from qcr.cli import main
+from qcr.cli import _BOOLEANS, _float_list, _int_list, build_parser, main
 from qcr.experiments import PHASE_GRID, SIZE_GRID, RecoveryGrid
 from qcr.fileio import read_instance, read_result, write_matrix_csv, write_report
 from qcr.solver import QuasiCliqueParams, solve_quasi_clique, solve_rpca
@@ -324,11 +325,24 @@ def test_grid_trials_zero_rejected(tmp_chdir, capsys):
     assert "trials" in err
 
 
-def test_grid_threads_env_not_integer_exit2(tmp_chdir, capsys, monkeypatch):
-    monkeypatch.setenv("QCR_THREADS", "abc")
-    rc, _, err = run(capsys, *GRID)
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_grid_threads_below_one_exit2(tmp_chdir, capsys, threads):
+    rc, _, err = run(capsys, *GRID, "--threads", threads, "--out-dir", "res")
     assert rc == 2
-    assert "QCR_THREADS must be an integer, got 'abc'" in err
+    assert f"threads must be >= 1, got {threads}" in err
+    assert not any((tmp_chdir / "res").iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--kind", "phase", "--n", "30", "--nc", "40", "--gammas", "0.9", "--rhos", "0.1"), "n_c must satisfy"),
+    (("--kind", "phase", "--n", "30", "--nc", "22", "--gammas", "1.5", "--rhos", "0.1"), "gamma must lie"),
+    (("--kind", "size", "--n-list", "20", "--fractions", "1.5"), "n_c must satisfy"),
+])
+def test_grid_invalid_cell_exit2_writes_nothing(tmp_chdir, capsys, flags, message):
+    rc, _, err = run(capsys, "grid", *flags, "--trials", "1", "--out-dir", "res")
+    assert rc == 2
+    assert message in err
+    assert not any((tmp_chdir / "res").iterdir())
 
 
 def test_grid_unknown_kind_usage_error(tmp_chdir, capsys):
@@ -439,3 +453,75 @@ def test_config_file_bad_line_exit2(tmp_chdir, capsys):
 def test_config_file_missing_exit3(tmp_chdir, capsys):
     rc, _, err = run(capsys, "--config", "absent.cfg", "gen")
     assert rc == 3
+
+
+# ------------------------------------------------- one declaration per option
+
+
+COMMANDS = build_parser().get_default("commands")
+
+# texts each flag type reads; a flag with choices reads each choice
+_TEXTS = {
+    int: ("7", "-3"),
+    float: ("0.25", "1e-3"),
+    _int_list: ("10,20", "5"),
+    _float_list: ("0.5,0.75", "1"),
+    None: ("some.txt",),
+}
+
+
+def _option_cases():
+    for name, command in COMMANDS.items():
+        for action in command._actions:
+            if action.dest == "help":
+                continue
+            if action.nargs == 0:
+                texts = tuple(_BOOLEANS) + ("TRUE", "No")
+            else:
+                texts = action.choices or _TEXTS[action.type]
+            for text in texts:
+                yield pytest.param(name, action, text, id=f"{name}-{action.dest}-{text}")
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Replace every subcommand handler by one that records its arguments."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", record)
+    return seen
+
+
+@pytest.mark.parametrize("command, action, text", list(_option_cases()))
+def test_config_value_reads_as_its_flag(tmp_chdir, parsed, command, action, text):
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        argv = [command, flag] if _BOOLEANS[text.lower()] else [command]
+    else:
+        argv = [command, flag, text]
+    (tmp_chdir / "run.cfg").write_text(f"{action.dest} = {text}\n")
+    assert main(["--config", "run.cfg", command]) == 0
+    assert main(argv) == 0
+    from_config, from_flag = parsed
+    assert getattr(from_config, action.dest) == getattr(from_flag, action.dest)
+
+
+@pytest.mark.parametrize("command, line", [("solve", "mode = banana"), ("grid", "kind = banana")])
+def test_config_file_bad_choice_names_key_exit2(tmp_chdir, capsys, parsed, command, line):
+    (tmp_chdir / "run.cfg").write_text(line + "\n")
+    rc, _, err = run(capsys, "--config", "run.cfg", command)
+    assert rc == 2
+    assert line.split()[0] in err and "'banana'" in err
+    assert parsed == []
+
+
+def test_config_defaults_do_not_carry_into_the_next_call(tmp_chdir, parsed):
+    (tmp_chdir / "run.cfg").write_text("seed = 9\nout = cfg.txt\n")
+    main(["--config", "run.cfg", "gen"])
+    main(["gen"])
+    assert [(args.seed, args.out) for args in parsed] == [(9, "cfg.txt"), (0, "instance.txt")]

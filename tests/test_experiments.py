@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qcr.experiments as experiments
+from conftest import count_calls
 from qcr import __version__
 from qcr.experiments import (
     GridSpec,
@@ -111,12 +112,18 @@ def test_size_grid_easy_cell_recovers():
     assert grid.mean_rel_error[0, 0] <= 1e-6
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("QCR_THREADS", "2")
-    assert experiments._resolve_threads(None) == 2
-    monkeypatch.delenv("QCR_THREADS")
-    assert experiments._resolve_threads(None) == 1
-    assert experiments._resolve_threads(4) == 4
+@pytest.mark.parametrize("run_grid, spec, threads", [
+    (run_phase_grid, GridSpec("gamma", (0.9,), "rho", (0.1,), fixed={"n": 30, "n_c": 40}), 1),
+    (run_phase_grid, GridSpec("gamma", (0.9, 1.5), "rho", (0.1,), fixed={"n": 30, "n_c": 22}), 1),
+    (run_size_grid, GridSpec("n", (20,), "fraction", (0.5, 1.5), fixed={"gamma": 0.9, "rho": 0.1}), 1),
+    (run_phase_grid, small_phase_spec(), 0),
+    (run_phase_grid, small_phase_spec(), -4),
+], ids=["n_c>n", "gamma>1", "fraction>1", "threads=0", "threads=-4"])
+def test_invalid_grid_rejected_before_any_trial(monkeypatch, run_grid, spec, threads):
+    calls = count_calls(monkeypatch, "gen_planted", experiments)
+    with pytest.raises(ValueError):
+        run_grid(spec, threads=threads)
+    assert calls == []
 
 
 def test_interrupt_yields_partial_incomplete_grid(monkeypatch):
