@@ -232,11 +232,12 @@ def cmd_grid(args) -> int:
     )
 
     prefix = args.prefix if args.prefix is not None else f"{kind}_grid"
-    os.makedirs(args.out_dir, exist_ok=True)
     path_prefix = os.path.join(args.out_dir, prefix)
 
     runner = run_size_grid if kind == "size" else run_phase_grid
     grid = runner(spec, threads=args.threads)
+    # made only now: the runner rejects bad threads and cells before any trial
+    os.makedirs(args.out_dir, exist_ok=True)
     export_grid(grid, path_prefix)
     print(
         f"{kind} grid {grid.success_rate.shape[0]}x{grid.success_rate.shape[1]} "

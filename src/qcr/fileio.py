@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -39,12 +40,14 @@ def _fmt(x: float) -> str:
 
 def write_instance(inst: PlantedInstance, path: str) -> None:
     """Plain-text instance: header line `n n_c gamma rho seed`, then one
-    `i j v` line per nonzero of A in row-major order."""
+    `i j v` line per nonzero of A in row-major order. Each distinct value is
+    formatted once."""
     p = inst.params
-    lines = [f"{p.n} {p.n_c} {_fmt(p.gamma)} {_fmt(p.rho)} {p.seed}"]
     ii, jj = np.nonzero(inst.A)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        lines.append(f"{i} {j} {_fmt(inst.A[i, j])}")
+    values, which = np.unique(inst.A[ii, jj], return_inverse=True)
+    text = [_fmt(v) for v in values.tolist()]
+    lines = [f"{p.n} {p.n_c} {_fmt(p.gamma)} {_fmt(p.rho)} {p.seed}"]
+    lines += [f"{i} {j} {text[k]}" for i, j, k in zip(ii.tolist(), jj.tolist(), which.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -53,8 +56,7 @@ def read_instance(path: str) -> PlantedInstance:
     """Parse an instance file; the block/noise split is reconstructed from the
     header's n_c (nonzeros inside {0..n_c-1}^2 belong to the planted block)."""
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln and ln[0] != "#"]
     if not lines:
         raise FileFormatError(f"{path}: empty instance file")
     head = lines[0].split()
@@ -68,8 +70,36 @@ def read_instance(path: str) -> PlantedInstance:
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad header: {exc}") from exc
 
+    A = _read_triplets(path, lines[1:], n)
+    return PlantedInstance.from_adjacency(params, A)
+
+
+def _read_triplets(path: str, lines: list[str], n: int) -> np.ndarray:
+    """The n x n matrix of the `i j v` lines. They are parsed by one
+    np.loadtxt; when that raises or its triplets hold a non-finite value, an
+    index out of range or a repeated coordinate (whose winner numpy does not
+    fix), the lines are checked one by one instead, which raises on the first
+    bad line and lets a repeated coordinate's last line win. np.loadtxt
+    accepts no token that int() or float() reads otherwise; numpy 1.x reads
+    `1.0` into an integer field with only a DeprecationWarning, so a warning
+    also sends the lines to the check."""
     A = np.zeros((n, n))
-    for ln in lines[1:]:
+    if not lines:
+        return A
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ijv = np.loadtxt(lines, dtype=[("i", "i8"), ("j", "i8"), ("v", "f8")], comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        ijv = None
+    if ijv is not None:
+        i, j, v = ijv["i"], ijv["j"], ijv["v"]
+        if np.isfinite(v).all() and ((0 <= i) & (i < n) & (0 <= j) & (j < n)).all():
+            flat = i * n + j
+            if np.diff(np.sort(flat)).all():
+                A.flat[flat] = v
+                return A
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 3:
             raise FileFormatError(f"{path}: bad triplet line {ln!r}")
@@ -82,7 +112,7 @@ def read_instance(path: str) -> PlantedInstance:
         if not (0 <= i < n and 0 <= j < n):
             raise FileFormatError(f"{path}: index ({i}, {j}) out of range for n={n}")
         A[i, j] = v
-    return PlantedInstance.from_adjacency(params, A)
+    return A
 
 
 def write_matrix_csv(M, path: str) -> None:

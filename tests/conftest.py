@@ -1,11 +1,14 @@
 """Shared fixtures and hypothesis profiles."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from qcr.fileio import FileFormatError
+from qcr.instances import InstanceParams, PlantedInstance
 from qcr.linalg import SupportSet
 
 settings.register_profile(
@@ -52,6 +55,43 @@ def gen_low_rank(n: int, r: int, seed: int) -> np.ndarray:
     G = g.standard_normal((n, r))
     H = g.standard_normal((n, r))
     return G @ H.T
+
+
+def read_instance_reference(path):
+    """Instance file parse with every triplet line checked one by one in
+    Python; read_instance must return the same instance or raise the same
+    FileFormatError."""
+    with open(path) as fh:
+        raw = [ln.strip() for ln in fh]
+    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    if not lines:
+        raise FileFormatError(f"{path}: empty instance file")
+    head = lines[0].split()
+    if len(head) != 5:
+        raise FileFormatError(f"{path}: header must be 'n n_c gamma rho seed'")
+    try:
+        n, n_c = int(head[0]), int(head[1])
+        gamma, rho = float(head[2]), float(head[3])
+        seed = int(head[4])
+        params = InstanceParams(n=n, n_c=n_c, gamma=gamma, rho=rho, seed=seed)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad header: {exc}") from exc
+
+    A = np.zeros((n, n))
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise FileFormatError(f"{path}: bad triplet line {ln!r}")
+        try:
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad triplet line {ln!r}") from exc
+        if not math.isfinite(v):
+            raise FileFormatError(f"{path}: non-finite value in triplet line {ln!r}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise FileFormatError(f"{path}: index ({i}, {j}) out of range for n={n}")
+        A[i, j] = v
+    return PlantedInstance.from_adjacency(params, A)
 
 
 def svd_threshold_reference(M, tau, *, warm=None):

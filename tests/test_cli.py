@@ -330,7 +330,7 @@ def test_grid_threads_below_one_exit2(tmp_chdir, capsys, threads):
     rc, _, err = run(capsys, *GRID, "--threads", threads, "--out-dir", "res")
     assert rc == 2
     assert f"threads must be >= 1, got {threads}" in err
-    assert not any((tmp_chdir / "res").iterdir())
+    assert not (tmp_chdir / "res").exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -342,7 +342,7 @@ def test_grid_invalid_cell_exit2_writes_nothing(tmp_chdir, capsys, flags, messag
     rc, _, err = run(capsys, "grid", *flags, "--trials", "1", "--out-dir", "res")
     assert rc == 2
     assert message in err
-    assert not any((tmp_chdir / "res").iterdir())
+    assert not (tmp_chdir / "res").exists()
 
 
 def test_grid_unknown_kind_usage_error(tmp_chdir, capsys):

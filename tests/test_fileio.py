@@ -24,7 +24,7 @@ from qcr.fileio import (
 from qcr.instances import InstanceParams, gen_planted
 from qcr.solver import DecompositionResult, solve_rpca
 
-from conftest import rng
+from conftest import read_instance_reference, rng
 
 
 def make_inst(seed=5):
@@ -103,6 +103,49 @@ def test_instance_comments_and_blanks_ignored(tmp_path):
     decorated = "# planted instance\n\n" + path.read_text()
     path.write_text(decorated)
     assert np.array_equal(read_instance(str(path)).A, inst.A)
+
+
+HEADER = "20 14 0.85 0.2 5\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        HEADER + "2 3 1\n0 1\n4 5 1\n",
+        HEADER + "2 3 1\n0 1 1 1\n4 5 1\n",
+        HEADER + "2 3 1\n1.0 1 1\n4 5 1\n",
+        HEADER + "2 3 1\n1_0 1 1\n4 5 1\n",
+        HEADER + "2 3 1\n+1 1 1\n4 5 1\n",
+        HEADER + "2 3 1\n0 1 nan\n4 5 1\n",
+        HEADER + "2 3 1\n0 1 inf\n4 5 1\n",
+        HEADER + "2 3 1\n0 1 1e400\n4 5 1\n",
+        HEADER + "2 3 1\n-1 0 1\n4 5 1\n",
+        HEADER + "2 3 1\n0 20 1\n4 5 1\n",
+        "# instance\n\n   \n# of qcr\n" + HEADER + "\n2 3 1\n# x\n4 5 1\n",
+        HEADER + "2 3 1\n0 1 1 # x\n4 5 1\n",
+        HEADER + "0 1 1\n2 3 1\n0 1 0.5\n4 5 0.25\n",
+        HEADER + "2 3 1\r\n0 1 1\r4\x0c5 0.5\x85\n",
+        HEADER,
+    ],
+    ids=[
+        "2-tokens", "4-tokens", "float-index", "underscore-index", "plus-index",
+        "nan", "inf", "overflow", "index-minus-1", "index-n", "comment-lines",
+        "trailing-comment", "repeated-coordinate", "line-breaks", "header-only",
+    ],
+)
+def test_instance_parse_matches_line_by_line_reference(tmp_path, content):
+    path = tmp_path / "inst.txt"
+    path.write_text(content)
+    try:
+        want = read_instance_reference(str(path))
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as got:
+            read_instance(str(path))
+        assert str(got.value) == str(exc)
+        return
+    back = read_instance(str(path))
+    assert back.params == want.params
+    assert np.array_equal(back.A, want.A)
 
 
 def test_instance_missing_file_oserror(tmp_path):

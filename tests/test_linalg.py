@@ -224,6 +224,19 @@ def test_certified_prox_matches_svd_reference(n):
     assert np.array_equal(out, out.T)
 
 
+def test_certified_prox_converges_within_its_step_budget():
+    # a kept eigenvalue at 2.45 tau above a bulk reaching 0.88 tau, as in the
+    # late prox calls of a quasi-clique solve: from a rank-one warm start the
+    # residual reaches its bound in more than 8 block steps but within 16
+    n, tau = 200, 1.0
+    M, _ = spiked(n, 11, [2.45], bulk=0.88)
+    warm = svd_threshold_reference(M + 1e-3 * random_symmetric(rng(111), n) / math.sqrt(n), tau)
+    assert np.linalg.matrix_rank(warm) == 1
+    Z = linalg_mod._certified_prox(M, tau, warm)
+    assert Z is not None
+    assert np.abs(Z - svd_threshold_reference(M, tau)).max() <= 1e-11
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_certified_prox_falls_back_on_eigenvalue_outside_warm(sign):
     # an eigenvalue of magnitude 1.001 tau outside the warm range, above a
