@@ -206,19 +206,33 @@ def _incoherence_of(factors: SvdFactors) -> IncoherenceReport:
     )
 
 
-def partition_complement(Gamma: SupportSet, cfg: GolfingConfig) -> list[SupportSet]:
+def partition_complement(Gamma: SupportSet, cfg: GolfingConfig) -> list[np.ndarray]:
     """Draw k0 index batches, each Bernoulli(q) over the full grid intersected
-    with the complement of Gamma. Deterministic given cfg.seed."""
+    with the complement of Gamma. A batch is the sorted flat indices
+    i * n + j of its entries. Each batch draws n * n uniforms from one Philox
+    stream seeded with cfg.seed, in row-major order, into one reused buffer,
+    so the batches are deterministic given cfg.seed."""
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    comp = ~Gamma.mask
+    on_gamma = Gamma.mask.ravel()
+    q = cfg.q
+    draw = np.empty(Gamma.n * Gamma.n)
+    hit = np.empty(draw.shape, dtype=bool)
     batches = []
     for _ in range(cfg.k0):
-        draw = rng.random((Gamma.n, Gamma.n)) < cfg.q
-        batches.append(SupportSet(Gamma.n, draw & comp))
+        rng.random(out=draw)
+        flat = np.flatnonzero(np.less(draw, q, out=hit))
+        batches.append(flat[~on_gamma[flat]])
     return batches
 
 
-def golfing_QB(T: TangentSpace, batches: list[SupportSet], p: float):
+def _check_batch(flat, n: int) -> None:
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype.kind in "iu"):
+        raise ValueError("a batch must be a 1-d integer array of flat indices")
+    if flat.size and not (flat[0] >= 0 and flat[-1] < n * n and (flat[1:] > flat[:-1]).all()):
+        raise ValueError(f"a batch must hold strictly increasing flat indices in [0, {n * n})")
+
+
+def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
     """Golfing construction of the low-rank dual half.
 
     Iterates Y_k = Y_{k-1} + (1/p) * P_{batch_k} P_T (UV^T - Y_{k-1}) in the
@@ -227,23 +241,29 @@ def golfing_QB(T: TangentSpace, batches: list[SupportSet], p: float):
     lives in T and is held as its factors (A, W), Z = U@A + W@V.T, starting
     from A = V.T, W = 0; a batch reads Z on its entries and projects G back
     to factors, O(|batch| r + n r^2), so the only dense projection is the
-    last one. Returns (Q_B, trace) with Q_B the projection of the final Y
-    onto the tangent complement and trace the Frobenius norms
+    last one. Each batch is an array of strictly increasing flat indices
+    i * n + j, as partition_complement draws them; the rows of U and V
+    that the batches read are gathered once, for all batches together.
+    Returns (Q_B, trace) with Q_B the projection of the final Y onto the
+    tangent complement and trace the Frobenius norms
     sqrt(||A||^2 + ||W||^2) of Z_0, ..., Z_k0.
     """
     if not batches:
         raise ValueError("batches must be nonempty")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    for S in batches:
-        if S.n != T.n:
-            raise ValueError("batch dimension does not match tangent space")
+    for flat in batches:
+        _check_batch(flat, T.n)
+    ends = np.cumsum([flat.size for flat in batches]).tolist()
+    every = _Entries(np.concatenate(batches).astype(np.intp, copy=False), T)
     A = T.V.T.copy()
     W = np.zeros_like(T.U)
     Y = np.zeros(T.n * T.n)
     trace = [math.sqrt(_tangent_dot(A, W, A, W))]
-    for S in batches:
-        E = _Entries(S, T)
+    start = 0
+    for stop in ends:
+        E = every.part(start, stop)
+        start = stop
         G = _tangent_at(A, W, E) / p
         # a batch holds each entry once, so the fancy-index add is exact
         Y[E.flat] += G
@@ -297,7 +317,7 @@ def neumann_QC(
             "the series does not converge"
         )
 
-    E = _Entries(Gamma, T)
+    E = _Entries(np.flatnonzero(Gamma.mask), T)
     term = sign_C0[E.rows, E.cols]
     acc = term.copy()
     for _ in range(1, max_terms):

@@ -115,11 +115,33 @@ def _read_triplets(path: str, lines: list[str], n: int) -> np.ndarray:
     return A
 
 
+def _format_rows(M, sep: str):
+    """Yield each row of the 2-d float matrix M as its entries'
+    float.__repr__ joined by sep. float.__repr__ runs once per distinct bit
+    pattern: np.unique over the int64 view, which keeps 0.0 and -0.0 apart.
+    A bitwise symmetric M takes its patterns from the upper triangle and
+    mirrors their places. Only one row's texts are joined at a time."""
+    M = np.ascontiguousarray(M, dtype=np.float64)
+    bits = M.view(np.int64)
+    n = M.shape[0]
+    if M.shape == (n, n) and np.array_equal(bits, bits.T):
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        patterns, which = np.unique(bits[upper], return_inverse=True)
+        places = np.empty((n, n), dtype=np.intp)
+        places[upper] = which
+        places.T[upper] = which
+    else:
+        patterns, places = np.unique(bits, return_inverse=True)
+        places = places.reshape(M.shape)
+    texts = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
+    for row in places:
+        yield sep.join(texts[row].tolist())
+
+
 def write_matrix_csv(M, path: str) -> None:
-    M = np.asarray(M, dtype=float)
     with open(path, "w") as fh:
-        for row in M:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for text in _format_rows(M, ","):
+            fh.write(text + "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -161,8 +183,8 @@ def _matrix_payload(M: np.ndarray, path_base: str, tag: str):
 def _write_json(doc: dict, path: str) -> None:
     """Write the non-empty doc as json.dump(doc, fh, indent=2) and a newline
     would, byte for byte, taking each ndarray value as its nested list.
-    Matrices of finite floats are written a row at a time with
-    float.__repr__, json's spelling of a finite float, instead of through
+    Matrices of finite floats are written a row at a time by _format_rows,
+    in float.__repr__, json's spelling of a finite float, instead of through
     json's pure-Python encoder and without holding their nested lists; each
     run of other values is one json.dumps call."""
     runs: list[tuple[bool, dict]] = []
@@ -187,10 +209,8 @@ def _write_json(doc: dict, path: str) -> None:
                 continue
             for j, (key, M) in enumerate(values.items()):
                 fh.write((",\n" if j else "") + f"  {json.dumps(key)}: [")
-                for r, row in enumerate(M):
-                    fh.write(f"{',' if r else ''}\n    [\n      ")
-                    fh.write(",\n      ".join(map(float.__repr__, row.tolist())))
-                    fh.write("\n    ]")
+                for r, text in enumerate(_format_rows(M, ",\n      ")):
+                    fh.write(f"{',' if r else ''}\n    [\n      {text}\n    ]")
                 fh.write("\n  ]")
         fh.write("\n}\n")
 

@@ -188,16 +188,29 @@ def sv_threshold(M, tau: float, *, warm=None) -> np.ndarray:
     a residual bound and two Cholesky factorizations prove the result within
     sqrt(2) * 1e-13 * ||M||_F of the exact prox. Otherwise the prox is one
     full eigh. warm only picks the path: the output depends on M, tau and
-    warm alone. Below n = 128 a full eigh costs no more than the attempt."""
+    warm alone. Below n = 128 a full eigh costs no more than the attempt.
+
+    This is the checked entry point: M and warm must be finite, and the path
+    is picked by testing M for symmetry. The solvers, whose iterates are
+    finite and keep the symmetry of their input, call _sv_prox directly."""
     M = _as_square(M)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    if np.array_equal(M, M.T):
+    symmetric = np.array_equal(M, M.T)
+    if symmetric and warm is not None and M.shape[0] >= _WARM_MIN_N:
+        warm = _as_square(warm, "warm")
+        if warm.shape != M.shape:
+            raise ValueError(f"warm shape {warm.shape} does not match M shape {M.shape}")
+    return _sv_prox(M, tau, symmetric, warm)
+
+
+def _sv_prox(M, tau: float, symmetric: bool, warm=None) -> np.ndarray:
+    """sv_threshold of a finite square M, unchecked: the eigen path when
+    symmetric, which the caller asserts only for an exactly symmetric M, and
+    the SVD otherwise."""
+    if symmetric:
         R = None
         if warm is not None and M.shape[0] >= _WARM_MIN_N:
-            warm = _as_square(warm, "warm")
-            if warm.shape != M.shape:
-                raise ValueError(f"warm shape {warm.shape} does not match M shape {M.shape}")
             R = _certified_prox(M, tau, warm)
         if R is None:
             w, Q = np.linalg.eigh(M)
@@ -299,20 +312,31 @@ def _tangent_factors(Z, T: TangentSpace):
 
 
 class _Entries:
-    """Entries (rows, cols) of a support set, with the rows U[rows] and
-    V[cols] of a tangent space's factors, gathered once for the sparse
-    tangent kernels below."""
+    """Entries of an n x n grid given by their sorted flat indices
+    i * n + j, with their rows, columns and the rows U[rows] and V[cols] of
+    a tangent space's factors, gathered once for the sparse tangent kernels
+    below."""
 
-    def __init__(self, S: SupportSet, T: TangentSpace):
+    def __init__(self, flat, T: TangentSpace):
         n, r = T.n, T.r
-        self.flat = np.flatnonzero(S.mask)
-        self.rows, self.cols = np.divmod(self.flat, n)
+        self.flat = flat
+        self.rows, self.cols = np.divmod(flat, n)
         self.U = T.U[self.rows]
         self.V = T.V[self.cols]
         # bincount bins of the (n, r) factor entries each sampled entry feeds
         k = np.arange(r)
         self.row_bins = (self.rows[:, None] * r + k).ravel()
         self.col_bins = (self.cols[:, None] * r + k).ravel()
+
+    def part(self, start: int, stop: int) -> "_Entries":
+        """The entries start:stop of these, as views of the gathered arrays."""
+        out = object.__new__(_Entries)
+        for name in ("flat", "rows", "cols", "U", "V"):
+            setattr(out, name, getattr(self, name)[start:stop])
+        r = self.U.shape[1]
+        out.row_bins = self.row_bins[start * r : stop * r]
+        out.col_bins = self.col_bins[start * r : stop * r]
+        return out
 
 
 def _tangent_factors_at(vals, E: _Entries, T: TangentSpace):
@@ -376,6 +400,14 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     back to factors, O(|Gamma| r + n r^2) instead of a dense n x n
     projection. On hitting the iteration cap a warning is issued and the
     best estimate returned.
+
+    The result is a lower estimate of the norm. Each step's eigenvalue
+    estimate is the Rayleigh quotient <X, P_T P_Gamma P_T X> of a unit X,
+    which never exceeds the top eigenvalue, and the iteration stops once that
+    quotient changes by at most tol, relative, from one step to the next. So
+    tol bounds the step-to-step change, not the error: when the top
+    eigenvalues lie close together the quotient creeps up slowly, and the
+    estimate can stop further below the norm than tol suggests.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -388,7 +420,7 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     X = rng.standard_normal((S.n, S.n))
     X /= np.linalg.norm(X)
     A, W = _tangent_factors(X, T)
-    E = _Entries(S, T)
+    E = _Entries(np.flatnonzero(S.mask), T)
     lam_prev = np.inf
     lam = 0.0
     for _ in range(_POWER_ITER_CAP):

@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis profiles."""
 
+import json
 import math
 import os
 
@@ -9,7 +10,16 @@ from hypothesis import HealthCheck, settings
 
 from qcr.fileio import FileFormatError
 from qcr.instances import InstanceParams, PlantedInstance
-from qcr.linalg import SupportSet
+from qcr.linalg import (
+    SupportSet,
+    _Entries,
+    _tangent_at,
+    _tangent_dot,
+    _tangent_factors_at,
+    project_support,
+    project_T,
+    project_T_perp,
+)
 
 settings.register_profile(
     "default",
@@ -188,14 +198,61 @@ def project_T_reference(Z, T):
 
 def golfing_reference(T, batches, p):
     """Golfing with two tangent projections per batch:
-    Y_k = Y_{k-1} + P_{batch_k} P_T (UV^T - Y_{k-1}) / p, trace ||UV^T - P_T Y_k||."""
+    Y_k = Y_{k-1} + P_{batch_k} P_T (UV^T - Y_{k-1}) / p, trace ||UV^T - P_T Y_k||.
+    Each batch is an array of flat indices."""
     E = T.U @ T.V.T
     Y = np.zeros_like(E)
     trace = [float(np.linalg.norm(E))]
-    for S in batches:
-        Y = Y + np.where(S.mask, project_T_reference(E - Y, T), 0.0) / p
+    for flat in batches:
+        mask = np.zeros(E.size, dtype=bool)
+        mask[flat] = True
+        Y = Y + np.where(mask.reshape(E.shape), project_T_reference(E - Y, T), 0.0) / p
         trace.append(float(np.linalg.norm(E - project_T_reference(Y, T))))
     return Y - project_T_reference(Y, T), trace
+
+
+def partition_reference(Gamma, cfg):
+    """Golfing batches as boolean masks, one fresh n x n draw each:
+    (rng.random((n, n)) < q) & ~Gamma. partition_complement must return
+    np.flatnonzero of each mask."""
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    comp = ~Gamma.mask
+    batches = []
+    for _ in range(cfg.k0):
+        draw = rng.random((Gamma.n, Gamma.n)) < cfg.q
+        batches.append(SupportSet(Gamma.n, draw & comp))
+    return batches
+
+
+def golfing_loop_reference(T, masks, p):
+    """golfing_QB's loop with each batch's entries gathered on their own from
+    its mask; golfing_QB, which gathers every batch's entries at once, must
+    agree bitwise."""
+    A = T.V.T.copy()
+    W = np.zeros_like(T.U)
+    Y = np.zeros(T.n * T.n)
+    trace = [math.sqrt(_tangent_dot(A, W, A, W))]
+    for S in masks:
+        E = _Entries(np.flatnonzero(S.mask), T)
+        G = _tangent_at(A, W, E) / p
+        Y[E.flat] += G
+        dA, dW = _tangent_factors_at(G, E, T)
+        A -= dA
+        W -= dW
+        trace.append(math.sqrt(_tangent_dot(A, W, A, W)))
+    return project_T_perp(Y.reshape(T.n, T.n), T), trace
+
+
+def dense_opnorm(S, T):
+    """Materialize Z -> P_Gamma(P_T(Z)) as an n^2 x n^2 matrix, return sigma_max."""
+    n = S.n
+    cols = []
+    for j in range(n * n):
+        E = np.zeros((n, n))
+        E[j // n, j % n] = 1.0
+        cols.append(project_support(project_T(E, T), S).ravel())
+    L = np.array(cols).T
+    return float(np.linalg.svd(L, compute_uv=False)[0])
 
 
 def opnorm_reference(S, T, tol=1e-6):
@@ -227,6 +284,48 @@ def neumann_reference(Gamma, T, sign_C0, lam, tol=1e-10, max_terms=200):
         if float(np.linalg.norm(term)) <= tol * base:
             break
     return lam * (acc - project_T_reference(acc, T))
+
+
+def write_json_reference(doc, path):
+    """Result/report JSON with every finite float matrix written a row at a
+    time, one float.__repr__ per entry; fileio._write_json must write the
+    same bytes."""
+    runs = []
+    for key, value in doc.items():
+        rows = (
+            isinstance(value, np.ndarray)
+            and value.ndim == 2
+            and value.size > 0
+            and value.dtype.kind == "f"
+            and bool(np.isfinite(value).all())
+        )
+        if not rows and isinstance(value, np.ndarray):
+            value = value.tolist()
+        if not runs or runs[-1][0] != rows:
+            runs.append((rows, {}))
+        runs[-1][1][key] = value
+    with open(path, "w") as fh:
+        for i, (rows, values) in enumerate(runs):
+            fh.write(",\n" if i else "{\n")
+            if not rows:
+                fh.write(json.dumps(values, indent=2)[2:-2])
+                continue
+            for j, (key, M) in enumerate(values.items()):
+                fh.write((",\n" if j else "") + f"  {json.dumps(key)}: [")
+                for r, row in enumerate(M):
+                    fh.write(f"{',' if r else ''}\n    [\n      ")
+                    fh.write(",\n      ".join(map(float.__repr__, row.tolist())))
+                    fh.write("\n    ]")
+                fh.write("\n  ]")
+        fh.write("\n}\n")
+
+
+def write_matrix_csv_reference(M, path):
+    """CSV matrix with one repr per entry."""
+    M = np.asarray(M, dtype=float)
+    with open(path, "w") as fh:
+        for row in M:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def count_calls(monkeypatch, name, *modules):

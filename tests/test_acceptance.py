@@ -25,7 +25,7 @@ from qcr.certificate import (
 )
 from qcr.experiments import PHASE_GRID, SIZE_GRID, planted_size, run_phase_grid, run_size_grid
 from qcr.instances import InstanceParams, derive_seed, gen_planted
-from qcr.linalg import SupportSet, TangentSpace, project_support, project_T, svd
+from qcr.linalg import TangentSpace, project_support, project_T, svd
 from qcr.solver import RECOVERY_TOL, SolverOptions, relative_error, solve_rpca
 
 cp = pytest.importorskip("cvxpy")
@@ -210,7 +210,7 @@ def test_certificate_internals():
     for s in range(50):
         g = np.random.Generator(np.random.Philox(s))
         batches = [
-            SupportSet(100, (g.random((100, 100)) < 0.3) & ~Gamma.mask)
+            np.flatnonzero((g.random((100, 100)) < 0.3) & ~Gamma.mask)
             for _ in range(40)
         ]
         _, trace = golfing_QB(T, batches, 0.3)

@@ -35,8 +35,10 @@ from conftest import (
     count_calls,
     gen_bernoulli_support,
     gen_low_rank,
+    golfing_loop_reference,
     golfing_reference,
     neumann_reference,
+    partition_reference,
     rng,
 )
 
@@ -161,21 +163,21 @@ def test_partition_batch_count_and_disjoint_from_gamma():
     batches = partition_complement(G, cfg)
     assert len(batches) == cfg.k0
     for b in batches:
-        assert not (b.mask & G.mask).any()
+        assert not G.mask.ravel()[b].any()
 
 
 def test_partition_q_one_gives_full_complement():
     G = gen_bernoulli_support(15, 0.4, seed=2)
     cfg = GolfingConfig(k0=4, p=0.0, seed=3)
     for b in partition_complement(G, cfg):
-        assert np.array_equal(b.mask, ~G.mask)
+        assert np.array_equal(b, np.flatnonzero(~G.mask))
 
 
 def test_partition_q_zero_gives_empty_batches():
     G = gen_bernoulli_support(15, 0.4, seed=2)
     cfg = GolfingConfig(k0=4, p=1.0, seed=3)
     for b in partition_complement(G, cfg):
-        assert len(b) == 0
+        assert b.size == 0
 
 
 def test_partition_deterministic():
@@ -183,7 +185,29 @@ def test_partition_deterministic():
     cfg = GolfingConfig(k0=60, p=0.7, seed=11)
     a = partition_complement(G, cfg)
     b = partition_complement(G, cfg)
-    assert all(np.array_equal(x.mask, y.mask) for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n, rho, k0, p, seed", [
+    (1, 0.0, 3, 0.5, 0),
+    (1, 1.0, 2, 0.5, 1),
+    (7, 0.3, 20, 0.9, 2),
+    (20, 0.1, 100, 0.85, 3),
+    (40, 0.4, 200, 0.999, 4),
+    (33, 0.2, 5, 0.0, 5),
+])
+def test_partition_matches_mask_reference(n, rho, k0, p, seed):
+    # each batch is np.flatnonzero of the mask a fresh n x n draw gives,
+    # also at n = 1 and at a q so small that most batches are empty
+    G = gen_bernoulli_support(n, rho, seed=seed + 100)
+    cfg = GolfingConfig(k0=k0, p=p, seed=seed)
+    got = partition_complement(G, cfg)
+    ref = partition_reference(G, cfg)
+    assert len(got) == len(ref) == k0
+    for b, S in zip(got, ref):
+        expected = np.flatnonzero(S.mask)
+        assert b.dtype == expected.dtype
+        assert np.array_equal(b, expected)
 
 
 def test_partition_uncovered_fraction_matches_binomial_model():
@@ -197,7 +221,7 @@ def test_partition_uncovered_fraction_matches_binomial_model():
         batches = partition_complement(G, GolfingConfig(k0=80, p=p, seed=s))
         union = np.zeros((n, n), dtype=bool)
         for b in batches:
-            union |= b.mask
+            union.flat[b] = True
         fracs.append(1.0 - union[comp].sum() / comp.sum())
     assert abs(np.mean(fracs) - p) < 0.01
 
@@ -207,7 +231,7 @@ def test_partition_uncovered_fraction_matches_binomial_model():
 
 def test_golfing_single_full_batch_exact():
     T = random_tangent(10, 2, 5)
-    Q_B, trace = golfing_QB(T, [SupportSet(10, np.ones((10, 10), dtype=bool))], p=1.0)
+    Q_B, trace = golfing_QB(T, [np.arange(100)], p=1.0)
     assert np.abs(Q_B).max() <= 1e-12
     assert trace[-1] <= 1e-12
     assert len(trace) == 2
@@ -217,7 +241,7 @@ def test_golfing_single_full_batch_exact():
 def test_golfing_empty_batches_do_nothing():
     T = random_tangent(10, 2, 6)
     E_norm = float(np.linalg.norm(T.U @ T.V.T))
-    Q_B, trace = golfing_QB(T, [SupportSet(10, np.zeros((10, 10), dtype=bool))] * 3, p=0.5)
+    Q_B, trace = golfing_QB(T, [np.arange(0)] * 3, p=0.5)
     assert np.abs(Q_B).max() == 0.0
     assert all(abs(t - E_norm) < 1e-12 for t in trace)
 
@@ -225,9 +249,7 @@ def test_golfing_empty_batches_do_nothing():
 def test_golfing_output_in_tangent_complement():
     T = block_tangent(30, 20)
     g = rng(8)
-    batches = [
-        SupportSet(30, g.random((30, 30)) < 0.3) for _ in range(40)
-    ]
+    batches = [np.flatnonzero(g.random((30, 30)) < 0.3) for _ in range(40)]
     Q_B, _ = golfing_QB(T, batches, p=0.3)
     leak = np.linalg.norm(project_T(Q_B, T))
     assert leak <= 1e-10 * max(1.0, np.linalg.norm(Q_B))
@@ -238,9 +260,25 @@ def test_golfing_validation():
     with pytest.raises(ValueError):
         golfing_QB(T, [], p=0.5)
     with pytest.raises(ValueError):
-        golfing_QB(T, [SupportSet(6, np.ones((6, 6), dtype=bool))], p=0.0)
+        golfing_QB(T, [np.arange(36)], p=0.0)
+    # an index past n * n, as a batch drawn for n = 7 holds
     with pytest.raises(ValueError):
-        golfing_QB(T, [SupportSet(7, np.ones((7, 7), dtype=bool))], p=0.5)
+        golfing_QB(T, [np.arange(49)], p=0.5)
+
+
+@pytest.mark.parametrize("batch", [
+    np.array([-1, 3]),
+    np.array([3, 2]),
+    np.array([2, 2]),
+    np.array([3, 2], dtype=np.uint64),
+    np.array([1.0, 2.0]),
+    np.array([[1, 2]]),
+    [1, 2],
+], ids=["negative", "decreasing", "repeated", "unsigned decreasing", "float", "2-d", "list"])
+def test_golfing_rejects_a_batch_that_is_not_increasing_flat_indices(batch):
+    T = random_tangent(6, 1, 0)
+    with pytest.raises(ValueError):
+        golfing_QB(T, [np.arange(3), batch], p=0.5)
 
 
 @pytest.mark.parametrize("q, p", [(0.3, 0.3), (0.3, 0.05)])
@@ -248,7 +286,7 @@ def test_golfing_matches_two_projection_reference(q, p):
     # at p = 0.05 each batch overshoots by q/p = 6 and the residual grows
     T = block_tangent(30, 20)
     g = rng(77)
-    batches = [SupportSet(30, g.random((30, 30)) < q) for _ in range(12)]
+    batches = [np.flatnonzero(g.random((30, 30)) < q) for _ in range(12)]
     Q_B, trace = golfing_QB(T, batches, p)
     ref_Q_B, ref_trace = golfing_reference(T, batches, p)
     assert np.linalg.norm(Q_B - ref_Q_B) <= 1e-12 * np.linalg.norm(ref_Q_B)
@@ -264,12 +302,36 @@ def test_golfing_projects_once_per_batch(monkeypatch):
     T = block_tangent(20, 12)
     g = rng(78)
     for k in (1, 7, 30):
-        batches = [SupportSet(20, g.random((20, 20)) < 0.3) for _ in range(k)]
+        batches = [np.flatnonzero(g.random((20, 20)) < 0.3) for _ in range(k)]
         dense = count_calls(monkeypatch, "project_T", linalg_mod)
         sparse = count_calls(monkeypatch, "_tangent_factors_at", linalg_mod, certificate)
         golfing_QB(T, batches, 0.3)
         assert len(dense) == 1
         assert len(sparse) == k
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, 6])
+def test_golfing_matches_per_batch_loop_bitwise(r):
+    # the entries of all batches are gathered at once and sliced per batch;
+    # the arithmetic per batch is that of gathering each batch on its own
+    n = 25
+    T = random_tangent(n, r, 60 + r)
+    G = gen_bernoulli_support(n, 0.2, seed=61 + r)
+    masks = partition_reference(G, GolfingConfig(k0=30, p=0.4, seed=62 + r))
+    Q_B, trace = golfing_QB(T, [np.flatnonzero(S.mask) for S in masks], 0.4)
+    ref_Q_B, ref_trace = golfing_loop_reference(T, masks, 0.4)
+    assert np.array_equal(Q_B, ref_Q_B)
+    assert trace == ref_trace
+
+
+def test_golfing_matches_per_batch_loop_bitwise_on_a_certificate_schedule():
+    inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.1, seed=7))
+    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    cfg = GolfingConfig.for_instance(inst.params)
+    Q_B, trace = golfing_QB(T, partition_complement(inst.noise_support, cfg), cfg.p)
+    ref_Q_B, ref_trace = golfing_loop_reference(T, partition_reference(inst.noise_support, cfg), cfg.p)
+    assert np.array_equal(Q_B, ref_Q_B)
+    assert trace == ref_trace
 
 
 def median_decay_ratio(trace) -> float:
@@ -290,7 +352,7 @@ def test_golfing_trace_contracts_with_dense_batches():
     T = TangentSpace.from_factors(svd(inst.block_pattern))
     g = rng(123)
     batches = [
-        SupportSet(100, (g.random((100, 100)) < 0.3) & ~inst.noise_support.mask)
+        np.flatnonzero((g.random((100, 100)) < 0.3) & ~inst.noise_support.mask)
         for _ in range(40)
     ]
     _, trace = golfing_QB(T, batches, 0.3)
@@ -425,11 +487,10 @@ def test_golfing_factored_matches_dense_reference(r, q, p):
     assert r == 0 or np.abs(T.U - T.V).max() > 0.1
     g = rng(91 + r)
     batches = [
-        SupportSet(n, np.zeros((n, n), dtype=bool)) if k % 3 == 2
-        else SupportSet(n, g.random((n, n)) < q)
+        np.arange(0) if k % 3 == 2 else np.flatnonzero(g.random((n, n)) < q)
         for k in range(12)
     ]
-    assert (batches[0].mask & batches[1].mask).any()
+    assert np.intersect1d(batches[0], batches[1]).size
     Q_B, trace = golfing_QB(T, batches, p)
     ref_Q_B, ref_trace = golfing_reference(T, batches, p)
     assert rel_close(Q_B, ref_Q_B)

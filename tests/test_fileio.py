@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcr.certificate import verify_certificate
 from qcr.fileio import (
@@ -24,7 +26,12 @@ from qcr.fileio import (
 from qcr.instances import InstanceParams, gen_planted
 from qcr.solver import DecompositionResult, solve_rpca
 
-from conftest import read_instance_reference, rng
+from conftest import (
+    read_instance_reference,
+    rng,
+    write_json_reference,
+    write_matrix_csv_reference,
+)
 
 
 def make_inst(seed=5):
@@ -245,6 +252,128 @@ def test_report_bytes_match_json_dump(tmp_path, n):
     assert plain.read_text() == json.dumps(doc, indent=2) + "\n"
     doc.update(Q_B=rep.Q_B.tolist(), Q_C=rep.Q_C.tolist())
     assert full.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def symmetric(M):
+    """M's upper triangle mirrored into its lower one, bit for bit."""
+    S = np.triu(M)
+    lower = np.tril_indices(M.shape[0], -1)
+    S[lower] = S.T[lower]
+    return S
+
+
+def writer_matrices():
+    """Matrices whose rows the writers must spell as one float.__repr__ per
+    entry would, by name."""
+    g = rng(70)
+    signed_zeros = symmetric(g.standard_normal((5, 5)))
+    signed_zeros[1, 3], signed_zeros[3, 1] = 0.0, -0.0
+    assert np.array_equal(signed_zeros, signed_zeros.T)
+    tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, -1e-310])
+    subnormals = symmetric(np.resize(tiny, (6, 6)) * g.integers(1, 4, (6, 6)))
+    switch = np.array([1e16, 9999999999999998.0, 1e-05, 0.0001, -1e16, -1e-05])
+    switch = np.concatenate((switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)))
+    repeated = symmetric(g.integers(0, 3, (9, 9)).astype(float))
+    return {
+        "signed zeros": signed_zeros,
+        "subnormals": subnormals,
+        "repr switch points": np.resize(switch, (6, 6)),
+        "1x1": np.array([[-0.0]]),
+        "not symmetric": g.standard_normal((4, 4)),
+        "symmetric normal": symmetric(g.standard_normal((8, 8))),
+        "symmetric few values": repeated,
+        "float32": symmetric(g.standard_normal((5, 5))).astype(np.float32),
+        "fortran order": np.asfortranarray(g.standard_normal((4, 4))),
+    }
+
+
+@pytest.mark.parametrize("name", list(writer_matrices()))
+def test_result_bytes_match_one_repr_per_entry(tmp_path, name):
+    B = writer_matrices()[name]
+    C = -B[::-1]
+    res = DecompositionResult(
+        B, C, iterations=3, primal_residual=1e-9, objective=2.0, converged=True, final_penalty=0.5
+    )
+    got, ref = tmp_path / "got.json", tmp_path / "ref.json"
+    write_result(res, str(got), lam=0.25, mode="plain_decomposition", extras={"recovery": True})
+    doc = {
+        "mode": "plain_decomposition", "lambda": 0.25, "n": B.shape[0], "iterations": 3,
+        "final_penalty": 0.5, "primal_residual": 1e-9, "objective": 2.0, "converged": True,
+        "recovery": True, "B_star": B, "C_star": C,
+    }
+    write_json_reference(doc, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(writer_matrices()))
+def test_report_matrices_bytes_match_one_repr_per_entry(tmp_path, name):
+    inst = gen_planted(InstanceParams(n=30, n_c=24, gamma=0.85, rho=0.1, seed=2))
+    M = writer_matrices()[name]
+    rep = dataclasses.replace(verify_certificate(inst), Q_B=M, Q_C=M.T)
+    got, ref = tmp_path / "got.json", tmp_path / "ref.json"
+    write_report(rep, str(got), include_matrices=True)
+    doc = json.loads(got.read_text())
+    doc.update(Q_B=rep.Q_B, Q_C=rep.Q_C)
+    write_json_reference(doc, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(writer_matrices()) + ["non-finite"])
+def test_matrix_csv_bytes_match_one_repr_per_entry(tmp_path, name):
+    if name == "non-finite":
+        M = symmetric(np.resize([np.nan, np.inf, -np.inf, 1.5, -0.0], (5, 5)))
+    else:
+        M = writer_matrices()[name]
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    write_matrix_csv(M, str(got))
+    write_matrix_csv_reference(M, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def test_result_sidecar_bytes_match_one_repr_per_entry(tmp_path, monkeypatch):
+    import qcr.fileio as fileio
+
+    monkeypatch.setattr(fileio, "MATRIX_INLINE_LIMIT", 4)
+    B = writer_matrices()["signed zeros"]
+    C = writer_matrices()["repr switch points"][:5, :5]
+    res = DecompositionResult(
+        B, C, iterations=3, primal_residual=1e-9, objective=2.0, converged=False, final_penalty=0.5
+    )
+    path = str(tmp_path / "res.json")
+    write_result(res, path, lam=0.25, mode="quasi_clique")
+    for tag, M in (("B_star", B), ("C_star", C)):
+        write_matrix_csv_reference(M, str(tmp_path / f"{tag}.ref.csv"))
+        assert (tmp_path / f"res.json.{tag}.csv").read_bytes() == (tmp_path / f"{tag}.ref.csv").read_bytes()
+    doc = {
+        "mode": "quasi_clique", "lambda": 0.25, "n": 5, "iterations": 3, "final_penalty": 0.5,
+        "primal_residual": 1e-9, "objective": 2.0, "converged": False,
+        "B_star_path": f"{path}.B_star.csv", "C_star_path": f"{path}.C_star.csv",
+    }
+    write_json_reference(doc, str(tmp_path / "ref.json"))
+    assert (tmp_path / "res.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.property
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=n * n, max_size=n * n,
+    )),
+    st.booleans(),
+)
+def test_result_matrices_round_trip_bitwise(tmp_path_factory, values, mirror):
+    n = int(round(len(values) ** 0.5))
+    B = np.array(values).reshape(n, n)
+    if mirror:
+        B = symmetric(B)
+    res = DecompositionResult(
+        B, -B, iterations=1, primal_residual=0.0, objective=0.0, converged=True, final_penalty=1.0
+    )
+    path = str(tmp_path_factory.mktemp("rt") / "res.json")
+    write_result(res, path, lam=0.25, mode="plain_decomposition")
+    with open(path) as fh:
+        doc = json.load(fh)
+    for tag, M in (("B_star", B), ("C_star", -B)):
+        assert np.array_equal(np.array(doc[tag]).view(np.int64), M.view(np.int64))
 
 
 def test_result_sidecar_for_large_matrices(tmp_path, monkeypatch):

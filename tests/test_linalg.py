@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qcr.linalg as linalg_mod
+from qcr.certificate import DEFAULT_RANK_TOL
+from qcr.instances import InstanceParams, derive_seed, gen_planted
 from qcr.linalg import (
     NORM_KINDS,
     SupportSet,
@@ -23,7 +25,14 @@ from qcr.linalg import (
     svd,
 )
 
-from conftest import count_calls, opnorm_reference, project_T_reference, rng, svd_threshold_reference
+from conftest import (
+    count_calls,
+    dense_opnorm,
+    opnorm_reference,
+    project_T_reference,
+    rng,
+    svd_threshold_reference,
+)
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -156,6 +165,22 @@ def test_soft_threshold_scalar_prox_oracle():
             z_star = grid[np.argmin(obj)]
             got = float(soft_threshold(np.array([[x]]), tau)[0, 0])
             assert abs(got - z_star) < 1e-4
+
+
+def test_sv_threshold_checks_its_inputs():
+    # the solvers call the unchecked kernel; sv_threshold stays the checked
+    # entry point
+    M = random_symmetric(rng(5), 130)
+    bad = M.copy()
+    bad[3, 4] = bad[4, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        sv_threshold(bad, 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        sv_threshold(M, 0.5, warm=bad)
+    with pytest.raises(ValueError, match="warm shape"):
+        sv_threshold(M, 0.5, warm=M[:129, :129])
+    with pytest.raises(ValueError, match="tau"):
+        sv_threshold(M, -0.5)
 
 
 def test_sv_threshold_diagonal():
@@ -373,18 +398,6 @@ def test_tangent_rejects_nonorthonormal():
 # ---------------------------------------------------------------- operator norm
 
 
-def dense_opnorm(S: SupportSet, T: TangentSpace) -> float:
-    """Materialize Z -> P_Gamma(P_T(Z)) as an n^2 x n^2 matrix, return sigma_max."""
-    n = S.n
-    cols = []
-    for j in range(n * n):
-        E = np.zeros((n, n))
-        E[j // n, j % n] = 1.0
-        cols.append(project_support(project_T(E, T), S).ravel())
-    L = np.array(cols).T
-    return float(np.linalg.svd(L, compute_uv=False)[0])
-
-
 def test_opnorm_empty_support():
     T = random_tangent(5, 2, 0)
     assert opnorm_PGammaPT(SupportSet(5, np.zeros((5, 5), dtype=bool)), T) == 0.0
@@ -410,6 +423,20 @@ def test_opnorm_matches_dense_oracle():
     S = SupportSet(6, mask.reshape(6, 6))
     expected = dense_opnorm(S, T)
     assert abs(opnorm_PGammaPT(S, T, tol=1e-9) - expected) < 1e-6
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.7, 0.95])
+@pytest.mark.parametrize("k", range(3))
+def test_opnorm_is_a_lower_estimate_of_the_dense_norm(rho, k):
+    # the power iteration returns a Rayleigh quotient, which cannot exceed
+    # the top eigenvalue; its tol bounds the step-to-step change, so the
+    # estimate is checked against the exact norm of the dense operator
+    inst = gen_planted(InstanceParams(n=14, n_c=10, gamma=0.85, rho=rho, seed=derive_seed(1000, k)))
+    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    exact = dense_opnorm(inst.noise_support, T)
+    est = opnorm_PGammaPT(inst.noise_support, T)
+    assert est <= exact * (1 + 1e-12)
+    assert exact - est <= 1e-3
 
 
 @pytest.mark.property

@@ -141,8 +141,8 @@ def record_prox_calls(monkeypatch, name):
     calls = []
     real = getattr(solver, name)
 
-    def recording(W, tau, **kwargs):
-        out = real(W, tau, **kwargs)
+    def recording(W, tau, *args):
+        out = real(W, tau, *args)
         calls.append((W, tau, out))
         return out
 
@@ -158,7 +158,7 @@ def test_augmented_lagrangian_decreases_within_each_pass(monkeypatch):
     inst = planted(n=40, n_c=30, gamma=0.9, rho=0.1, seed=5)
     M = inst.A
     lam = 1.0 / np.sqrt(M.shape[0])
-    b_calls = record_prox_calls(monkeypatch, "sv_threshold")
+    b_calls = record_prox_calls(monkeypatch, "_sv_prox")
     c_calls = record_prox_calls(monkeypatch, "soft_threshold")
     res = solve_rpca(M)
     assert len(b_calls) == len(c_calls) == res.iterations
@@ -175,6 +175,40 @@ def test_augmented_lagrangian_decreases_within_each_pass(monkeypatch):
         B, C = B_new, C_new
     assert np.array_equal(B, res.B_star) and np.array_equal(C, res.C_star)
     assert float(np.linalg.norm(M - B - C)) / float(np.linalg.norm(M)) == res.primal_residual
+
+
+@pytest.mark.parametrize("program", ["rpca", "quasi_clique"])
+@pytest.mark.parametrize("bad_at, max_iters", [(1, 1), (3, 2000)])
+def test_non_finite_iterate_raises(monkeypatch, program, bad_at, max_iters):
+    # the prox skips sv_threshold's finiteness scan, so a C-step output that
+    # turns non-finite must still stop the solve, also on its last iteration
+    calls = []
+
+    def poison(C):
+        calls.append(None)
+        if len(calls) == bad_at:
+            C = C.copy()
+            C[1, 2] = np.nan
+        return C
+
+    A = planted(seed=13).A
+    opts = SolverOptions(max_iters=max_iters)
+    if program == "rpca":
+        real = solver.soft_threshold
+        monkeypatch.setattr(solver, "soft_threshold", lambda V, kappa: poison(real(V, kappa)))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_rpca(A, opts)
+    else:
+        real_step = solver._l1_prox_in_box_halfspace
+
+        def c_step(A, target):
+            step = real_step(A, target)
+            return lambda V, kappa: poison(step(V, kappa))
+
+        monkeypatch.setattr(solver, "_l1_prox_in_box_halfspace", c_step)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_quasi_clique(A, QuasiCliqueParams(gamma=0.85, eta=40), opts)
+    assert len(calls) == bad_at
 
 
 def test_nonconvergence_reported_not_raised():
@@ -236,7 +270,7 @@ def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j, recovered):
     eigen = phase_grid_trial(i, j)
     assert eigen["recovered"] == recovered
     assert eigen == recorded_phase_grid_trial(i, j)
-    monkeypatch.setattr(solver, "sv_threshold", svd_threshold_reference)
+    monkeypatch.setattr(solver, "_sv_prox", lambda M, tau, *_: svd_threshold_reference(M, tau))
     assert phase_grid_trial(i, j) == eigen
 
 
@@ -247,11 +281,11 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
     # from the iteration where B* is rank one, the warm-started prox skips
     # the full eigh; the solve matches one that always takes the eigh
     inst = planted(n=200, n_c=100, seed=0)
-    real = solver.sv_threshold
-    monkeypatch.setattr(solver, "sv_threshold", lambda M, tau, **kwargs: real(M, tau))
+    real = solver._sv_prox
+    monkeypatch.setattr(solver, "_sv_prox", lambda M, tau, symmetric, warm: real(M, tau, symmetric))
     reference = solve(inst.A)
-    monkeypatch.setattr(solver, "sv_threshold", real)
-    calls = count_calls(monkeypatch, "sv_threshold", solver)
+    monkeypatch.setattr(solver, "_sv_prox", real)
+    calls = count_calls(monkeypatch, "_sv_prox", solver)
     certified = []
     real_prox = linalg._certified_prox
 
