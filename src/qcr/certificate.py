@@ -242,11 +242,9 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
     from A = V.T, W = 0; a batch reads Z on its entries and projects G back
     to factors, O(|batch| r + n r^2), so the only dense projection is the
     last one. Each batch is an array of strictly increasing flat indices
-    i * n + j, as partition_complement draws them; the rows of U and V
-    that the batches read are gathered once, for all batches together.
-    Returns (Q_B, trace) with Q_B the projection of the final Y onto the
-    tangent complement and trace the Frobenius norms
-    sqrt(||A||^2 + ||W||^2) of Z_0, ..., Z_k0.
+    i * n + j, as partition_complement draws them. Returns (Q_B, trace)
+    with Q_B the projection of the final Y onto the tangent complement and
+    trace the Frobenius norms sqrt(||A||^2 + ||W||^2) of Z_0, ..., Z_k0.
     """
     if not batches:
         raise ValueError("batches must be nonempty")
@@ -254,16 +252,12 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     for flat in batches:
         _check_batch(flat, T.n)
-    ends = np.cumsum([flat.size for flat in batches]).tolist()
-    every = _Entries(np.concatenate(batches).astype(np.intp, copy=False), T)
     A = T.V.T.copy()
     W = np.zeros_like(T.U)
     Y = np.zeros(T.n * T.n)
     trace = [math.sqrt(_tangent_dot(A, W, A, W))]
-    start = 0
-    for stop in ends:
-        E = every.part(start, stop)
-        start = stop
+    for flat in batches:
+        E = _Entries(flat, T)
         G = _tangent_at(A, W, E) / p
         # a batch holds each entry once, so the fancy-index add is exact
         Y[E.flat] += G

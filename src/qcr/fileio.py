@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 MATRIX_INLINE_LIMIT = 500
+# entries per block of _format_rows; every inline matrix is one block
+_FORMAT_BLOCK = 1 << 18
 
 
 class FileFormatError(ValueError):
@@ -117,25 +119,33 @@ def _read_triplets(path: str, lines: list[str], n: int) -> np.ndarray:
 
 def _format_rows(M, sep: str):
     """Yield each row of the 2-d float matrix M as its entries'
-    float.__repr__ joined by sep. float.__repr__ runs once per distinct bit
-    pattern: np.unique over the int64 view, which keeps 0.0 and -0.0 apart.
-    A bitwise symmetric M takes its patterns from the upper triangle and
-    mirrors their places. Only one row's texts are joined at a time."""
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    bits = M.view(np.int64)
-    n = M.shape[0]
-    if M.shape == (n, n) and np.array_equal(bits, bits.T):
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        patterns, which = np.unique(bits[upper], return_inverse=True)
-        places = np.empty((n, n), dtype=np.intp)
-        places[upper] = which
-        places.T[upper] = which
-    else:
-        patterns, places = np.unique(bits, return_inverse=True)
-        places = places.reshape(M.shape)
-    texts = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
-    for row in places:
-        yield sep.join(texts[row].tolist())
+    float.__repr__ joined by sep. The rows go in blocks of at most
+    _FORMAT_BLOCK entries, and float.__repr__ runs once per distinct bit
+    pattern of a block: np.unique over the int64 view, which keeps 0.0 and
+    -0.0 apart. A bitwise symmetric M takes the patterns of the block's
+    square part from its upper triangle and mirrors their places. The texts
+    held at once are bounded by the block, whatever the size of M."""
+    M = np.asarray(M, dtype=np.float64)
+    n_rows, n_cols = M.shape
+    symmetric = n_rows == n_cols and np.array_equal(M.view(np.int64), M.view(np.int64).T)
+    step = max(1, _FORMAT_BLOCK // max(1, n_cols))
+    for a in range(0, n_rows, step):
+        bits = np.ascontiguousarray(M[a : a + step]).view(np.int64)
+        m = bits.shape[0]
+        own = np.ones(bits.shape, dtype=bool)
+        if symmetric:
+            # M[i, j] with a <= j < i < a + m repeats M[j, i], which this block holds too
+            mirrored = np.tril(np.ones((m, m), dtype=bool), -1)
+            own[:, a : a + m] = ~mirrored
+        patterns, which = np.unique(bits[own], return_inverse=True)
+        places = np.empty(bits.shape, dtype=np.intp)
+        places[own] = which
+        if symmetric:
+            square = places[:, a : a + m]
+            square[mirrored] = square.T[mirrored]
+        texts = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
+        for row in places:
+            yield sep.join(texts[row].tolist())
 
 
 def write_matrix_csv(M, path: str) -> None:

@@ -188,29 +188,16 @@ def sv_threshold(M, tau: float, *, warm=None) -> np.ndarray:
     a residual bound and two Cholesky factorizations prove the result within
     sqrt(2) * 1e-13 * ||M||_F of the exact prox. Otherwise the prox is one
     full eigh. warm only picks the path: the output depends on M, tau and
-    warm alone. Below n = 128 a full eigh costs no more than the attempt.
-
-    This is the checked entry point: M and warm must be finite, and the path
-    is picked by testing M for symmetry. The solvers, whose iterates are
-    finite and keep the symmetry of their input, call _sv_prox directly."""
+    warm alone. Below n = 128 a full eigh costs no more than the attempt."""
     M = _as_square(M)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    symmetric = np.array_equal(M, M.T)
-    if symmetric and warm is not None and M.shape[0] >= _WARM_MIN_N:
-        warm = _as_square(warm, "warm")
-        if warm.shape != M.shape:
-            raise ValueError(f"warm shape {warm.shape} does not match M shape {M.shape}")
-    return _sv_prox(M, tau, symmetric, warm)
-
-
-def _sv_prox(M, tau: float, symmetric: bool, warm=None) -> np.ndarray:
-    """sv_threshold of a finite square M, unchecked: the eigen path when
-    symmetric, which the caller asserts only for an exactly symmetric M, and
-    the SVD otherwise."""
-    if symmetric:
+    if np.array_equal(M, M.T):
         R = None
         if warm is not None and M.shape[0] >= _WARM_MIN_N:
+            warm = _as_square(warm, "warm")
+            if warm.shape != M.shape:
+                raise ValueError(f"warm shape {warm.shape} does not match M shape {M.shape}")
             R = _certified_prox(M, tau, warm)
         if R is None:
             w, Q = np.linalg.eigh(M)
@@ -327,16 +314,6 @@ class _Entries:
         k = np.arange(r)
         self.row_bins = (self.rows[:, None] * r + k).ravel()
         self.col_bins = (self.cols[:, None] * r + k).ravel()
-
-    def part(self, start: int, stop: int) -> "_Entries":
-        """The entries start:stop of these, as views of the gathered arrays."""
-        out = object.__new__(_Entries)
-        for name in ("flat", "rows", "cols", "U", "V"):
-            setattr(out, name, getattr(self, name)[start:stop])
-        r = self.U.shape[1]
-        out.row_bins = self.row_bins[start * r : stop * r]
-        out.col_bins = self.col_bins[start * r : stop * r]
-        return out
 
 
 def _tangent_factors_at(vals, E: _Entries, T: TangentSpace):

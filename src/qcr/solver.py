@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_square, _sv_prox, norm, soft_threshold
+from .linalg import _as_square, norm, soft_threshold, sv_threshold
 
 __all__ = [
     "SolverOptions",
@@ -105,15 +105,10 @@ def _alm(M, c_prox, mu, opts: SolverOptions):
     c_prox(V, kappa) is the prox of g/mu at V, called with kappa = lam/mu:
     soft_threshold when g = lam*||C||_1. Returns the last B and C and the
     result's iterations, primal_residual, converged and final_penalty.
-
-    M is finite and square. The shrinkage takes the eigen path when M is
-    exactly symmetric, tested once here: the eigen prox returns an exactly
-    symmetric B and c_prox keeps symmetry, so every prox input is symmetric
-    too. The prox skips sv_threshold's input scans; an iterate that turns
-    non-finite makes the residual non-finite, which raises ValueError."""
+    An iterate that turns non-finite makes the residual non-finite, which
+    raises ValueError, also on the last iteration."""
     lam = opts.resolve_lam(M.shape[0])
     norm_M = max(float(np.linalg.norm(M)), 1e-12)
-    symmetric = np.array_equal(M, M.T)
 
     B = np.zeros_like(M)
     C = np.zeros_like(M)
@@ -123,7 +118,7 @@ def _alm(M, c_prox, mu, opts: SolverOptions):
     residual = float(np.linalg.norm(M)) / norm_M
 
     for _k in range(opts.max_iters):
-        B = _sv_prox(M - C + Y / mu, 1.0 / mu, symmetric, B)
+        B = sv_threshold(M - C + Y / mu, 1.0 / mu, warm=B)
         C = c_prox(M - B + Y / mu, lam / mu)
         R = M - B - C
         Y = Y + mu * R

@@ -225,9 +225,9 @@ def partition_reference(Gamma, cfg):
 
 
 def golfing_loop_reference(T, masks, p):
-    """golfing_QB's loop with each batch's entries gathered on their own from
-    its mask; golfing_QB, which gathers every batch's entries at once, must
-    agree bitwise."""
+    """golfing_QB's loop over SupportSet batches, each batch's entries taken
+    from its mask by np.flatnonzero; golfing_QB on the matching index arrays
+    must agree bitwise."""
     A = T.V.T.copy()
     W = np.zeros_like(T.U)
     Y = np.zeros(T.n * T.n)

@@ -353,6 +353,46 @@ def test_result_sidecar_bytes_match_one_repr_per_entry(tmp_path, monkeypatch):
     assert (tmp_path / "res.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 7, 20])
+@pytest.mark.parametrize("name", list(writer_matrices()) + ["wide", "tall"])
+def test_matrix_csv_bytes_match_one_repr_per_entry_in_small_blocks(tmp_path, monkeypatch, name, block):
+    import qcr.fileio as fileio
+
+    monkeypatch.setattr(fileio, "_FORMAT_BLOCK", block)
+    if name in ("wide", "tall"):
+        M = rng(71).integers(-2, 3, (3, 8)).astype(float)
+        M = M.T if name == "tall" else M
+    else:
+        M = writer_matrices()[name]
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    write_matrix_csv(M, str(got))
+    write_matrix_csv_reference(M, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_matrix_csv_holds_one_block_of_texts(tmp_path, monkeypatch, mirror):
+    # 40,000 distinct values: their texts alone take about 3 MiB, a block of
+    # 400 entries' texts a few tens of KiB
+    import tracemalloc
+
+    import qcr.fileio as fileio
+
+    monkeypatch.setattr(fileio, "_FORMAT_BLOCK", 400)
+    M = rng(72).standard_normal((200, 200))
+    if mirror:
+        M = symmetric(M)
+    tracemalloc.start()
+    try:
+        write_matrix_csv(M, str(tmp_path / "m.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+    write_matrix_csv_reference(M, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @pytest.mark.property
 @given(
     st.integers(1, 6).flatmap(lambda n: st.lists(

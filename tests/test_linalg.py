@@ -168,8 +168,6 @@ def test_soft_threshold_scalar_prox_oracle():
 
 
 def test_sv_threshold_checks_its_inputs():
-    # the solvers call the unchecked kernel; sv_threshold stays the checked
-    # entry point
     M = random_symmetric(rng(5), 130)
     bad = M.copy()
     bad[3, 4] = bad[4, 3] = np.inf

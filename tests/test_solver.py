@@ -141,8 +141,8 @@ def record_prox_calls(monkeypatch, name):
     calls = []
     real = getattr(solver, name)
 
-    def recording(W, tau, *args):
-        out = real(W, tau, *args)
+    def recording(W, tau, **kwargs):
+        out = real(W, tau, **kwargs)
         calls.append((W, tau, out))
         return out
 
@@ -158,7 +158,7 @@ def test_augmented_lagrangian_decreases_within_each_pass(monkeypatch):
     inst = planted(n=40, n_c=30, gamma=0.9, rho=0.1, seed=5)
     M = inst.A
     lam = 1.0 / np.sqrt(M.shape[0])
-    b_calls = record_prox_calls(monkeypatch, "_sv_prox")
+    b_calls = record_prox_calls(monkeypatch, "sv_threshold")
     c_calls = record_prox_calls(monkeypatch, "soft_threshold")
     res = solve_rpca(M)
     assert len(b_calls) == len(c_calls) == res.iterations
@@ -180,8 +180,8 @@ def test_augmented_lagrangian_decreases_within_each_pass(monkeypatch):
 @pytest.mark.parametrize("program", ["rpca", "quasi_clique"])
 @pytest.mark.parametrize("bad_at, max_iters", [(1, 1), (3, 2000)])
 def test_non_finite_iterate_raises(monkeypatch, program, bad_at, max_iters):
-    # the prox skips sv_threshold's finiteness scan, so a C-step output that
-    # turns non-finite must still stop the solve, also on its last iteration
+    # a C-step output that turns non-finite stops the solve, also on its
+    # last iteration, where no later prox would see it
     calls = []
 
     def poison(C):
@@ -270,7 +270,7 @@ def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j, recovered):
     eigen = phase_grid_trial(i, j)
     assert eigen["recovered"] == recovered
     assert eigen == recorded_phase_grid_trial(i, j)
-    monkeypatch.setattr(solver, "_sv_prox", lambda M, tau, *_: svd_threshold_reference(M, tau))
+    monkeypatch.setattr(solver, "sv_threshold", svd_threshold_reference)
     assert phase_grid_trial(i, j) == eigen
 
 
@@ -281,11 +281,11 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
     # from the iteration where B* is rank one, the warm-started prox skips
     # the full eigh; the solve matches one that always takes the eigh
     inst = planted(n=200, n_c=100, seed=0)
-    real = solver._sv_prox
-    monkeypatch.setattr(solver, "_sv_prox", lambda M, tau, symmetric, warm: real(M, tau, symmetric))
+    real = solver.sv_threshold
+    monkeypatch.setattr(solver, "sv_threshold", lambda M, tau, **kwargs: real(M, tau))
     reference = solve(inst.A)
-    monkeypatch.setattr(solver, "_sv_prox", real)
-    calls = count_calls(monkeypatch, "_sv_prox", solver)
+    monkeypatch.setattr(solver, "sv_threshold", real)
+    calls = count_calls(monkeypatch, "sv_threshold", solver)
     certified = []
     real_prox = linalg._certified_prox
 
