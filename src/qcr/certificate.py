@@ -23,8 +23,11 @@ from .linalg import (
     TangentSpace,
     _as_matrix,
     _Entries,
+    _GammaTangentOperator,
     _tangent_at,
+    _tangent_dense,
     _tangent_dot,
+    _tangent_factors,
     _tangent_factors_at,
     norm,
     opnorm_PGammaPT,
@@ -157,9 +160,13 @@ class GolfingConfig:
 class CertificateReport:
     """Certificate verification output.
 
-    conditions holds the five flags of CONDITIONS, in order; overall
-    additionally requires every GATES check. joint_* fields report the same
-    style of measurement on the summed dual.
+    conditions holds the five flags of CONDITIONS, in order, and margins
+    their measured / threshold ratios; overall additionally requires every
+    GATES check. joint_* fields report the same style of measurement on the
+    summed dual. linf2_QB, linf2_QC and linf2_Q are the l_{inf,2} norms
+    (largest row or column Euclidean norm) of Q_B, Q_C and Q_B + Q_C, the
+    norm the abstract states its recovery bound in; they are measured only
+    and enter no check.
     """
 
     Q_B: np.ndarray
@@ -172,11 +179,15 @@ class CertificateReport:
     opnorm_PGPT: float
     lam: float
     conditions: tuple[bool, bool, bool, bool, bool]
+    margins: tuple[float, float, float, float, float]
     overall: bool
     golfing_trace: tuple[float, ...]
     joint_norm_Q: float
     joint_residual: float
     joint_linf_complement: float
+    linf2_QB: float
+    linf2_QC: float
+    linf2_Q: float
     incoherence: IncoherenceReport
     config: GolfingConfig
     regime_threshold: float
@@ -209,18 +220,20 @@ def _incoherence_of(factors: SvdFactors) -> IncoherenceReport:
 def partition_complement(Gamma: SupportSet, cfg: GolfingConfig) -> list[np.ndarray]:
     """Draw k0 index batches, each Bernoulli(q) over the full grid intersected
     with the complement of Gamma. A batch is the sorted flat indices
-    i * n + j of its entries. Each batch draws n * n uniforms from one Philox
-    stream seeded with cfg.seed, in row-major order, into one reused buffer,
-    so the batches are deterministic given cfg.seed."""
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    i * n + j of its entries. Each batch takes n * n raw 64-bit words from
+    one Philox stream seeded with cfg.seed, in row-major order, so the
+    batches are deterministic given cfg.seed. An entry is drawn when its
+    word x has x >> 11 < min(ceil(q * 2^53), 2^53): that is exactly
+    (x >> 11) * 2^-53 < q, the test of Generator.random(...) < q on the same
+    stream, without forming the doubles."""
+    bits = np.random.Philox(cfg.seed)
     on_gamma = Gamma.mask.ravel()
-    q = cfg.q
-    draw = np.empty(Gamma.n * Gamma.n)
-    hit = np.empty(draw.shape, dtype=bool)
+    limit = np.uint64(min(math.ceil(cfg.q * 2.0**53), 2**53))
+    hit = np.empty(on_gamma.shape, dtype=bool)
     batches = []
     for _ in range(cfg.k0):
-        rng.random(out=draw)
-        flat = np.flatnonzero(np.less(draw, q, out=hit))
+        words = bits.random_raw(hit.size)
+        flat = np.flatnonzero(np.less(np.right_shift(words, 11, out=words), limit, out=hit))
         batches.append(flat[~on_gamma[flat]])
     return batches
 
@@ -281,13 +294,17 @@ def neumann_QC(
 
     Q_C = lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0, truncated once a
     term's Frobenius norm falls below tol * ||sign_C0||_F or max_terms terms
-    have been accumulated. Each term is held as its values on Gamma's
-    entries; the next term projects them to tangent factors and reads those
-    back on Gamma, O(|Gamma| r + n r^2), and the sum is projected onto the
-    tangent complement once. Raises NeumannDivergenceError when the composed
-    operator norm makes the series divergent. opnorm is that norm,
-    ||P_Gamma P_T||, when the caller has already computed it with
-    opnorm_PGammaPT(Gamma, T); left None, it is computed here.
+    have been accumulated. The series runs in tangent coordinates: with
+    term_0 = sign_C0, s_0 = P_T term_0 and K = P_T P_Gamma P_T, the later
+    terms are term_{k+1} = P_Gamma s_k with s_{k+1} = K s_k, so
+    ||term_{k+1}||^2 = <s_k, K s_k>. Each s_k is held as its tangent factors
+    and K is applied by _GammaTangentOperator, built once here (see
+    opnorm_PGammaPT); the sum term_0 + P_Gamma(sum_k s_k) is read on Gamma
+    and projected onto the tangent complement once, at the end. Raises
+    NeumannDivergenceError when the composed operator norm makes the series
+    divergent. opnorm is that norm, ||P_Gamma P_T||, when the caller has
+    already computed it with opnorm_PGammaPT(Gamma, T); left None, it is
+    computed here.
     """
     sign_C0 = _as_matrix(sign_C0, "sign_C0")
     if sign_C0.shape != (Gamma.n, Gamma.n):
@@ -311,24 +328,26 @@ def neumann_QC(
             "the series does not converge"
         )
 
-    E = _Entries(np.flatnonzero(Gamma.mask), T)
-    term = sign_C0[E.rows, E.cols]
-    acc = term.copy()
+    step = _GammaTangentOperator(Gamma, T)
+    A, W = _tangent_factors(sign_C0, T)
+    sum_A, sum_W = np.zeros_like(A), np.zeros_like(W)
     for _ in range(1, max_terms):
-        term = _tangent_at(*_tangent_factors_at(term, E, T), E)
-        acc += term
-        if float(np.linalg.norm(term)) <= tol * base:
+        KA, KW = step(A, W)
+        last = math.sqrt(max(_tangent_dot(A, W, KA, KW), 0.0))
+        sum_A += A
+        sum_W += W
+        if last <= tol * base:
             break
+        A, W = KA, KW
     else:
-        if max_terms > 1 and float(np.linalg.norm(term)) > tol * base:
+        if max_terms > 1:
             warnings.warn(
                 f"Neumann series truncated at max_terms={max_terms} with last term "
-                f"{float(np.linalg.norm(term)):.2e} above tolerance",
+                f"{last:.2e} above tolerance",
                 RuntimeWarning,
             )
-    dense = np.zeros(Gamma.n * Gamma.n)
-    dense[E.flat] = acc
-    return lam * project_T_perp(dense.reshape(Gamma.n, Gamma.n), T)
+    acc = sign_C0 + np.where(Gamma.mask, _tangent_dense(sum_A, sum_W, T), 0.0)
+    return lam * project_T_perp(acc, T)
 
 
 def verify_certificate(
@@ -381,6 +400,7 @@ def verify_certificate(
         "lam": lam,
     }
     conditions = tuple(c.holds(measured[c.measured], lam) for c in CONDITIONS)
+    margins = tuple(measured[c.measured] / c.threshold(lam) for c in CONDITIONS)
     overall = all(conditions) and all(g.holds(measured[g.measured], lam) for g in GATES)
 
     Q = Q_B + Q_C
@@ -396,11 +416,15 @@ def verify_certificate(
         Q_C=Q_C,
         **measured,
         conditions=conditions,
+        margins=margins,
         overall=overall,
         golfing_trace=tuple(trace),
         joint_norm_Q=joint_norm_Q,
         joint_residual=joint_residual,
         joint_linf_complement=joint_linf_complement,
+        linf2_QB=norm(Q_B, "linf2"),
+        linf2_QC=norm(Q_C, "linf2"),
+        linf2_Q=norm(Q, "linf2"),
         incoherence=inc,
         config=cfg,
         regime_threshold=regime_threshold,

@@ -267,10 +267,14 @@ def write_report(report: CertificateReport, path: str, include_matrices: bool = 
         "linf_complement_C": report.linf_complement_C,
         "opnorm_PGPT": report.opnorm_PGPT,
         "conditions": list(report.conditions),
+        "margins": list(report.margins),
         "overall": report.overall,
         "joint_norm_Q": report.joint_norm_Q,
         "joint_residual": report.joint_residual,
         "joint_linf_complement": report.joint_linf_complement,
+        "linf2_QB": report.linf2_QB,
+        "linf2_QC": report.linf2_QC,
+        "linf2_Q": report.linf2_Q,
         "golfing_trace": list(report.golfing_trace),
         "incoherence": {
             "mu_row": report.incoherence.mu_row,

@@ -337,6 +337,83 @@ def _tangent_dot(A1, W1, A2, W2) -> float:
     return float(np.vdot(A1, A2) + np.vdot(W1, W2))
 
 
+def _tangent_dense(A, W, T: TangentSpace) -> np.ndarray:
+    """U @ A + W @ V.T as one GEMM [U W] @ [A; V.T] of inner dimension 2r."""
+    return np.hstack((T.U, W)) @ np.vstack((A, T.V.T))
+
+
+# P_T P_Gamma P_T is folded into an (n r) x (n r) matrix when r is at most
+# _FOLD_RANK_MAX, that matrix has at most _FOLD_MAX_ENTRIES entries (32 MB)
+# and a folded step is estimated to be no slower than a step on Gamma's
+# entries. The estimates were fitted at n = 100 to 800 and r = 1, 2 on a
+# 2-core x86-64 host (2 MB of L2 cache per core) with OpenBLAS:
+# - a folded step costs _FOLD_FIXED_NS r^2 plus _FOLD_NS per entry of the
+#   folded matrix, or _FOLD_SPILL_NS once it has more than
+#   _FOLD_CACHE_ENTRIES (2 MB);
+# - a step on the entries costs _ENTRY_FIXED_NS plus _ENTRY_NS r^2 per
+#   entry of Gamma.
+# So at r = 1 the fold is taken from a density of Gamma of 0.3% at n = 100,
+# 2.4% at n = 400 and 4.4% at n = 800, and at r = 2 from 2.8% at n = 100
+# and 4.5% at n = 400.
+_FOLD_RANK_MAX = 2
+_FOLD_MAX_ENTRIES = 2**22
+_FOLD_CACHE_ENTRIES = 2**18
+_FOLD_FIXED_NS = 2000.0
+_FOLD_NS = 0.45
+_FOLD_SPILL_NS = 0.8
+_ENTRY_FIXED_NS = 6000.0
+_ENTRY_NS = 18.0
+
+
+def _folds(n: int, r: int, size: int) -> bool:
+    """Whether P_T P_Gamma P_T on a Gamma of size entries is folded."""
+    entries = (n * r) ** 2
+    per_entry = _FOLD_NS if entries <= _FOLD_CACHE_ENTRIES else _FOLD_SPILL_NS
+    fold_ns = _FOLD_FIXED_NS * r * r + per_entry * entries
+    return (
+        r <= _FOLD_RANK_MAX
+        and entries <= _FOLD_MAX_ENTRIES
+        and fold_ns <= _ENTRY_FIXED_NS + _ENTRY_NS * r * r * size
+    )
+
+
+class _GammaTangentOperator:
+    """P_T P_Gamma P_T restricted to T, as a map from tangent factors (A, W)
+    to the factors of P_T P_Gamma (U @ A + W @ V.T). opnorm_PGammaPT and
+    neumann_QC each build one and apply it at every step.
+
+    Folded, U and V enter Gamma's 0/1 mask G once: with U_i, V_j the rows
+    of U and V, N[(k, j), (i, l)] = G_ij U_ik V_jl, S_j = sum_i G_ij U_i.T U_i
+    and R_i = sum_j G_ij V_j.T V_j. A step is then two GEMVs on N,
+    A'[:, j] = S_j A[:, j] + (N vec(W))_j and ZV_i = (N.T vec(A))_i + W_i R_i,
+    followed by W' = ZV - U (A' V): O((n r)^2). Otherwise a step reads the
+    factors on Gamma's entries and projects those values back, O(|Gamma| r +
+    n r^2), with a gather and a scatter each time; _folds picks the cheaper."""
+
+    def __init__(self, S: SupportSet, T: TangentSpace):
+        n, r = T.n, T.r
+        self.T = T
+        if not _folds(n, r, len(S)):
+            self.N = None
+            self.E = _Entries(np.flatnonzero(S.mask), T)
+            return
+        U, V = T.U, T.V
+        N = U.T[:, None, :, None] * V[None, :, None, :]
+        N *= S.mask.T[None, :, :, None]
+        self.N = N.reshape(r * n, n * r)
+        G = S.mask.astype(float)
+        self.S = ((U[:, :, None] * U[:, None, :]).reshape(n, r * r).T @ G).reshape(r, r, n)
+        self.R = (G @ (V[:, :, None] * V[:, None, :]).reshape(n, r * r)).reshape(n, r, r)
+
+    def __call__(self, A, W):
+        if self.N is None:
+            return _tangent_factors_at(_tangent_at(A, W, self.E), self.E, self.T)
+        r, n = A.shape
+        A2 = (self.S * A).sum(axis=1) + (self.N @ W.ravel()).reshape(r, n)
+        ZV = (self.N.T @ A.ravel()).reshape(n, r) + (W[:, :, None] * self.R).sum(axis=1)
+        return A2, ZV - self.T.U @ (A2 @ self.T.V)
+
+
 def project_T(Z, T: TangentSpace) -> np.ndarray:
     """Orthogonal projection U@U.T@Z + Z@V@V.T - U@U.T@Z@V@V.T onto T.
 
@@ -347,8 +424,7 @@ def project_T(Z, T: TangentSpace) -> np.ndarray:
     Z = _as_matrix(Z, "Z")
     if Z.shape != (T.n, T.n):
         raise ValueError(f"Z shape {Z.shape} does not match tangent space n={T.n}")
-    A, W = _tangent_factors(Z, T)
-    return np.hstack((T.U, W)) @ np.vstack((A, T.V.T))
+    return _tangent_dense(*_tangent_factors(Z, T), T)
 
 
 def project_T_perp(Z, T: TangentSpace) -> np.ndarray:
@@ -372,11 +448,12 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     Computed as sqrt of the top eigenvalue of the symmetric composition
     P_T P_Gamma P_T by power iteration with a deterministic random start.
     The start is projected into T once; the iterates then stay inside T and
-    are held as their factors (A, W), X = U@A + W@V.T. Each step
-    X <- P_T P_Gamma X reads X on Gamma's entries and projects those values
-    back to factors, O(|Gamma| r + n r^2) instead of a dense n x n
-    projection. On hitting the iteration cap a warning is issued and the
-    best estimate returned.
+    are held as their factors (A, W), X = U@A + W@V.T. Each step applies
+    _GammaTangentOperator, built once here: two matrix-vector products with
+    U and V folded into Gamma's mask, O((n r)^2), or, where that is the
+    slower, a read of X on Gamma's entries projected back to factors,
+    O(|Gamma| r + n r^2). On hitting the iteration cap a warning is issued
+    and the best estimate returned.
 
     The result is a lower estimate of the norm. Each step's eigenvalue
     estimate is the Rayleigh quotient <X, P_T P_Gamma P_T X> of a unit X,
@@ -397,11 +474,11 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     X = rng.standard_normal((S.n, S.n))
     X /= np.linalg.norm(X)
     A, W = _tangent_factors(X, T)
-    E = _Entries(np.flatnonzero(S.mask), T)
+    step = _GammaTangentOperator(S, T)
     lam_prev = np.inf
     lam = 0.0
     for _ in range(_POWER_ITER_CAP):
-        FA, FW = _tangent_factors_at(_tangent_at(A, W, E), E, T)
+        FA, FW = step(A, W)
         lam = max(_tangent_dot(A, W, FA, FW), 0.0)
         nrm = np.sqrt(_tangent_dot(FA, FW, FA, FW))
         if nrm == 0.0:

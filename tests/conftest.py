@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import qcr.linalg as linalg_mod
 from qcr.fileio import FileFormatError
 from qcr.instances import InstanceParams, PlantedInstance
 from qcr.linalg import (
@@ -274,16 +275,19 @@ def opnorm_reference(S, T, tol=1e-6):
 def neumann_reference(Gamma, T, sign_C0, lam, tol=1e-10, max_terms=200):
     """Neumann series lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0 on dense
     n x n terms with the three-term projection, truncated by the rule of
-    neumann_QC: stop after the first term with norm <= tol * ||sign_C0||."""
+    neumann_QC: stop after the first term with norm <= tol * ||sign_C0||.
+    Returns (Q_C, the number of terms summed)."""
     base = float(np.linalg.norm(sign_C0))
     term = sign_C0
     acc = sign_C0.copy()
+    terms = 1
     for _ in range(1, max_terms):
         term = np.where(Gamma.mask, project_T_reference(term, T), 0.0)
         acc = acc + term
+        terms += 1
         if float(np.linalg.norm(term)) <= tol * base:
             break
-    return lam * (acc - project_T_reference(acc, T))
+    return lam * (acc - project_T_reference(acc, T)), terms
 
 
 def write_json_reference(doc, path):
@@ -326,6 +330,12 @@ def write_matrix_csv_reference(M, path):
     with open(path, "w") as fh:
         for row in M:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def force_fold(monkeypatch, fold: bool) -> None:
+    """Put every support/tangent operator on the folded path or on the
+    entry path, whatever linalg._folds would pick."""
+    monkeypatch.setattr(linalg_mod, "_folds", lambda n, r, size: fold)
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -2,6 +2,7 @@
 Neumann series against a dense oracle, end-to-end verification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qcr.certificate as certificate
+import qcr.linalg as linalg_mod
 from qcr.certificate import (
     DEFAULT_RANK_TOL,
     GolfingConfig,
@@ -33,6 +35,7 @@ from qcr.linalg import (
 
 from conftest import (
     count_calls,
+    force_fold,
     gen_bernoulli_support,
     gen_low_rank,
     golfing_loop_reference,
@@ -210,6 +213,47 @@ def test_partition_matches_mask_reference(n, rho, k0, p, seed):
         assert np.array_equal(b, expected)
 
 
+@pytest.mark.parametrize("k0, p", [(6, 1.0), (6, 0.0), (1, 0.5)])
+def test_partition_matches_mask_reference_at_exact_q(k0, p):
+    # q = 0, 1 and 0.5: the word limit is 0, 2^53 (every word) and 2^52
+    cfg = GolfingConfig(k0=k0, p=p, seed=17)
+    assert cfg.q in (0.0, 0.5, 1.0)
+    G = gen_bernoulli_support(30, 0.2, seed=18)
+    got = partition_complement(G, cfg)
+    ref = partition_reference(G, cfg)
+    for b, S in zip(got, ref, strict=True):
+        assert np.array_equal(b, np.flatnonzero(S.mask))
+
+
+@pytest.mark.parametrize("p, kept", [(0.5, [0, 1, 6, 7, 8]), (0.0, list(range(9))), (1.0, [])])
+def test_partition_word_test_is_that_of_random(monkeypatch, p, kept):
+    # Generator.random turns a Philox word x into (x >> 11) * 2^-53 ...
+    words = np.random.Philox(23).random_raw(1000)
+    doubles = np.random.Generator(np.random.Philox(23)).random(1000)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
+    # ... so at q = 0.5 the word with x >> 11 = 2^52 draws 0.5, which is not
+    # below q: it and every word above it are left out; q = 1 keeps even
+    # the largest word and q = 0 none
+    half = 2**52 << 11
+    words = np.array(
+        [0, half - 1, half, half + 2047, half + 2048, 2**64 - 1, half - 2048, 1 << 11, 2**63 - 1],
+        dtype=np.uint64,
+    )
+
+    class Stream:
+        def __init__(self, seed):
+            pass
+
+        def random_raw(self, size):
+            assert size == words.size
+            return words.copy()
+
+    monkeypatch.setattr(np.random, "Philox", Stream)
+    G = SupportSet(3, np.zeros((3, 3), dtype=bool))
+    (batch,) = partition_complement(G, GolfingConfig(k0=1, p=p, seed=0))
+    assert batch.tolist() == kept
+
+
 def test_partition_uncovered_fraction_matches_binomial_model():
     # each complement cell is missed by all k0 batches with probability
     # (1 - q)^k0 = p, so the uncovered fraction concentrates near p
@@ -297,8 +341,6 @@ def test_golfing_matches_two_projection_reference(q, p):
 def test_golfing_projects_once_per_batch(monkeypatch):
     # each batch projects its entries to tangent factors once; the only dense
     # n x n projection is the final one onto the tangent complement
-    import qcr.linalg as linalg_mod
-
     T = block_tangent(20, 12)
     g = rng(78)
     for k in (1, 7, 30):
@@ -312,8 +354,8 @@ def test_golfing_projects_once_per_batch(monkeypatch):
 
 @pytest.mark.parametrize("r", [0, 1, 3, 6])
 def test_golfing_matches_per_batch_loop_bitwise(r):
-    # the entries of all batches are gathered at once and sliced per batch;
-    # the arithmetic per batch is that of gathering each batch on its own
+    # each batch gathers its own entries from its index array; the result is
+    # that of the same loop over each batch's mask
     n = 25
     T = random_tangent(n, r, 60 + r)
     G = gen_bernoulli_support(n, 0.2, seed=61 + r)
@@ -468,6 +510,40 @@ def test_neumann_warns_when_truncated_early():
         neumann_QC(inst.noise_support, T, sgn, 0.1, tol=1e-14, max_terms=3)
 
 
+@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("r, density, max_terms", [(1, 0.1, 200), (2, 0.05, 200), (1, 0.3, 4)])
+def test_neumann_matches_reference_on_both_paths(monkeypatch, fold, r, density, max_terms):
+    # the same sum, the same number of terms (one operator application
+    # each after the first), and the warning exactly when the reference
+    # stops at max_terms above tolerance
+    force_fold(monkeypatch, fold)
+    n = 24
+    T = random_tangent(n, r, 110 + r)
+    G = SupportSet(n, rng(111 + r).random((n, n)) < density)
+    assert not np.array_equal(G.mask, G.mask.T)
+    sgn = np.where(G.mask, rng(112 + r).choice([-1.0, 1.0], size=(n, n)), 0.0)
+    ref, terms = neumann_reference(G, T, sgn, 0.3, max_terms=max_terms)
+    opn = opnorm_PGammaPT(G, T)
+    applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = neumann_QC(G, T, sgn, lam=0.3, max_terms=max_terms, opnorm=opn)
+    assert rel_close(got, ref)
+    assert len(applied) == terms - 1
+    assert (terms == max_terms) == (max_terms == 4)
+    assert len(caught) == (max_terms == 4)
+    assert all("truncated at max_terms=4 " in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("fold", [True, False])
+def test_neumann_divergence_raises_on_both_paths(monkeypatch, fold):
+    force_fold(monkeypatch, fold)
+    T = random_tangent(6, 6, 9)
+    G = gen_bernoulli_support(6, 0.5, seed=10)
+    with pytest.raises(NeumannDivergenceError):
+        neumann_QC(G, T, project_support(np.ones((6, 6)), G), lam=0.3)
+
+
 # ---------------------------------------------------------------- factored kernels vs dense references
 
 
@@ -508,7 +584,7 @@ def test_neumann_factored_matches_dense_reference(r, density):
     sgn = np.where(G.mask, rng(99 + r).choice([-1.0, 1.0], size=(n, n)), 0.0)
     assert opnorm_PGammaPT(G, T) < 0.9
     got = neumann_QC(G, T, sgn, lam=0.3)
-    ref = neumann_reference(G, T, sgn, 0.3) if len(G) else np.zeros((n, n))
+    ref = neumann_reference(G, T, sgn, 0.3)[0] if len(G) else np.zeros((n, n))
     assert rel_close(got, ref)
 
 
@@ -527,10 +603,30 @@ def test_verify_report_self_consistent():
         rep.linf_complement_C < 1 / 4,
     )
     assert rep.overall == (all(rep.conditions) and rep.opnorm_PGPT <= 0.5 and lam < 1)
+    assert rep.margins == (
+        rep.norm_QB * 8,
+        rep.residual_golfing / (lam / 8),
+        rep.linf_complement_B / (lam / 4),
+        rep.norm_QC * 8,
+        rep.linf_complement_C * 4,
+    )
+    assert tuple(m < 1 for m in rep.margins) == rep.conditions
     assert abs(lam - 1 / math.sqrt(60)) < 1e-15
     assert len(rep.golfing_trace) == rep.config.k0 + 1
     assert rep.incoherence.r >= 1
     assert rep.regime_ok == (rep.config.p >= rep.regime_threshold)
+
+
+def test_verify_linf2_norms_of_both_halves_and_their_sum():
+    # an instance whose sum has a larger l_{inf,2} norm than either half
+    inst = gen_planted(InstanceParams(n=30, n_c=24, gamma=0.85, rho=0.01, seed=3))
+    rep = verify_certificate(inst)
+    Q = rep.Q_B + rep.Q_C
+    assert (rep.linf2_QB, rep.linf2_QC, rep.linf2_Q) == (
+        norm(rep.Q_B, "linf2"), norm(rep.Q_C, "linf2"), norm(Q, "linf2")
+    )
+    assert rep.linf2_Q > max(rep.linf2_QB, rep.linf2_QC)
+    assert rep.linf2_Q == max(np.linalg.norm(Q, axis=0).max(), np.linalg.norm(Q, axis=1).max())
 
 
 def test_verify_duals_in_tangent_complement():

@@ -449,6 +449,9 @@ def test_report_json_fields(tmp_path):
     doc = json.loads(open(path).read())
     assert doc["lambda"] == rep.lam
     assert doc["conditions"] == list(rep.conditions)
+    assert doc["margins"] == list(rep.margins)
+    assert len(doc["margins"]) == len(doc["conditions"])
+    assert [doc[k] for k in ("linf2_QB", "linf2_QC", "linf2_Q")] == [rep.linf2_QB, rep.linf2_QC, rep.linf2_Q]
     assert doc["overall"] == rep.overall
     assert doc["norm_QB"] == rep.norm_QB
     assert doc["opnorm_PGPT"] == rep.opnorm_PGPT

@@ -28,6 +28,7 @@ from qcr.linalg import (
 from conftest import (
     count_calls,
     dense_opnorm,
+    force_fold,
     opnorm_reference,
     project_T_reference,
     rng,
@@ -452,18 +453,86 @@ def test_opnorm_in_unit_interval(seed, n, r):
 
 @pytest.mark.parametrize("n, r, density", [(12, 2, 0.3), (30, 1, 0.1), (20, 3, 0.6)])
 def test_opnorm_matches_reference_with_one_projection_per_step(monkeypatch, n, r, density):
-    # each step projects Gamma's entries to tangent factors once; the 1e-12
-    # match pins the step count to the reference's, and the start is the
-    # only n x n matrix ever projected
+    # each step applies the support/tangent operator once; the 1e-12 match
+    # pins the step count to the reference's, and no n x n matrix is
+    # projected (the start goes to tangent factors directly)
     T = random_tangent(n, r, n + r)
     S = SupportSet(n, rng(n * r).random((n, n)) < density)
     expected, steps = opnorm_reference(S, T)
     dense = count_calls(monkeypatch, "project_T", linalg_mod)
-    sparse = count_calls(monkeypatch, "_tangent_factors_at", linalg_mod)
+    applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
     val = opnorm_PGammaPT(S, T)
     assert abs(val - expected) <= 1e-12 * expected
-    assert len(dense) <= 1
-    assert len(sparse) == steps
+    assert len(dense) == 0
+    assert len(applied) == steps
+
+
+def support_masks(n: int, seed: int):
+    """An empty, a full, and a random nonsymmetric mask."""
+    random = rng(seed).random((n, n)) < 0.3
+    assert not np.array_equal(random, random.T)
+    return [np.zeros((n, n), dtype=bool), np.ones((n, n), dtype=bool), random]
+
+
+@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_operator_step_matches_dense_projections(monkeypatch, fold, r):
+    # one step maps the factors of X in T to those of P_T(P_Gamma(P_T X))
+    force_fold(monkeypatch, fold)
+    n = 9
+    T = random_tangent(n, r, 40 + r)
+    assert r == 0 or np.abs(T.U - T.V).max() > 0.1
+    X = rng(41 + r).standard_normal((n, n))
+    A, W = linalg_mod._tangent_factors(X, T)
+    for mask in support_masks(n, 42 + r):
+        S = SupportSet(n, mask)
+        step = linalg_mod._GammaTangentOperator(S, T)
+        assert (step.N is not None) == fold
+        FA, FW = step(A, W)
+        assert FA.shape == (r, n) and FW.shape == (n, r)
+        got = linalg_mod._tangent_dense(FA, FW, T)
+        ref = project_T_reference(np.where(mask, project_T_reference(X, T), 0.0), T)
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("n, r, density", [(12, 2, 0.3), (30, 1, 0.02), (25, 1, 0.6)])
+def test_opnorm_matches_reference_on_both_paths(monkeypatch, fold, n, r, density):
+    force_fold(monkeypatch, fold)
+    T = random_tangent(n, r, 3 * n + r)
+    S = SupportSet(n, rng(5 * n + r).random((n, n)) < density)
+    expected, steps = opnorm_reference(S, T)
+    applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
+    val = opnorm_PGammaPT(S, T)
+    assert abs(val - expected) <= 1e-12 * expected
+    assert len(applied) == steps
+
+
+@pytest.mark.parametrize("n, r, size, fold", [
+    # the least Gamma that folds, and one entry fewer
+    (100, 1, 28, True),
+    (100, 1, 27, False),
+    (100, 2, 278, True),
+    (100, 2, 277, False),
+    (400, 1, 3_778, True),
+    (400, 1, 3_777, False),
+    # past _FOLD_CACHE_ENTRIES (n r = 512) a folded step costs more per entry
+    (512, 1, 6_332, True),
+    (512, 1, 6_331, False),
+    (513, 1, 11_475, True),
+    (513, 1, 11_474, False),
+    (400, 2, 7_139, True),
+    (400, 2, 7_138, False),
+    (800, 1, 28_223, True),
+    (800, 1, 28_222, False),
+    # a rank above _FOLD_RANK_MAX, and a folded matrix of more than
+    # _FOLD_MAX_ENTRIES entries
+    (100, 3, 10_000, False),
+    (2_049, 1, 2_049**2, False),
+    (1_024, 2, 1_024**2, True),
+])
+def test_fold_rule(n, r, size, fold):
+    assert linalg_mod._folds(n, r, size) == fold
 
 
 def test_opnorm_warns_at_iteration_cap(monkeypatch):
