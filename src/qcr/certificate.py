@@ -82,6 +82,9 @@ class Check:
 
 
 # The five sufficient conditions, in the order of CertificateReport.conditions.
+# On a planted instance (ii) measures exactly 0.0: Gamma lies outside the
+# planted block, and U V^T and Q_B both vanish there, since golfing's residual
+# starts as U V^T and every batch reads, and so adds, zeros off the block.
 CONDITIONS = (
     Check("spectral norm of golfing half", "norm_QB", "<", 1 / 8),
     Check("on-support residual of golfing half", "residual_golfing", "<", 1 / 8, lam_scaled=True),

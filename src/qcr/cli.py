@@ -196,11 +196,15 @@ def cmd_certify(args) -> int:
     write_report(report, args.out, include_matrices=args.include_matrices)
 
     lam = report.lam
-    rows = [(c, ok, f"{c.threshold(lam):.6f}") for c, ok in zip(CONDITIONS, report.conditions)]
+    # each condition's line ends in its margin, measured / threshold
+    rows = [
+        (c, ok, f"{c.threshold(lam):.6f} (margin {m:.6f})")
+        for c, ok, m in zip(CONDITIONS, report.conditions, report.margins)
+    ]
     rows += [(g, g.holds(getattr(report, g.measured), lam), f"{g.threshold(lam):g}") for g in GATES]
-    for check, ok, threshold in rows:
+    for check, ok, bound in rows:
         measured = getattr(report, check.measured)
-        print(f"[{'PASS' if ok else 'FAIL'}] {check.label}: {measured:.6f} {check.relation} {threshold}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {check.label}: {measured:.6f} {check.relation} {bound}")
     print(f"overall: {report.overall} -> {args.out}")
     return EXIT_OK if report.overall else EXIT_CERT_FAILED
 

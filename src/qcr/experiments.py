@@ -189,7 +189,8 @@ def _write_text(path: str, text: str) -> None:
 def export_grid(grid: RecoveryGrid, path_prefix: str) -> None:
     """Write <prefix>.csv (header row/column = axis values, cells = success
     rates), <prefix>.pgm (8-bit grayscale, 255 = rate 1.0, axis1 on rows), and
-    <prefix>_manifest.json (grid spec, code version, per-cell timings)."""
+    <prefix>_manifest.json (grid spec, code version, per-cell timings and
+    mean relative errors)."""
     from . import __version__
 
     spec = grid.spec
@@ -220,5 +221,9 @@ def export_grid(grid: RecoveryGrid, path_prefix: str) -> None:
         "version": __version__,
         "complete": grid.complete,
         "timings": [[float(t) for t in row] for row in grid.wall_times],
+        # a cell with an errored trial (rel = inf) has no finite mean: null
+        "mean_rel_error": [
+            [float(e) if np.isfinite(e) else None for e in row] for row in grid.mean_rel_error
+        ],
     }
     _write_text(path_prefix + "_manifest.json", json.dumps(manifest, indent=2) + "\n")

@@ -122,29 +122,15 @@ def _format_rows(M, sep: str):
     float.__repr__ joined by sep. The rows go in blocks of at most
     _FORMAT_BLOCK entries, and float.__repr__ runs once per distinct bit
     pattern of a block: np.unique over the int64 view, which keeps 0.0 and
-    -0.0 apart. A bitwise symmetric M takes the patterns of the block's
-    square part from its upper triangle and mirrors their places. The texts
-    held at once are bounded by the block, whatever the size of M."""
+    -0.0 apart. The texts held at once are bounded by the block, whatever
+    the size of M."""
     M = np.asarray(M, dtype=np.float64)
-    n_rows, n_cols = M.shape
-    symmetric = n_rows == n_cols and np.array_equal(M.view(np.int64), M.view(np.int64).T)
-    step = max(1, _FORMAT_BLOCK // max(1, n_cols))
-    for a in range(0, n_rows, step):
+    step = max(1, _FORMAT_BLOCK // max(1, M.shape[1]))
+    for a in range(0, M.shape[0], step):
         bits = np.ascontiguousarray(M[a : a + step]).view(np.int64)
-        m = bits.shape[0]
-        own = np.ones(bits.shape, dtype=bool)
-        if symmetric:
-            # M[i, j] with a <= j < i < a + m repeats M[j, i], which this block holds too
-            mirrored = np.tril(np.ones((m, m), dtype=bool), -1)
-            own[:, a : a + m] = ~mirrored
-        patterns, which = np.unique(bits[own], return_inverse=True)
-        places = np.empty(bits.shape, dtype=np.intp)
-        places[own] = which
-        if symmetric:
-            square = places[:, a : a + m]
-            square[mirrored] = square.T[mirrored]
+        patterns, places = np.unique(bits, return_inverse=True)
         texts = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
-        for row in places:
+        for row in places.reshape(bits.shape):
             yield sep.join(texts[row].tolist())
 
 

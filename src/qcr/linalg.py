@@ -342,39 +342,14 @@ def _tangent_dense(A, W, T: TangentSpace) -> np.ndarray:
     return np.hstack((T.U, W)) @ np.vstack((A, T.V.T))
 
 
-# P_T P_Gamma P_T is folded into an (n r) x (n r) matrix when r is at most
-# _FOLD_RANK_MAX, that matrix has at most _FOLD_MAX_ENTRIES entries (32 MB)
-# and a folded step is estimated to be no slower than a step on Gamma's
-# entries. The estimates were fitted at n = 100 to 800 and r = 1, 2 on a
-# 2-core x86-64 host (2 MB of L2 cache per core) with OpenBLAS:
-# - a folded step costs _FOLD_FIXED_NS r^2 plus _FOLD_NS per entry of the
-#   folded matrix, or _FOLD_SPILL_NS once it has more than
-#   _FOLD_CACHE_ENTRIES (2 MB);
-# - a step on the entries costs _ENTRY_FIXED_NS plus _ENTRY_NS r^2 per
-#   entry of Gamma.
-# So at r = 1 the fold is taken from a density of Gamma of 0.3% at n = 100,
-# 2.4% at n = 400 and 4.4% at n = 800, and at r = 2 from 2.8% at n = 100
-# and 4.5% at n = 400.
-_FOLD_RANK_MAX = 2
+# entries of the largest folded (n r) x (n r) matrix: 32 MB
 _FOLD_MAX_ENTRIES = 2**22
-_FOLD_CACHE_ENTRIES = 2**18
-_FOLD_FIXED_NS = 2000.0
-_FOLD_NS = 0.45
-_FOLD_SPILL_NS = 0.8
-_ENTRY_FIXED_NS = 6000.0
-_ENTRY_NS = 18.0
 
 
-def _folds(n: int, r: int, size: int) -> bool:
-    """Whether P_T P_Gamma P_T on a Gamma of size entries is folded."""
-    entries = (n * r) ** 2
-    per_entry = _FOLD_NS if entries <= _FOLD_CACHE_ENTRIES else _FOLD_SPILL_NS
-    fold_ns = _FOLD_FIXED_NS * r * r + per_entry * entries
-    return (
-        r <= _FOLD_RANK_MAX
-        and entries <= _FOLD_MAX_ENTRIES
-        and fold_ns <= _ENTRY_FIXED_NS + _ENTRY_NS * r * r * size
-    )
+def _folds(n: int, r: int) -> bool:
+    """Whether P_T P_Gamma P_T on an n x n grid and a rank-r T is folded: by
+    shape alone, whatever the size of Gamma."""
+    return (n * r) ** 2 <= _FOLD_MAX_ENTRIES
 
 
 class _GammaTangentOperator:
@@ -386,14 +361,15 @@ class _GammaTangentOperator:
     of U and V, N[(k, j), (i, l)] = G_ij U_ik V_jl, S_j = sum_i G_ij U_i.T U_i
     and R_i = sum_j G_ij V_j.T V_j. A step is then two GEMVs on N,
     A'[:, j] = S_j A[:, j] + (N vec(W))_j and ZV_i = (N.T vec(A))_i + W_i R_i,
-    followed by W' = ZV - U (A' V): O((n r)^2). Otherwise a step reads the
-    factors on Gamma's entries and projects those values back, O(|Gamma| r +
-    n r^2), with a gather and a scatter each time; _folds picks the cheaper."""
+    followed by W' = ZV - U (A' V): O((n r)^2). Past _folds' cap on the size
+    of N, a step instead reads the factors on Gamma's entries and projects
+    those values back, O(|Gamma| r + n r^2), with a gather and a scatter each
+    time."""
 
     def __init__(self, S: SupportSet, T: TangentSpace):
         n, r = T.n, T.r
         self.T = T
-        if not _folds(n, r, len(S)):
+        if not _folds(n, r):
             self.N = None
             self.E = _Entries(np.flatnonzero(S.mask), T)
             return
@@ -450,8 +426,8 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     The start is projected into T once; the iterates then stay inside T and
     are held as their factors (A, W), X = U@A + W@V.T. Each step applies
     _GammaTangentOperator, built once here: two matrix-vector products with
-    U and V folded into Gamma's mask, O((n r)^2), or, where that is the
-    slower, a read of X on Gamma's entries projected back to factors,
+    U and V folded into Gamma's mask, O((n r)^2), or, past the fold's size
+    cap, a read of X on Gamma's entries projected back to factors,
     O(|Gamma| r + n r^2). On hitting the iteration cap a warning is issued
     and the best estimate returned.
 

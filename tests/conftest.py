@@ -335,7 +335,7 @@ def write_matrix_csv_reference(M, path):
 def force_fold(monkeypatch, fold: bool) -> None:
     """Put every support/tangent operator on the folded path or on the
     entry path, whatever linalg._folds would pick."""
-    monkeypatch.setattr(linalg_mod, "_folds", lambda n, r, size: fold)
+    monkeypatch.setattr(linalg_mod, "_folds", lambda n, r: fold)
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -1,6 +1,7 @@
 """Command-line tests, run in-process through main(argv)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,15 @@ def test_certify_exit_matches_overall(tmp_chdir, capsys):
     assert rc == (0 if doc["overall"] else 1)
     assert out.count("PASS") + out.count("FAIL") == 7
     assert f"overall: {doc['overall']}" in out
+
+
+def test_certify_prints_condition_margins(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    _, out, _ = run(capsys, "certify", "--input", "inst.txt", "--out", "rep.json")
+    doc = json.loads(open("rep.json").read())
+    printed = re.findall(r"\(margin (\S+)\)$", out, re.MULTILINE)
+    assert printed == [f"{m:.6f}" for m in doc["margins"]]
+    assert len(printed) == 5
 
 
 def test_certify_defaults_match_library(tmp_chdir, capsys):

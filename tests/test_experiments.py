@@ -192,15 +192,19 @@ def test_export_pgm_exact_bytes(tmp_path):
 
 
 def test_export_manifest_fields(tmp_path):
-    grid = handmade_grid([[0.3]], complete=False)
+    grid = handmade_grid([[0.3, 0.0]], complete=False)
+    grid.mean_rel_error[0] = [1.5e-7, np.inf]
     export_grid(grid, str(tmp_path / "g"))
-    manifest = json.loads((tmp_path / "g_manifest.json").read_text())
+    text = (tmp_path / "g_manifest.json").read_text()
+    # strict JSON: an errored cell's infinite mean is null, not Infinity
+    manifest = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+    assert manifest["mean_rel_error"] == [[1.5e-7, None]]
     assert manifest["version"] == __version__
     assert manifest["complete"] is False
     assert manifest["spec"]["axis1_name"] == "n"
     assert manifest["spec"]["trials"] == 10
     assert manifest["spec"]["fixed"] == {"gamma": 0.85, "rho": 0.25}
-    assert manifest["timings"] == [[0.5]]
+    assert manifest["timings"] == [[0.5, 0.5]]
 
 
 def test_export_reruns_byte_identical(tmp_path):

@@ -6,11 +6,15 @@ re-export or trace target behind."""
 import ast
 import importlib
 import pkgutil
+import warnings
 from pathlib import Path
+
+import pytest
 
 import qcr
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 LIBRARY_MODULES = ("instances", "linalg", "solver", "certificate", "experiments")
 
 
@@ -64,3 +68,13 @@ def test_traced_names_resolve_to_callables():
         module, func = dotted.split(".")
         target = getattr(importlib.import_module(f"qcr.{module}"), func, None)
         assert callable(target), f"{dotted} does not resolve to a callable"
+
+
+def test_distribution_version_is_the_package_version():
+    # pyproject.toml reads its version from qcr.__version__, not a copy
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = pyprojecttoml.read_configuration(ROOT / "pyproject.toml", expand=True)
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["project"]["version"] == qcr.__version__

@@ -475,7 +475,7 @@ def support_masks(n: int, seed: int):
 
 
 @pytest.mark.parametrize("fold", [True, False])
-@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_operator_step_matches_dense_projections(monkeypatch, fold, r):
     # one step maps the factors of X in T to those of P_T(P_Gamma(P_T X))
     force_fold(monkeypatch, fold)
@@ -508,31 +508,19 @@ def test_opnorm_matches_reference_on_both_paths(monkeypatch, fold, n, r, density
     assert len(applied) == steps
 
 
-@pytest.mark.parametrize("n, r, size, fold", [
-    # the least Gamma that folds, and one entry fewer
-    (100, 1, 28, True),
-    (100, 1, 27, False),
-    (100, 2, 278, True),
-    (100, 2, 277, False),
-    (400, 1, 3_778, True),
-    (400, 1, 3_777, False),
-    # past _FOLD_CACHE_ENTRIES (n r = 512) a folded step costs more per entry
-    (512, 1, 6_332, True),
-    (512, 1, 6_331, False),
-    (513, 1, 11_475, True),
-    (513, 1, 11_474, False),
-    (400, 2, 7_139, True),
-    (400, 2, 7_138, False),
-    (800, 1, 28_223, True),
-    (800, 1, 28_222, False),
-    # a rank above _FOLD_RANK_MAX, and a folded matrix of more than
-    # _FOLD_MAX_ENTRIES entries
-    (100, 3, 10_000, False),
-    (2_049, 1, 2_049**2, False),
-    (1_024, 2, 1_024**2, True),
+@pytest.mark.parametrize("n, r, fold", [
+    # the fold is taken while (n r)^2 <= _FOLD_MAX_ENTRIES, whatever Gamma
+    (2_048, 1, True),
+    (2_049, 1, False),
+    (1_024, 2, True),
+    (1_025, 2, False),
+    (682, 3, True),
+    (683, 3, False),
+    (100, 3, True),
+    (100, 85, False),
 ])
-def test_fold_rule(n, r, size, fold):
-    assert linalg_mod._folds(n, r, size) == fold
+def test_fold_rule(n, r, fold):
+    assert linalg_mod._folds(n, r) == fold
 
 
 def test_opnorm_warns_at_iteration_cap(monkeypatch):
