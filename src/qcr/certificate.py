@@ -26,7 +26,6 @@ from .linalg import (
     _GammaTangentOperator,
     _tangent_at,
     _tangent_dense,
-    _tangent_dot,
     _tangent_factors,
     _tangent_factors_at,
     norm,
@@ -226,26 +225,42 @@ def partition_complement(Gamma: SupportSet, cfg: GolfingConfig) -> list[np.ndarr
     i * n + j of its entries. Each batch takes n * n raw 64-bit words from
     one Philox stream seeded with cfg.seed, in row-major order, so the
     batches are deterministic given cfg.seed. An entry is drawn when its
-    word x has x >> 11 < min(ceil(q * 2^53), 2^53): that is exactly
+    word x has x >> 11 < L = min(ceil(q * 2^53), 2^53): that is exactly
     (x >> 11) * 2^-53 < q, the test of Generator.random(...) < q on the same
-    stream, without forming the doubles."""
+    stream, without forming the doubles. It is made in one pass over the
+    words as x < L << 11; at L = 2^53 (q = 1), where L << 11 = 2^64 does not
+    fit in 64 bits, every word is kept."""
     bits = np.random.Philox(cfg.seed)
     on_gamma = Gamma.mask.ravel()
-    limit = np.uint64(min(math.ceil(cfg.q * 2.0**53), 2**53))
+    cut = min(math.ceil(cfg.q * 2.0**53), 2**53) << 11
+    keep, cut = (np.less, np.uint64(cut)) if cut < 2**64 else (np.less_equal, np.uint64(2**64 - 1))
     hit = np.empty(on_gamma.shape, dtype=bool)
     batches = []
     for _ in range(cfg.k0):
-        words = bits.random_raw(hit.size)
-        flat = np.flatnonzero(np.less(np.right_shift(words, 11, out=words), limit, out=hit))
+        flat = np.flatnonzero(keep(bits.random_raw(hit.size), cut, out=hit))
         batches.append(flat[~on_gamma[flat]])
     return batches
 
 
-def _check_batch(flat, n: int) -> None:
-    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype.kind in "iu"):
-        raise ValueError("a batch must be a 1-d integer array of flat indices")
-    if flat.size and not (flat[0] >= 0 and flat[-1] < n * n and (flat[1:] > flat[:-1]).all()):
+def _gather_batches(batches, T: TangentSpace) -> list[_Entries]:
+    """Check that every batch is a 1-d integer array of strictly increasing
+    flat indices in [0, n * n), and gather the entries of all of them at
+    once; returns one _Entries run per batch."""
+    n = T.n
+    for flat in batches:
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype.kind in "iu"):
+            raise ValueError("a batch must be a 1-d integer array of flat indices")
+    # an unsigned index past the int64 range wraps to a negative one
+    flat = np.concatenate(batches, dtype=np.int64, casting="unsafe")
+    ends = np.cumsum([b.size for b in batches])
+    rising = flat[1:] > flat[:-1]
+    # the first entry of a batch may lie below the last of the one before
+    starts = ends[:-1]
+    rising[starts[(starts > 0) & (starts < flat.size)] - 1] = True
+    if flat.size and not (flat.min() >= 0 and flat.max() < n * n and rising.all()):
         raise ValueError(f"a batch must hold strictly increasing flat indices in [0, {n * n})")
+    E = _Entries.gather(flat, T)
+    return [E[lo:hi] for lo, hi in zip(np.concatenate(([0], starts)), ends)]
 
 
 def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
@@ -254,10 +269,12 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
     Iterates Y_k = Y_{k-1} + (1/p) * P_{batch_k} P_T (UV^T - Y_{k-1}) in the
     residual form: with Z_0 = UV^T and Z_k = UV^T - P_T Y_k, each batch adds
     G_k = (1/p) * P_{batch_k} Z_{k-1} to Y and subtracts P_T G_k from Z. Z
-    lives in T and is held as its factors (A, W), Z = U@A + W@V.T, starting
-    from A = V.T, W = 0; a batch reads Z on its entries and projects G back
-    to factors, O(|batch| r + n r^2), so the only dense projection is the
-    last one. Each batch is an array of strictly increasing flat indices
+    lives in T and is held as the flat vector x = [vec A.T; vec W] of its
+    factors, Z = U@A + W@V.T, starting from A = V.T, W = 0. The batches are
+    checked, and their rows, columns and rows of U and V gathered, once for
+    all of them; a batch then reads Z on its entries and projects G back to
+    factors, O(|batch| r + n r^2), so the only dense projection is the last
+    one. Each batch is an array of strictly increasing flat indices
     i * n + j, as partition_complement draws them. Returns (Q_B, trace)
     with Q_B the projection of the final Y onto the tangent complement and
     trace the Frobenius norms sqrt(||A||^2 + ||W||^2) of Z_0, ..., Z_k0.
@@ -266,21 +283,17 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
         raise ValueError("batches must be nonempty")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    for flat in batches:
-        _check_batch(flat, T.n)
-    A = T.V.T.copy()
-    W = np.zeros_like(T.U)
+    runs = _gather_batches(batches, T)
+    x = np.concatenate((T.V, np.zeros_like(T.U))).ravel()
+    a, w = x.reshape(2, -1)
     Y = np.zeros(T.n * T.n)
-    trace = [math.sqrt(_tangent_dot(A, W, A, W))]
-    for flat in batches:
-        E = _Entries(flat, T)
-        G = _tangent_at(A, W, E) / p
+    trace = [math.sqrt(a @ a + w @ w)]
+    for E in runs:
+        G = _tangent_at(x, E) / p
         # a batch holds each entry once, so the fancy-index add is exact
         Y[E.flat] += G
-        dA, dW = _tangent_factors_at(G, E, T)
-        A -= dA
-        W -= dW
-        trace.append(math.sqrt(_tangent_dot(A, W, A, W)))
+        x -= _tangent_factors_at(G, E, T)
+        trace.append(math.sqrt(a @ a + w @ w))
     return project_T_perp(Y.reshape(T.n, T.n), T), trace
 
 
@@ -300,14 +313,14 @@ def neumann_QC(
     have been accumulated. The series runs in tangent coordinates: with
     term_0 = sign_C0, s_0 = P_T term_0 and K = P_T P_Gamma P_T, the later
     terms are term_{k+1} = P_Gamma s_k with s_{k+1} = K s_k, so
-    ||term_{k+1}||^2 = <s_k, K s_k>. Each s_k is held as its tangent factors
-    and K is applied by _GammaTangentOperator, built once here (see
-    opnorm_PGammaPT); the sum term_0 + P_Gamma(sum_k s_k) is read on Gamma
-    and projected onto the tangent complement once, at the end. Raises
-    NeumannDivergenceError when the composed operator norm makes the series
-    divergent. opnorm is that norm, ||P_Gamma P_T||, when the caller has
-    already computed it with opnorm_PGammaPT(Gamma, T); left None, it is
-    computed here.
+    ||term_{k+1}||^2 = <s_k, K s_k>. Each s_k is held as the flat vector of
+    its tangent factors and K is applied by _GammaTangentOperator, built
+    once here (see opnorm_PGammaPT); the sum term_0 + P_Gamma(sum_k s_k) is
+    read on Gamma and projected onto the tangent complement once, at the
+    end. Raises NeumannDivergenceError when the composed operator norm makes
+    the series divergent. opnorm is that norm, ||P_Gamma P_T||, when the
+    caller has already computed it with opnorm_PGammaPT(Gamma, T); left
+    None, it is computed here.
     """
     sign_C0 = _as_matrix(sign_C0, "sign_C0")
     if sign_C0.shape != (Gamma.n, Gamma.n):
@@ -332,16 +345,15 @@ def neumann_QC(
         )
 
     step = _GammaTangentOperator(Gamma, T)
-    A, W = _tangent_factors(sign_C0, T)
-    sum_A, sum_W = np.zeros_like(A), np.zeros_like(W)
+    x = _tangent_factors(sign_C0, T)
+    total = np.zeros_like(x)
     for _ in range(1, max_terms):
-        KA, KW = step(A, W)
-        last = math.sqrt(max(_tangent_dot(A, W, KA, KW), 0.0))
-        sum_A += A
-        sum_W += W
+        y = step(x)
+        last = math.sqrt(max(float(x @ y), 0.0))
+        total += x
         if last <= tol * base:
             break
-        A, W = KA, KW
+        x = y
     else:
         if max_terms > 1:
             warnings.warn(
@@ -349,7 +361,7 @@ def neumann_QC(
                 f"{last:.2e} above tolerance",
                 RuntimeWarning,
             )
-    acc = sign_C0 + np.where(Gamma.mask, _tangent_dense(sum_A, sum_W, T), 0.0)
+    acc = sign_C0 + np.where(Gamma.mask, _tangent_dense(total, T), 0.0)
     return lam * project_T_perp(acc, T)
 
 

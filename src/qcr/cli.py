@@ -205,6 +205,10 @@ def cmd_certify(args) -> int:
     for check, ok, bound in rows:
         measured = getattr(report, check.measured)
         print(f"[{'PASS' if ok else 'FAIL'}] {check.label}: {measured:.6f} {check.relation} {bound}")
+    print(
+        f"l_inf,2 norms (measured only): Q_B {report.linf2_QB:.6f}, "
+        f"Q_C {report.linf2_QC:.6f}, Q_B + Q_C {report.linf2_Q:.6f}"
+    )
     print(f"overall: {report.overall} -> {args.out}")
     return EXIT_OK if report.overall else EXIT_CERT_FAILED
 

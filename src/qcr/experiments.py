@@ -78,10 +78,17 @@ PHASE_GRID = GridSpec(
 
 @dataclass(frozen=True, eq=False)
 class RecoveryGrid:
+    """Per-cell results: the success rate and mean relative error over the
+    cell's trials, its wall time, the solver iterations summed over its
+    trials, and how many trials ended unconverged or raised."""
+
     spec: GridSpec
     success_rate: np.ndarray
     mean_rel_error: np.ndarray
     wall_times: np.ndarray
+    iterations: np.ndarray
+    nonconverged: np.ndarray
+    errors: np.ndarray
     complete: bool = True
 
 
@@ -101,23 +108,29 @@ def _cell_params(spec: GridSpec, i: int, j: int, seed: int) -> InstanceParams:
     return InstanceParams(n=n, n_c=n_c, gamma=float(cell["gamma"]), rho=float(cell["rho"]), seed=seed)
 
 
-def _run_cell(args) -> tuple[int, int, int, float, float]:
+def _run_cell(args) -> tuple[int, int, int, float, float, int, int, int]:
+    """Trials of cell (i, j): returns i, j, the successes, the summed
+    relative error, the wall time, the summed solver iterations, and the
+    counts of unconverged and raised trials."""
     spec, i, j = args
     start = time.perf_counter()
-    successes = 0
+    successes = iterations = nonconverged = errors = 0
     rel_sum = 0.0
     for t in range(spec.trials):
         try:
             inst = gen_planted(_cell_params(spec, i, j, derive_seed(spec.base_seed, i, j, t)))
             res = solve_rpca(inst.A, SolverOptions())
             rel = relative_error(res.B_star, inst.block_pattern)
+            iterations += res.iterations
+            nonconverged += not res.converged
             if res.converged and recovery_success(res.B_star, inst.block_pattern):
                 successes += 1
         except Exception:
             log.warning("trial (%d, %d, %d) failed", i, j, t, exc_info=True)
             rel = float("inf")
+            errors += 1
         rel_sum += rel
-    return i, j, successes, rel_sum, time.perf_counter() - start
+    return i, j, successes, rel_sum, time.perf_counter() - start, iterations, nonconverged, errors
 
 
 def _run_grid(spec: GridSpec, threads: int) -> RecoveryGrid:
@@ -131,7 +144,8 @@ def _run_grid(spec: GridSpec, threads: int) -> RecoveryGrid:
     success = np.zeros(shape)
     mean_rel = np.zeros(shape)
     wall = np.zeros(shape)
-    outcomes: list[tuple[int, int, int, float, float]] = []
+    counts = np.zeros((3,) + shape, dtype=int)
+    outcomes: list[tuple] = []
     complete = True
     try:
         if threads > 1:
@@ -145,15 +159,19 @@ def _run_grid(spec: GridSpec, threads: int) -> RecoveryGrid:
         # keep whatever cells finished; the caller exports them flagged incomplete
         complete = False
     # aggregation in fixed (i, j) order regardless of completion order
-    for i, j, successes, rel_sum, secs in sorted(outcomes, key=lambda o: (o[0], o[1])):
+    for i, j, successes, rel_sum, secs, *cell_counts in sorted(outcomes, key=lambda o: (o[0], o[1])):
         success[i, j] = successes / spec.trials
         mean_rel[i, j] = rel_sum / spec.trials
         wall[i, j] = secs
+        counts[:, i, j] = cell_counts
     return RecoveryGrid(
         spec=spec,
         success_rate=success,
         mean_rel_error=mean_rel,
         wall_times=wall,
+        iterations=counts[0],
+        nonconverged=counts[1],
+        errors=counts[2],
         complete=complete,
     )
 
@@ -189,8 +207,9 @@ def _write_text(path: str, text: str) -> None:
 def export_grid(grid: RecoveryGrid, path_prefix: str) -> None:
     """Write <prefix>.csv (header row/column = axis values, cells = success
     rates), <prefix>.pgm (8-bit grayscale, 255 = rate 1.0, axis1 on rows), and
-    <prefix>_manifest.json (grid spec, code version, per-cell timings and
-    mean relative errors)."""
+    <prefix>_manifest.json (grid spec, code version, and per cell: timings,
+    mean relative errors, summed solver iterations, and the counts of
+    unconverged and errored trials)."""
     from . import __version__
 
     spec = grid.spec
@@ -225,5 +244,8 @@ def export_grid(grid: RecoveryGrid, path_prefix: str) -> None:
         "mean_rel_error": [
             [float(e) if np.isfinite(e) else None for e in row] for row in grid.mean_rel_error
         ],
+        "iterations": grid.iterations.tolist(),
+        "nonconverged": grid.nonconverged.tolist(),
+        "errors": grid.errors.tolist(),
     }
     _write_text(path_prefix + "_manifest.json", json.dumps(manifest, indent=2) + "\n")

@@ -4,6 +4,7 @@ solver and certificate modules compose."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -126,16 +127,28 @@ class TangentSpace:
 
 
 def svd(M, rank_tol: float = 1e-8) -> SvdFactors:
-    """Truncated SVD of a square matrix, keeping sigma_i > rank_tol * sigma_1."""
+    """Truncated SVD of a square matrix, keeping sigma_i > rank_tol * sigma_1.
+
+    An exactly symmetric M, as sv_threshold does, takes one eigh: with
+    M = Q diag(w) Q.T and the eigenpairs ordered by |w| descending, sigma =
+    |w|, U = Q and V = Q * sign(w). Any other M uses the SVD."""
     M = _as_square(M)
     if not (0.0 < rank_tol < 1.0):
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    if np.array_equal(M, M.T):
+        w, U = np.linalg.eigh(M)
+        order = np.argsort(-np.abs(w), kind="stable")
+        w, U = w[order], U[:, order]
+        s = np.abs(w)
+        V = U * np.copysign(1.0, w)
+    else:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        V = Vt.T
     r = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
     return SvdFactors(
         np.ascontiguousarray(U[:, :r]),
         np.ascontiguousarray(s[:r]),
-        np.ascontiguousarray(Vt[:r].T),
+        np.ascontiguousarray(V[:, :r]),
     )
 
 
@@ -291,55 +304,70 @@ def _certified_prox(M, tau: float, warm):
     return (Q * (theta - np.copysign(tau, theta))) @ Q.T
 
 
-def _tangent_factors(Z, T: TangentSpace):
-    """Factors (A, W) of P_T(Z) = U @ A + W @ V.T: A = U.T @ Z and
-    W = Z @ V - U @ (A @ V), so that U.T @ W = 0."""
+# A tangent element U @ A + W @ V.T, with U.T @ W = 0, is held as one flat
+# vector x of length 2 n r: A.T (n x r) then W (n x r), each row-major, so
+# that x.reshape(2, n, r) is (A.T, W). As U and V are orthonormal, the
+# Frobenius inner product of two tangent elements is the dot of their vectors.
+
+
+def _tangent_factors(Z, T: TangentSpace) -> np.ndarray:
+    """The vector of P_T(Z): A = U.T @ Z and W = Z @ V - U @ (A @ V)."""
     A = T.U.T @ Z
-    return A, Z @ T.V - T.U @ (A @ T.V)
+    return np.concatenate((A.T, Z @ T.V - T.U @ (A @ T.V))).ravel()
+
+
+def _deflate(x, T: TangentSpace) -> np.ndarray:
+    """Subtract U @ (A @ V) from the W half of x in place, so that the x
+    holding Z @ V in that half becomes the vector of P_T(Z); returns x."""
+    X = x.reshape((2,) + T.U.shape)
+    X[1] -= T.U @ (X[0].T @ T.V)
+    return x
 
 
 class _Entries:
     """Entries of an n x n grid given by their sorted flat indices
-    i * n + j, with their rows, columns and the rows U[rows] and V[cols] of
-    a tangent space's factors, gathered once for the sparse tangent kernels
-    below."""
+    i * n + j, gathered once for the sparse tangent kernels below. Entry
+    (i, j) reads A.T[j] and W[i] of a tangent vector, at the positions
+    bins[e] = [j r + k, n r + i r + k] for k < r, and weighs them by
+    F[e] = [U[i], V[j]]: the entry of U @ A + W @ V.T is F[e] . x[bins[e]].
+    Slicing an _Entries takes a run of its entries, as views."""
 
-    def __init__(self, flat, T: TangentSpace):
-        n, r = T.n, T.r
+    def __init__(self, flat, bins, F):
         self.flat = flat
-        self.rows, self.cols = np.divmod(flat, n)
-        self.U = T.U[self.rows]
-        self.V = T.V[self.cols]
-        # bincount bins of the (n, r) factor entries each sampled entry feeds
+        self.bins = bins
+        self.F = F
+
+    @classmethod
+    def gather(cls, flat, T: TangentSpace) -> "_Entries":
+        n, r = T.n, T.r
+        rows, cols = np.divmod(flat, n)
         k = np.arange(r)
-        self.row_bins = (self.rows[:, None] * r + k).ravel()
-        self.col_bins = (self.cols[:, None] * r + k).ravel()
+        bins = np.hstack((cols[:, None] * r + k, n * r + rows[:, None] * r + k))
+        return cls(flat, bins, np.hstack((T.U[rows], T.V[cols])))
+
+    def __getitem__(self, run: slice) -> "_Entries":
+        return _Entries(self.flat[run], self.bins[run], self.F[run])
 
 
-def _tangent_factors_at(vals, E: _Entries, T: TangentSpace):
-    """Factors (A, W) of P_T(Z) for the Z that holds vals on E and zeros
-    elsewhere: A.T and Z @ V are bincounts of the sampled rows of U and V,
-    O(|E| r + n r^2)."""
-    n, r = T.n, T.r
-    A = np.bincount(E.col_bins, (E.U * vals[:, None]).ravel(), n * r).reshape(n, r).T
-    ZV = np.bincount(E.row_bins, (E.V * vals[:, None]).ravel(), n * r).reshape(n, r)
-    return A, ZV - T.U @ (A @ T.V)
+def _tangent_at(x, E: _Entries) -> np.ndarray:
+    """Entries of the tangent element x on E, O(|E| r)."""
+    return np.einsum("ij,ij->i", E.F, x[E.bins])
 
 
-def _tangent_at(A, W, E: _Entries):
-    """Entries of U @ A + W @ V.T on E, O(|E| r)."""
-    return np.einsum("ij,ji->i", E.U, A[:, E.cols]) + np.einsum("ij,ij->i", W[E.rows], E.V)
+def _tangent_factors_at(vals, E: _Entries, T: TangentSpace) -> np.ndarray:
+    """The vector of P_T(Z) for the Z that holds vals on E and zeros
+    elsewhere: A.T and Z @ V are one bincount of the sampled rows of U and
+    V, O(|E| r + n r^2)."""
+    x = np.bincount(E.bins.ravel(), (E.F * vals[:, None]).ravel(), 2 * T.n * T.r)
+    # bincount counts in integers when E is empty, even with weights
+    return _deflate(x.astype(float, copy=False), T)
 
 
-def _tangent_dot(A1, W1, A2, W2) -> float:
-    """<U A1 + W1 V.T, U A2 + W2 V.T> = <A1, A2> + <W1, W2>, as U and V are
-    orthonormal and U.T @ W = 0."""
-    return float(np.vdot(A1, A2) + np.vdot(W1, W2))
-
-
-def _tangent_dense(A, W, T: TangentSpace) -> np.ndarray:
-    """U @ A + W @ V.T as one GEMM [U W] @ [A; V.T] of inner dimension 2r."""
-    return np.hstack((T.U, W)) @ np.vstack((A, T.V.T))
+def _tangent_dense(x, T: TangentSpace) -> np.ndarray:
+    """The n x n tangent element U @ A + W @ V.T of the vector x, as one GEMM
+    [U W] @ [A; V.T] of inner dimension 2r."""
+    X = x.reshape((2,) + T.U.shape)
+    return np.hstack((T.U, X[1])) @ np.vstack((X[0].T, T.V.T))
 
 
 # entries of the largest folded (n r) x (n r) matrix: 32 MB
@@ -353,41 +381,63 @@ def _folds(n: int, r: int) -> bool:
 
 
 class _GammaTangentOperator:
-    """P_T P_Gamma P_T restricted to T, as a map from tangent factors (A, W)
-    to the factors of P_T P_Gamma (U @ A + W @ V.T). opnorm_PGammaPT and
-    neumann_QC each build one and apply it at every step.
+    """P_T P_Gamma P_T restricted to T, as a map from the vector x of a
+    tangent element X (see _tangent_factors) to that of P_T P_Gamma X.
+    opnorm_PGammaPT and neumann_QC each build one and apply it at every
+    step.
 
-    Folded, U and V enter Gamma's 0/1 mask G once: with U_i, V_j the rows
-    of U and V, N[(k, j), (i, l)] = G_ij U_ik V_jl, S_j = sum_i G_ij U_i.T U_i
-    and R_i = sum_j G_ij V_j.T V_j. A step is then two GEMVs on N,
-    A'[:, j] = S_j A[:, j] + (N vec(W))_j and ZV_i = (N.T vec(A))_i + W_i R_i,
-    followed by W' = ZV - U (A' V): O((n r)^2). Past _folds' cap on the size
-    of N, a step instead reads the factors on Gamma's entries and projects
-    those values back, O(|Gamma| r + n r^2), with a gather and a scatter each
-    time."""
+    Folded, U and V enter Gamma's 0/1 mask G once. With U_i, V_j the rows of
+    U and V, N[j r + k, i r + l] = G_ij U_ik V_jl, S_j = sum_i G_ij U_i.T U_i
+    and R_i = sum_j G_ij V_j.T V_j, the image of x = [a; w] is
+    [S a + N w; N.T a + R w] with U @ (A @ V) then taken off its W half,
+    where S and R act on x's r-blocks: A.T[j] -> S_j A.T[j] and W[i] ->
+    R_i W[i]. A step is thus two GEMVs with N, the blocks as the 2r - 1
+    diagonals of a band matrix (the main diagonal alone when r = 1), and one
+    rank-r correction, all on x: O((n r)^2). Past _folds' cap on the size of
+    N, a step instead reads X on Gamma's entries and projects those values
+    back, O(|Gamma| r + n r^2), with a gather and a bincount each time."""
 
     def __init__(self, S: SupportSet, T: TangentSpace):
         n, r = T.n, T.r
         self.T = T
+        self.nr = n * r
         if not _folds(n, r):
             self.N = None
-            self.E = _Entries(np.flatnonzero(S.mask), T)
+            self.E = _Entries.gather(np.flatnonzero(S.mask), T)
             return
         U, V = T.U, T.V
-        N = U.T[:, None, :, None] * V[None, :, None, :]
-        N *= S.mask.T[None, :, :, None]
-        self.N = N.reshape(r * n, n * r)
+        N = V[:, None, None, :] * U.T[None, :, :, None]
+        N *= S.mask.T[:, None, :, None]
+        self.N = N.reshape(n * r, n * r)
         G = S.mask.astype(float)
-        self.S = ((U[:, :, None] * U[:, None, :]).reshape(n, r * r).T @ G).reshape(r, r, n)
-        self.R = (G @ (V[:, :, None] * V[:, None, :]).reshape(n, r * r)).reshape(n, r, r)
+        blocks = np.concatenate((
+            G.T @ (U[:, :, None] * U[:, None, :]).reshape(n, r * r),
+            G @ (V[:, :, None] * V[:, None, :]).reshape(n, r * r),
+        )).reshape(2 * n, r, r)
+        # band d holds block entry (k, k + d) at position t r + k of x
+        size = 2 * n * r
+        self.diagonal = np.einsum("tkk->tk", blocks).ravel()
+        self.bands = []
+        for d in range(1 - r, r):
+            if d == 0:
+                continue
+            band = np.zeros((2 * n, r))
+            k = np.arange(max(0, -d), min(r, r - d))
+            band[:, k] = blocks[:, k, k + d]
+            out, inp = slice(max(0, -d), size - max(0, d)), slice(max(0, d), size - max(0, -d))
+            self.bands.append((out, band.ravel()[out], inp))
 
-    def __call__(self, A, W):
+    def __call__(self, x):
         if self.N is None:
-            return _tangent_factors_at(_tangent_at(A, W, self.E), self.E, self.T)
-        r, n = A.shape
-        A2 = (self.S * A).sum(axis=1) + (self.N @ W.ravel()).reshape(r, n)
-        ZV = (self.N.T @ A.ravel()).reshape(n, r) + (W[:, :, None] * self.R).sum(axis=1)
-        return A2, ZV - self.T.U @ (A2 @ self.T.V)
+            return _tangent_factors_at(_tangent_at(x, self.E), self.E, self.T)
+        nr = self.nr
+        y = np.empty_like(x)
+        np.matmul(self.N, x[nr:], out=y[:nr])
+        np.matmul(x[:nr], self.N, out=y[nr:])
+        y += self.diagonal * x
+        for out, band, inp in self.bands:
+            y[out] += band * x[inp]
+        return _deflate(y, self.T)
 
 
 def project_T(Z, T: TangentSpace) -> np.ndarray:
@@ -400,7 +450,7 @@ def project_T(Z, T: TangentSpace) -> np.ndarray:
     Z = _as_matrix(Z, "Z")
     if Z.shape != (T.n, T.n):
         raise ValueError(f"Z shape {Z.shape} does not match tangent space n={T.n}")
-    return _tangent_dense(*_tangent_factors(Z, T), T)
+    return _tangent_dense(_tangent_factors(Z, T), T)
 
 
 def project_T_perp(Z, T: TangentSpace) -> np.ndarray:
@@ -424,12 +474,14 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     Computed as sqrt of the top eigenvalue of the symmetric composition
     P_T P_Gamma P_T by power iteration with a deterministic random start.
     The start is projected into T once; the iterates then stay inside T and
-    are held as their factors (A, W), X = U@A + W@V.T. Each step applies
-    _GammaTangentOperator, built once here: two matrix-vector products with
-    U and V folded into Gamma's mask, O((n r)^2), or, past the fold's size
-    cap, a read of X on Gamma's entries projected back to factors,
-    O(|Gamma| r + n r^2). On hitting the iteration cap a warning is issued
-    and the best estimate returned.
+    are held as flat vectors of their factors, x = [vec A.T; vec W] with
+    X = U@A + W@V.T (see _tangent_factors), on which the Frobenius inner
+    product is the dot product. Each step applies _GammaTangentOperator,
+    built once here: two matrix-vector products with U and V folded into
+    Gamma's mask, O((n r)^2), or, past the fold's size cap, a read of X on
+    Gamma's entries projected back to factors, O(|Gamma| r + n r^2). On
+    hitting the iteration cap a warning is issued and the best estimate
+    returned.
 
     The result is a lower estimate of the norm. Each step's eigenvalue
     estimate is the Rayleigh quotient <X, P_T P_Gamma P_T X> of a unit X,
@@ -449,23 +501,24 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace, tol: float = 1e-6) -> float:
     rng = np.random.default_rng(0x9E3779B9)
     X = rng.standard_normal((S.n, S.n))
     X /= np.linalg.norm(X)
-    A, W = _tangent_factors(X, T)
+    x = _tangent_factors(X, T)
     step = _GammaTangentOperator(S, T)
     lam_prev = np.inf
     lam = 0.0
     for _ in range(_POWER_ITER_CAP):
-        FA, FW = step(A, W)
-        lam = max(_tangent_dot(A, W, FA, FW), 0.0)
-        nrm = np.sqrt(_tangent_dot(FA, FW, FA, FW))
+        y = step(x)
+        lam = max(float(x @ y), 0.0)
+        nrm = math.sqrt(y @ y)
         if nrm == 0.0:
             return 0.0
-        A, W = FA / nrm, FW / nrm
+        x = y
+        x /= nrm
         if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
-            return float(np.sqrt(lam))
+            return math.sqrt(lam)
         lam_prev = lam
     warnings.warn(
         "power iteration for the support/tangent operator norm did not converge "
         f"within {_POWER_ITER_CAP} iterations; returning the last estimate",
         RuntimeWarning,
     )
-    return float(np.sqrt(lam))
+    return math.sqrt(lam)

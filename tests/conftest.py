@@ -15,7 +15,6 @@ from qcr.linalg import (
     SupportSet,
     _Entries,
     _tangent_at,
-    _tangent_dot,
     _tangent_factors_at,
     project_support,
     project_T,
@@ -229,18 +228,16 @@ def golfing_loop_reference(T, masks, p):
     """golfing_QB's loop over SupportSet batches, each batch's entries taken
     from its mask by np.flatnonzero; golfing_QB on the matching index arrays
     must agree bitwise."""
-    A = T.V.T.copy()
-    W = np.zeros_like(T.U)
+    x = np.concatenate((T.V, np.zeros_like(T.U))).ravel()
+    a, w = x.reshape(2, -1)
     Y = np.zeros(T.n * T.n)
-    trace = [math.sqrt(_tangent_dot(A, W, A, W))]
+    trace = [math.sqrt(a @ a + w @ w)]
     for S in masks:
-        E = _Entries(np.flatnonzero(S.mask), T)
-        G = _tangent_at(A, W, E) / p
+        E = _Entries.gather(np.flatnonzero(S.mask), T)
+        G = _tangent_at(x, E) / p
         Y[E.flat] += G
-        dA, dW = _tangent_factors_at(G, E, T)
-        A -= dA
-        W -= dW
-        trace.append(math.sqrt(_tangent_dot(A, W, A, W)))
+        x -= _tangent_factors_at(G, E, T)
+        trace.append(math.sqrt(a @ a + w @ w))
     return project_T_perp(Y.reshape(T.n, T.n), T), trace
 
 

@@ -1,8 +1,10 @@
 """Dual-certificate tests: incoherence, batch partitioning, golfing recursion,
 Neumann series against a dense oracle, end-to-end verification."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from qcr.certificate import (
     partition_complement,
     verify_certificate,
 )
-from qcr.instances import InstanceParams, gen_planted
+from qcr.instances import InstanceParams, derive_seed, gen_planted
 from qcr.linalg import (
     SupportSet,
     TangentSpace,
@@ -44,6 +46,9 @@ from conftest import (
     partition_reference,
     rng,
 )
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -318,7 +323,8 @@ def test_golfing_validation():
     np.array([1.0, 2.0]),
     np.array([[1, 2]]),
     [1, 2],
-], ids=["negative", "decreasing", "repeated", "unsigned decreasing", "float", "2-d", "list"])
+    np.array([0, 36]),
+], ids=["negative", "decreasing", "repeated", "unsigned decreasing", "float", "2-d", "list", "n * n"])
 def test_golfing_rejects_a_batch_that_is_not_increasing_flat_indices(batch):
     T = random_tangent(6, 1, 0)
     with pytest.raises(ValueError):
@@ -511,7 +517,9 @@ def test_neumann_warns_when_truncated_early():
 
 
 @pytest.mark.parametrize("fold", [True, False])
-@pytest.mark.parametrize("r, density, max_terms", [(1, 0.1, 200), (2, 0.05, 200), (1, 0.3, 4)])
+@pytest.mark.parametrize("r, density, max_terms", [
+    (1, 0.1, 200), (2, 0.05, 200), (3, 0.05, 200), (1, 0.3, 4),
+])
 def test_neumann_matches_reference_on_both_paths(monkeypatch, fold, r, density, max_terms):
     # the same sum, the same number of terms (one operator application
     # each after the first), and the warning exactly when the reference
@@ -704,3 +712,20 @@ def test_verify_custom_config_respected():
     rep = verify_certificate(inst, cfg=cfg)
     assert rep.config == cfg
     assert len(rep.golfing_trace) == 13
+
+
+@pytest.mark.parametrize("rho", [0.10, 0.70])
+@pytest.mark.parametrize("k", range(3))
+def test_verify_keeps_certify_suite_reference(rho, k):
+    # the certificate-suite benchmark's recorded outputs, read from
+    # perfbench/reference.json without importing perfbench: the conditions
+    # and overall verdict exactly, the six norms to the file's tolerance
+    doc = json.loads(REFERENCE.read_text())
+    recorded = doc["certify-suites"]["1000"][f"rho={rho}/k={k}"]
+    params = InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, k))
+    rep = verify_certificate(gen_planted(params), lam=0.1)
+    assert list(rep.conditions) == recorded["conditions"]
+    assert rep.overall == recorded["overall"]
+    assert len(recorded["norms"]) == 6
+    for field, value in recorded["norms"].items():
+        assert math.isclose(getattr(rep, field), value, rel_tol=doc["norm_rtol"], abs_tol=1e-12), field

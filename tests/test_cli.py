@@ -200,6 +200,15 @@ def test_certify_prints_condition_margins(tmp_chdir, capsys):
     assert len(printed) == 5
 
 
+def test_certify_prints_the_linf2_norms_of_the_report(tmp_chdir, capsys):
+    run(capsys, *GEN, "--out", "inst.txt")
+    _, out, _ = run(capsys, "certify", "--input", "inst.txt", "--out", "rep.json")
+    doc = json.loads(open("rep.json").read())
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("l_inf,2 norms")]
+    printed = re.findall(r"(?:Q_B|Q_C|Q_B \+ Q_C) (\S+?)(?:,|$)", line)
+    assert printed == [f"{doc[k]:.6f}" for k in ("linf2_QB", "linf2_QC", "linf2_Q")]
+
+
 def test_certify_defaults_match_library(tmp_chdir, capsys):
     run(capsys, *GEN, "--out", "inst.txt")
     run(capsys, "certify", "--input", "inst.txt", "--out", "cli.json")
@@ -321,7 +330,8 @@ def test_grid_defaults_are_library_grids(tmp_chdir, capsys, monkeypatch, kind, r
     def fake_runner(spec, threads=None):
         seen.append(spec)
         shape = (len(spec.axis1_values), len(spec.axis2_values))
-        return RecoveryGrid(spec, np.zeros(shape), np.zeros(shape), np.zeros(shape))
+        zeros, counts = np.zeros(shape), np.zeros(shape, dtype=int)
+        return RecoveryGrid(spec, zeros, zeros, zeros, counts, counts, counts)
 
     monkeypatch.setattr(f"qcr.cli.{runner}", fake_runner)
     rc, _, _ = run(capsys, "grid", "--kind", kind)

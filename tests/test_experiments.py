@@ -152,6 +152,23 @@ def test_solver_exception_counts_as_failure(monkeypatch):
     assert np.all(grid.success_rate == 0.0)
     assert np.all(np.isinf(grid.mean_rel_error))
     assert grid.complete
+    # every raised trial is counted; none ran the solver to an end
+    assert np.all(grid.errors == 2)
+    assert np.all(grid.iterations == 0) and np.all(grid.nonconverged == 0)
+
+
+def test_cells_count_iterations_and_unconverged_trials(monkeypatch):
+    # each trial's iterations are summed into its cell, and a solve cut at
+    # two iterations counts as unconverged, not as an error
+    short = experiments.SolverOptions(max_iters=2)
+    monkeypatch.setattr(experiments, "SolverOptions", lambda: short)
+    solves = count_calls(monkeypatch, "solve_rpca", experiments)
+    grid = run_phase_grid(small_phase_spec(trials=3))
+    assert len(solves) == 12
+    assert np.all(grid.iterations == 6)
+    assert np.all(grid.nonconverged == 3)
+    assert np.all(grid.errors == 0)
+    assert np.all(grid.success_rate == 0.0)
 
 
 # ---------------------------------------------------------------- export
@@ -173,6 +190,9 @@ def handmade_grid(rates, complete=True):
         success_rate=rates,
         mean_rel_error=np.zeros_like(rates),
         wall_times=np.full_like(rates, 0.5),
+        iterations=np.full(rates.shape, 40),
+        nonconverged=np.zeros(rates.shape, dtype=int),
+        errors=np.zeros(rates.shape, dtype=int),
         complete=complete,
     )
 
@@ -194,11 +214,18 @@ def test_export_pgm_exact_bytes(tmp_path):
 def test_export_manifest_fields(tmp_path):
     grid = handmade_grid([[0.3, 0.0]], complete=False)
     grid.mean_rel_error[0] = [1.5e-7, np.inf]
+    grid.iterations[0] = [2_417, 160]
+    grid.nonconverged[0] = [1, 0]
+    grid.errors[0] = [0, 1]
     export_grid(grid, str(tmp_path / "g"))
     text = (tmp_path / "g_manifest.json").read_text()
     # strict JSON: an errored cell's infinite mean is null, not Infinity
     manifest = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
     assert manifest["mean_rel_error"] == [[1.5e-7, None]]
+    # per-cell telemetry: summed iterations, unconverged and errored trials
+    assert manifest["iterations"] == [[2_417, 160]]
+    assert manifest["nonconverged"] == [[1, 0]]
+    assert manifest["errors"] == [[0, 1]]
     assert manifest["version"] == __version__
     assert manifest["complete"] is False
     assert manifest["spec"]["axis1_name"] == "n"

@@ -79,6 +79,37 @@ def test_svd_reconstruct_full_rank():
     assert np.abs((f.U * f.sigma) @ f.V.T - M).max() < 1e-10
 
 
+@pytest.mark.parametrize("eigs", [
+    (3.0, -2.0, 1.0, -0.5, 0.0, 0.0),
+    (2.0, -2.0, 1.0, 1.0, -1.0, 0.25),
+    (-4.0, -4.0, -4.0, 0.1, -1e-12, 0.0),
+], ids=["negative", "ties of both signs", "negative tie and rank cut"])
+def test_svd_of_symmetric_matrix_matches_lapack_svd(monkeypatch, eigs):
+    # an exactly symmetric matrix takes one eigh; its factors give the
+    # singular values, the reconstruction and each singular subspace's
+    # part of U diag(sigma) V.T that np.linalg.svd gives
+    n = len(eigs)
+    Q = np.linalg.qr(rng(n + int(eigs[0])).standard_normal((n, n)))[0]
+    M = (Q * np.array(eigs)) @ Q.T
+    M = np.triu(M) + np.triu(M, 1).T
+    assert np.array_equal(M, M.T)
+    eigh = count_calls(monkeypatch, "eigh", np.linalg)
+    dense = count_calls(monkeypatch, "svd", np.linalg)
+    f = svd(M)
+    assert (len(eigh), len(dense)) == (1, 0)
+    U, s, Vt = np.linalg.svd(M)
+    r = int(np.count_nonzero(s > 1e-8 * s[0]))
+    assert f.rank == r == np.count_nonzero(np.abs(eigs) > 1e-8 * max(np.abs(eigs)))
+    assert np.abs(f.sigma - s[:r]).max() <= 1e-12 * s[0]
+    assert np.abs(f.U.T @ f.U - np.eye(r)).max() <= 1e-12
+    assert np.abs(f.V.T @ f.V - np.eye(r)).max() <= 1e-12
+    assert np.abs((f.U * f.sigma) @ f.V.T - (U[:, :r] * s[:r]) @ Vt[:r]).max() <= 1e-12 * s[0]
+    for value in np.unique(np.round(s[:r], 8)):
+        mine = np.abs(np.round(f.sigma, 8) - value) == 0
+        theirs = np.abs(np.round(s[:r], 8) - value) == 0
+        assert np.abs(f.U[:, mine] @ f.V[:, mine].T - U[:, :r][:, theirs] @ Vt[:r][theirs]).max() <= 1e-12
+
+
 def test_svd_rejects_nonfinite():
     M = np.ones((3, 3))
     M[1, 1] = np.nan
@@ -477,26 +508,35 @@ def support_masks(n: int, seed: int):
 @pytest.mark.parametrize("fold", [True, False])
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_operator_step_matches_dense_projections(monkeypatch, fold, r):
-    # one step maps the factors of X in T to those of P_T(P_Gamma(P_T X))
+    # one step maps the flat vector of X in T to that of P_T(P_Gamma(P_T X));
+    # at r = 2 and 3 the folded blocks S_j and R_i have off-diagonal bands
     force_fold(monkeypatch, fold)
     n = 9
     T = random_tangent(n, r, 40 + r)
     assert r == 0 or np.abs(T.U - T.V).max() > 0.1
     X = rng(41 + r).standard_normal((n, n))
-    A, W = linalg_mod._tangent_factors(X, T)
+    x = linalg_mod._tangent_factors(X, T)
+    assert x.shape == (2 * n * r,)
+    assert np.abs(linalg_mod._tangent_dense(x, T) - project_T_reference(X, T)).max() <= 1e-12 * n
     for mask in support_masks(n, 42 + r):
         S = SupportSet(n, mask)
         step = linalg_mod._GammaTangentOperator(S, T)
         assert (step.N is not None) == fold
-        FA, FW = step(A, W)
-        assert FA.shape == (r, n) and FW.shape == (n, r)
-        got = linalg_mod._tangent_dense(FA, FW, T)
+        if fold:
+            assert len(step.bands) == max(2 * r - 2, 0)
+        y = step(x)
+        assert y.shape == (2 * n * r,)
+        got = linalg_mod._tangent_dense(y, T)
         ref = project_T_reference(np.where(mask, project_T_reference(X, T), 0.0), T)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        # the vector's dot is the Frobenius inner product of the tangent elements
+        assert abs(float(x @ y) - float(np.tensordot(project_T_reference(X, T), ref))) <= 1e-12 * n * n
 
 
 @pytest.mark.parametrize("fold", [True, False])
-@pytest.mark.parametrize("n, r, density", [(12, 2, 0.3), (30, 1, 0.02), (25, 1, 0.6)])
+@pytest.mark.parametrize("n, r, density", [
+    (12, 2, 0.3), (30, 1, 0.02), (25, 1, 0.6), (10, 3, 0.4),
+])
 def test_opnorm_matches_reference_on_both_paths(monkeypatch, fold, n, r, density):
     force_fold(monkeypatch, fold)
     T = random_tangent(n, r, 3 * n + r)
@@ -504,6 +544,21 @@ def test_opnorm_matches_reference_on_both_paths(monkeypatch, fold, n, r, density
     expected, steps = opnorm_reference(S, T)
     applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
     val = opnorm_PGammaPT(S, T)
+    assert abs(val - expected) <= 1e-12 * expected
+    assert len(applied) == steps
+
+
+@pytest.mark.parametrize("rho", [0.10, 0.70])
+def test_opnorm_steps_as_the_reference_on_a_suite_certificate(monkeypatch, rho):
+    # on the shape the certificate suites run (n = 100, r = 1, folded), the
+    # power iteration applies the operator once per reference step and stops
+    # at the same step
+    inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, 0)))
+    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    assert T.r == 1
+    expected, steps = opnorm_reference(inst.noise_support, T)
+    applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
+    val = opnorm_PGammaPT(inst.noise_support, T)
     assert abs(val - expected) <= 1e-12 * expected
     assert len(applied) == steps
 
