@@ -2,8 +2,10 @@
 
 For each of --count seeds, generates a planted instance at the given
 parameters, runs the full certificate construction and verification, and
-tallies how often each condition and the overall verdict hold. Writes one
-JSON report per seed under results/certificates/ plus a summary JSON.
+tallies how often each condition and the overall verdict hold. A seed whose
+Neumann series diverges has no report; it is counted as diverged and the
+batch goes on. Writes one JSON report per seed under results/certificates/
+plus a summary JSON.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import json
 import os
 import time
 
-from qcr.certificate import CONDITIONS, verify_certificate
+from qcr.certificate import CONDITIONS, NeumannDivergenceError, verify_certificate
 from qcr.fileio import write_report
 from qcr.instances import InstanceParams, derive_seed, gen_planted
 
@@ -33,13 +35,18 @@ def main() -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     condition_passes = [0] * len(CONDITIONS)
     overall_passes = 0
+    diverged = 0
     t0 = time.perf_counter()
     for k in range(args.count):
         seed = derive_seed(args.base_seed, k)
         inst = gen_planted(
             InstanceParams(n=args.n, n_c=args.nc, gamma=args.gamma, rho=args.rho, seed=seed)
         )
-        rep = verify_certificate(inst, lam=args.lam)
+        try:
+            rep = verify_certificate(inst, lam=args.lam)
+        except NeumannDivergenceError:
+            diverged += 1
+            continue
         for i, ok in enumerate(rep.conditions):
             condition_passes[i] += ok
         overall_passes += rep.overall
@@ -54,6 +61,7 @@ def main() -> None:
         "base_seed": args.base_seed,
         "condition_passes": dict(zip(CONDITION_LABELS, condition_passes)),
         "overall_passes": overall_passes,
+        "diverged": diverged,
     }
     with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -62,6 +70,7 @@ def main() -> None:
     for label, passes in zip(CONDITION_LABELS, condition_passes):
         print(f"{label}: {passes}/{args.count}")
     print(f"overall: {overall_passes}/{args.count}")
+    print(f"diverged: {diverged}/{args.count}")
     print(f"wall time: {wall:.2f} s total, {wall / max(args.count, 1):.3f} s per certificate")
     print(f"wrote per-seed reports and summary.json to {args.out_dir}")
 

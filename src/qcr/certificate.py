@@ -2,16 +2,15 @@
 decomposition of a planted instance.
 
 The low-rank half of the certificate comes from a golfing scheme over random
-batches of the noise-free index set; the sparse half from a truncated Neumann
-series. Verification measures the five sufficient conditions on those two
-matrices together with the operator-norm and regularization gates, and also
-reports the combined-dual diagnostics.
+batches of the noise-free index set; the sparse half from a Neumann series
+summed by conjugate gradients. Verification measures the five sufficient
+conditions on those two matrices together with the operator-norm and
+regularization gates, and also reports the combined-dual diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,71 +296,56 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
     return project_T_perp(Y.reshape(T.n, T.n), T), trace
 
 
-def neumann_QC(
-    Gamma: SupportSet,
-    T: TangentSpace,
-    sign_C0,
-    lam: float,
-    tol: float = 1e-10,
-    max_terms: int = 200,
-    opnorm: float | None = None,
-) -> np.ndarray:
-    """Truncated Neumann series for the sparse dual half.
+def neumann_QC(Gamma: SupportSet, T: TangentSpace, sign_C0, lam: float) -> np.ndarray:
+    """Neumann series for the sparse dual half, summed by conjugate gradients.
 
-    Q_C = lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0, truncated once a
-    term's Frobenius norm falls below tol * ||sign_C0||_F or max_terms terms
-    have been accumulated. The series runs in tangent coordinates: with
-    term_0 = sign_C0, s_0 = P_T term_0 and K = P_T P_Gamma P_T, the later
-    terms are term_{k+1} = P_Gamma s_k with s_{k+1} = K s_k, so
-    ||term_{k+1}||^2 = <s_k, K s_k>. Each s_k is held as the flat vector of
-    its tangent factors and K is applied by _GammaTangentOperator, built
-    once here (see opnorm_PGammaPT); the sum term_0 + P_Gamma(sum_k s_k) is
-    read on Gamma and projected onto the tangent complement once, at the
-    end. Raises NeumannDivergenceError when the composed operator norm makes
-    the series divergent. opnorm is that norm, ||P_Gamma P_T||, when the
-    caller has already computed it with opnorm_PGammaPT(Gamma, T); left
-    None, it is computed here.
+    Q_C = lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0. With s_0 =
+    P_T sign_C0 and K = P_T P_Gamma P_T, the terms after the first are
+    P_Gamma K^k s_0, so the sum is sign_C0 + P_Gamma y where (I - K) y = s_0.
+    Conjugate gradients (Hestenes & Stiefel 1952) solve that in T, on the
+    flat vectors of tangent factors (see _tangent_factors), with K applied
+    by _GammaTangentOperator, until the residual is at most 1e-10 *
+    ||sign_C0||_F; ||P_Gamma Q_C - lam * sign_C0||_F is then at most lam
+    times it. Raises NeumannDivergenceError when a search direction p has
+    <p, K p> >= (1 - 1e-6)^2 <p, p>, which proves ||P_Gamma P_T|| >= 1 -
+    1e-6, or when the residual is still above the tolerance after dim T =
+    2 n r - r^2 steps.
     """
     sign_C0 = _as_matrix(sign_C0, "sign_C0")
     if sign_C0.shape != (Gamma.n, Gamma.n):
         raise ValueError("sign_C0 shape does not match the support")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     if np.any(sign_C0[~Gamma.mask] != 0):
         raise ValueError("sign_C0 must be supported on Gamma")
 
-    base = float(np.linalg.norm(sign_C0))
-    if base == 0.0:
-        return np.zeros_like(sign_C0)
-    opn = opnorm_PGammaPT(Gamma, T) if opnorm is None else opnorm
-    if opn >= 1.0 - 1e-6:
-        raise NeumannDivergenceError(
-            f"support/tangent operator norm {opn:.6f} is too close to 1; "
-            "the series does not converge"
-        )
-
     step = _GammaTangentOperator(Gamma, T)
-    x = _tangent_factors(sign_C0, T)
-    total = np.zeros_like(x)
-    for _ in range(1, max_terms):
-        y = step(x)
-        last = math.sqrt(max(float(x @ y), 0.0))
-        total += x
-        if last <= tol * base:
+    res = _tangent_factors(sign_C0, T)
+    y = np.zeros_like(res)
+    p = res.copy()
+    rr = res @ res
+    stop = (1e-10 * float(np.linalg.norm(sign_C0))) ** 2
+    dim = 2 * T.n * T.r - T.r**2
+    for k in range(dim + 1):
+        if rr <= stop:
             break
-        x = y
-    else:
-        if max_terms > 1:
-            warnings.warn(
-                f"Neumann series truncated at max_terms={max_terms} with last term "
-                f"{last:.2e} above tolerance",
-                RuntimeWarning,
+        if k == dim:
+            raise NeumannDivergenceError(
+                f"no CG convergence in dim T = {dim} steps; the series does not converge"
             )
-    acc = sign_C0 + np.where(Gamma.mask, _tangent_dense(total, T), 0.0)
+        Kp = step(p)
+        pp, pKp = p @ p, p @ Kp
+        if pKp >= (1.0 - 1e-6) ** 2 * pp:
+            raise NeumannDivergenceError(
+                "a direction p with ||P_Gamma P_T p|| >= 0.999999 ||p|| shows the "
+                "support/tangent operator norm too close to 1; the series does not converge"
+            )
+        alpha = rr / (pp - pKp)
+        y += alpha * p
+        res -= alpha * (p - Kp)
+        rr, last = res @ res, rr
+        p = res + (rr / last) * p
+    acc = sign_C0 + np.where(Gamma.mask, _tangent_dense(y, T), 0.0)
     return lam * project_T_perp(acc, T)
 
 
@@ -402,7 +386,7 @@ def verify_certificate(
     batches = partition_complement(Gamma, cfg)
     Q_B, trace = golfing_QB(T, batches, cfg.p)
     opn = opnorm_PGammaPT(Gamma, T)
-    Q_C = neumann_QC(Gamma, T, sign_C0, lam, opnorm=opn)
+    Q_C = neumann_QC(Gamma, T, sign_C0, lam)
 
     on_gamma = Gamma.mask
     measured = {

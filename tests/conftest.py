@@ -271,9 +271,9 @@ def opnorm_reference(S, T, tol=1e-6):
 
 def neumann_reference(Gamma, T, sign_C0, lam, tol=1e-10, max_terms=200):
     """Neumann series lam * P_Tperp sum_k (P_Gamma P_T P_Gamma)^k sign_C0 on dense
-    n x n terms with the three-term projection, truncated by the rule of
-    neumann_QC: stop after the first term with norm <= tol * ||sign_C0||.
-    Returns (Q_C, the number of terms summed)."""
+    n x n terms with the three-term projection, stopped after the first term
+    with norm <= tol * ||sign_C0|| or at max_terms terms. Returns (Q_C, the
+    number of terms summed)."""
     base = float(np.linalg.norm(sign_C0))
     term = sign_C0
     acc = sign_C0.copy()

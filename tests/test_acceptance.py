@@ -190,7 +190,7 @@ def test_certificate_internals():
     sgn = np.sign(inst.C0)
     lam, tol = 0.1, 1e-10
 
-    Q_C = neumann_QC(Gamma, T, sgn, lam, tol=tol)
+    Q_C = neumann_QC(Gamma, T, sgn, lam)
     fixed_point = float(np.linalg.norm(project_support(Q_C, Gamma) - lam * sgn))
     fixed_point_budget = 10 * tol * lam * float(np.linalg.norm(sgn))
     assert fixed_point <= fixed_point_budget, (

@@ -3,7 +3,8 @@ Neumann series against a dense oracle, end-to-end verification."""
 
 import json
 import math
-import warnings
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from conftest import (
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_certificates.py"
 
 
 def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
@@ -416,14 +418,6 @@ def test_neumann_empty_support_is_zero():
     assert np.array_equal(out, np.zeros((8, 8)))
 
 
-def test_neumann_single_term():
-    T = random_tangent(8, 2, 2)
-    G = gen_bernoulli_support(8, 0.2, seed=3)
-    sgn = project_support(np.ones((8, 8)), G)
-    out = neumann_QC(G, T, sgn, lam=0.4, max_terms=1)
-    assert np.allclose(out, 0.4 * project_T_perp(sgn, T), atol=1e-12)
-
-
 def dense_neumann_oracle(G: SupportSet, T: TangentSpace, sgn, lam):
     """Solve the support-restricted system (I - P_G P_T P_G) w = sgn directly."""
     n = G.n
@@ -441,19 +435,20 @@ def dense_neumann_oracle(G: SupportSet, T: TangentSpace, sgn, lam):
     return lam * project_T_perp(W, T)
 
 
-def test_neumann_matches_dense_linear_system():
+def test_neumann_matches_dense_linear_system(monkeypatch):
+    # the CG sum against an exact solve, on both operator paths
     g = rng(7)
     n = 8
-    T = random_tangent(n, 2, 70)
     mask = np.zeros(n * n, dtype=bool)
     mask[g.choice(n * n, size=6, replace=False)] = True
     G = SupportSet(n, mask.reshape(n, n))
-    sgn = np.zeros((n, n))
-    for i, j in zip(*np.nonzero(G.mask)):
-        sgn[i, j] = g.choice([-1.0, 1.0])
-    got = neumann_QC(G, T, sgn, lam=0.3, tol=1e-12, max_terms=500)
-    ref = dense_neumann_oracle(G, T, sgn, 0.3)
-    assert np.abs(got - ref).max() <= 1e-8
+    sgn = np.where(G.mask, g.choice([-1.0, 1.0], size=(n, n)), 0.0)
+    for r in (1, 2, 3):
+        T = random_tangent(n, r, 70 + r)
+        ref = dense_neumann_oracle(G, T, sgn, 0.3)
+        for fold in (True, False):
+            force_fold(monkeypatch, fold)
+            assert rel_close(neumann_QC(G, T, sgn, lam=0.3), ref, rtol=1e-9)
 
 
 def test_neumann_fixed_point_identity():
@@ -462,18 +457,9 @@ def test_neumann_fixed_point_identity():
     G = inst.noise_support
     sgn = np.sign(inst.C0)
     lam, tol = 0.1, 1e-10
-    Q_C = neumann_QC(G, T, sgn, lam, tol=tol)
+    Q_C = neumann_QC(G, T, sgn, lam)
     resid = np.linalg.norm(project_support(Q_C, G) - lam * sgn)
     assert resid <= 10 * tol * lam * np.linalg.norm(sgn)
-
-
-def test_neumann_given_opnorm_is_bit_identical():
-    inst = gen_planted(InstanceParams(n=60, n_c=48, gamma=0.85, rho=0.1, seed=5))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
-    G, sgn = inst.noise_support, np.sign(inst.C0)
-    default = neumann_QC(G, T, sgn, 0.1)
-    given_norm = neumann_QC(G, T, sgn, 0.1, opnorm=opnorm_PGammaPT(G, T))
-    assert np.array_equal(default, given_norm)
 
 
 def test_neumann_output_in_tangent_complement():
@@ -502,28 +488,12 @@ def test_neumann_validation():
     sgn = project_support(np.ones((6, 6)), G)
     with pytest.raises(ValueError):
         neumann_QC(G, T, sgn, lam=-0.1)
-    with pytest.raises(ValueError):
-        neumann_QC(G, T, sgn, lam=0.3, tol=0.0)
-    with pytest.raises(ValueError):
-        neumann_QC(G, T, sgn, lam=0.3, max_terms=0)
-
-
-def test_neumann_warns_when_truncated_early():
-    inst = gen_planted(InstanceParams(n=40, n_c=32, gamma=0.85, rho=0.1, seed=6))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
-    sgn = np.sign(inst.C0)
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        neumann_QC(inst.noise_support, T, sgn, 0.1, tol=1e-14, max_terms=3)
 
 
 @pytest.mark.parametrize("fold", [True, False])
-@pytest.mark.parametrize("r, density, max_terms", [
-    (1, 0.1, 200), (2, 0.05, 200), (3, 0.05, 200), (1, 0.3, 4),
-])
+@pytest.mark.parametrize("r, density, max_terms", [(1, 0.1, 200), (2, 0.05, 200), (3, 0.05, 200)])
 def test_neumann_matches_reference_on_both_paths(monkeypatch, fold, r, density, max_terms):
-    # the same sum, the same number of terms (one operator application
-    # each after the first), and the warning exactly when the reference
-    # stops at max_terms above tolerance
+    # the CG sum against the series, which converges here within max_terms
     force_fold(monkeypatch, fold)
     n = 24
     T = random_tangent(n, r, 110 + r)
@@ -531,16 +501,65 @@ def test_neumann_matches_reference_on_both_paths(monkeypatch, fold, r, density, 
     assert not np.array_equal(G.mask, G.mask.T)
     sgn = np.where(G.mask, rng(112 + r).choice([-1.0, 1.0], size=(n, n)), 0.0)
     ref, terms = neumann_reference(G, T, sgn, 0.3, max_terms=max_terms)
-    opn = opnorm_PGammaPT(G, T)
+    assert terms < max_terms
+    assert rel_close(neumann_QC(G, T, sgn, lam=0.3), ref, rtol=1e-9)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_neumann_steps_on_a_failure_regime_suite_certificate(monkeypatch, k):
+    # the rho = 0.7 suite, where the series took up to 180 terms
+    inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.7, seed=derive_seed(1000, k)))
+    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
     applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = neumann_QC(G, T, sgn, lam=0.3, max_terms=max_terms, opnorm=opn)
-    assert rel_close(got, ref)
-    assert len(applied) == terms - 1
-    assert (terms == max_terms) == (max_terms == 4)
-    assert len(caught) == (max_terms == 4)
-    assert all("truncated at max_terms=4 " in str(w.message) for w in caught)
+    neumann_QC(inst.noise_support, T, np.sign(inst.C0), 0.1)
+    assert 0 < len(applied) <= 20
+
+
+def stub_operator(monkeypatch, K):
+    """Make neumann_QC apply the matrix K in place of P_T P_Gamma P_T;
+    returns the list of the vectors it is applied to."""
+    applied = []
+
+    def step(x):
+        applied.append(x)
+        return K @ x
+
+    monkeypatch.setattr(certificate, "_GammaTangentOperator", lambda G, T: step)
+    return applied
+
+
+def test_neumann_raises_without_convergence_in_dim_T_steps(monkeypatch):
+    # a skew-symmetric stand-in for K leaves <p, K p> = 0, so no direction
+    # is a witness, and conjugate gradients do not converge on I - K
+    n = 6
+    S = rng(3).standard_normal((2 * n, 2 * n))
+    applied = stub_operator(monkeypatch, 3.0 * (S - S.T))
+    G = gen_bernoulli_support(n, 0.5, seed=4)
+    with pytest.raises(NeumannDivergenceError, match="dim T = 11 steps"):
+        neumann_QC(G, random_tangent(n, 1, 5), project_support(np.ones((n, n)), G), lam=0.1)
+    assert len(applied) == 11
+
+
+def test_neumann_sums_a_series_whose_norm_is_just_below_the_witness_bound(monkeypatch):
+    # K = c I with ||P_Gamma P_T|| = sqrt(c) = 1 - 5e-6 < 1 - 1e-6: one step
+    # gives y = s_0 / (1 - c), and no direction is a witness of divergence
+    n, c = 6, 1.0 - 1e-5
+    T = random_tangent(n, 1, 5)
+    G = gen_bernoulli_support(n, 0.5, seed=4)
+    sgn = project_support(np.ones((n, n)), G)
+    applied = stub_operator(monkeypatch, c * np.eye(2 * n))
+    y = project_support(project_T(sgn, T), G) / (1.0 - c)
+    assert rel_close(neumann_QC(G, T, sgn, lam=0.1), 0.1 * project_T_perp(sgn + y, T), rtol=1e-9)
+    assert len(applied) == 1
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_verify_raises_where_the_series_diverges(k):
+    # ||P_Gamma P_T|| = 1 here, which the power iteration reads as 0.99998
+    # to 0.99999, below the 1 - 1e-6 that once guarded the series
+    inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.95, seed=derive_seed(1000, k)))
+    with pytest.raises(NeumannDivergenceError, match="norm too close to 1"):
+        verify_certificate(inst, lam=0.1)
 
 
 @pytest.mark.parametrize("fold", [True, False])
@@ -550,6 +569,18 @@ def test_neumann_divergence_raises_on_both_paths(monkeypatch, fold):
     G = gen_bernoulli_support(6, 0.5, seed=10)
     with pytest.raises(NeumannDivergenceError):
         neumann_QC(G, T, project_support(np.ones((6, 6)), G), lam=0.3)
+
+
+def test_certificate_script_counts_diverged_seeds(monkeypatch, tmp_path, capsys):
+    # seeds k = 0 and 2 of base 1000 diverge at rho = 0.95, k = 1 does not
+    monkeypatch.setattr(sys, "argv", [
+        "run_certificates.py", "--count", "3", "--rho", "0.95", "--out-dir", str(tmp_path),
+    ])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["diverged"] == 2
+    assert "diverged: 2/3" in capsys.readouterr().out
+    assert sorted(f.name for f in tmp_path.glob("report_*.json")) == ["report_001.json"]
 
 
 # ---------------------------------------------------------------- factored kernels vs dense references
@@ -593,7 +624,7 @@ def test_neumann_factored_matches_dense_reference(r, density):
     assert opnorm_PGammaPT(G, T) < 0.9
     got = neumann_QC(G, T, sgn, lam=0.3)
     ref = neumann_reference(G, T, sgn, 0.3)[0] if len(G) else np.zeros((n, n))
-    assert rel_close(got, ref)
+    assert rel_close(got, ref, rtol=1e-9)
 
 
 # ---------------------------------------------------------------- verification

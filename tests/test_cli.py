@@ -11,6 +11,7 @@ from qcr.certificate import verify_certificate
 from qcr.cli import _BOOLEANS, _float_list, _int_list, build_parser, main
 from qcr.experiments import PHASE_GRID, SIZE_GRID, RecoveryGrid
 from qcr.fileio import read_instance, read_result, write_matrix_csv, write_report
+from qcr.instances import derive_seed
 from qcr.solver import QuasiCliqueParams, solve_quasi_clique, solve_rpca
 
 
@@ -231,6 +232,17 @@ def test_certify_divergence_exit5(tmp_chdir, capsys):
     rc, _, err = run(capsys, "certify", "--input", "d.txt", "--rank-tol", "1e-12")
     assert rc == 5
     assert "does not converge" in err
+
+
+def test_certify_divergence_exit5_at_the_default_rank_cut(tmp_chdir, capsys):
+    # the rho = 0.95 instance of seed derive_seed(1000, 0), where
+    # ||P_Gamma P_T|| = 1 and the power iteration reads 0.99998
+    run(capsys, "gen", "--n", "100", "--nc", "85", "--gamma", "0.85", "--rho", "0.95",
+        "--seed", str(derive_seed(1000, 0)), "--out", "d.txt")
+    rc, _, err = run(capsys, "certify", "--input", "d.txt", "--out", "rep.json")
+    assert rc == 5
+    assert "does not converge" in err
+    assert not (tmp_chdir / "rep.json").exists()
 
 
 def test_certify_flags_forwarded(tmp_chdir, capsys):

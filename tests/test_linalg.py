@@ -438,21 +438,23 @@ def test_opnorm_zero_tangent():
     assert opnorm_PGammaPT(SupportSet(5, np.ones((5, 5), dtype=bool)), T) == 0.0
 
 
-def test_opnorm_full_support_full_tangent():
+def test_opnorm_full_support_full_tangent(monkeypatch):
     # U spanning R^n makes P_T the identity, so the norm is exactly 1
+    monkeypatch.setattr(linalg_mod, "_POWER_ITER_TOL", 1e-12)
     T = random_tangent(4, 4, 5)
-    val = opnorm_PGammaPT(SupportSet(4, np.ones((4, 4), dtype=bool)), T, tol=1e-12)
+    val = opnorm_PGammaPT(SupportSet(4, np.ones((4, 4), dtype=bool)), T)
     assert abs(val - 1.0) < 1e-9
 
 
-def test_opnorm_matches_dense_oracle():
+def test_opnorm_matches_dense_oracle(monkeypatch):
+    monkeypatch.setattr(linalg_mod, "_POWER_ITER_TOL", 1e-9)
     g = rng(17)
     T = random_tangent(6, 2, 99)
     mask = np.zeros(36, dtype=bool)
     mask[g.choice(36, size=8, replace=False)] = True
     S = SupportSet(6, mask.reshape(6, 6))
     expected = dense_opnorm(S, T)
-    assert abs(opnorm_PGammaPT(S, T, tol=1e-9) - expected) < 1e-6
+    assert abs(opnorm_PGammaPT(S, T) - expected) < 1e-6
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.7, 0.95])
@@ -580,13 +582,14 @@ def test_fold_rule(n, r, fold):
 
 def test_opnorm_warns_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(linalg_mod, "_POWER_ITER_CAP", 3)
+    monkeypatch.setattr(linalg_mod, "_POWER_ITER_TOL", 1e-16)
     T = random_tangent(6, 2, 7)
     mask = np.zeros((6, 6), dtype=bool)
     mask[:, :3] = True
     S = SupportSet(6, mask)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        opnorm_PGammaPT(S, T, tol=1e-16)
+        opnorm_PGammaPT(S, T)
     assert any("power iteration" in str(w.message) for w in caught)
 
 
