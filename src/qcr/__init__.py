@@ -7,8 +7,9 @@ Library layout:
 - ``instances``: seeded planted-instance generation and grid seed derivation.
 - ``solver``: one augmented-Lagrangian loop for the plain decomposition and
   the quasi-clique constrained program.
-- ``certificate``: dual-certificate construction (golfing plus truncated
-  Neumann series) and numerical verification of the optimality conditions.
+- ``certificate``: dual-certificate construction (golfing plus a Neumann
+  series summed by conjugate gradients) and numerical verification of the
+  optimality conditions.
 - ``experiments``: Monte-Carlo recovery grids over size and density axes.
 - ``fileio``: text/CSV/JSON readers and writers for all artifact types.
 - ``cli``: the ``qcr`` command-line entry point.

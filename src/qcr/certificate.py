@@ -164,10 +164,13 @@ class CertificateReport:
     conditions holds the five flags of CONDITIONS, in order, and margins
     their measured / threshold ratios; overall additionally requires every
     GATES check. joint_* fields report the same style of measurement on the
-    summed dual. linf2_QB, linf2_QC and linf2_Q are the l_{inf,2} norms
-    (largest row or column Euclidean norm) of Q_B, Q_C and Q_B + Q_C, the
-    norm the abstract states its recovery bound in; they are measured only
-    and enter no check.
+    summed dual. On planted instances joint_residual is about 0 by
+    construction: U V.T and Q_B vanish on Gamma, and neumann_QC makes
+    P_Gamma Q_C = lam * sign_C0 up to its CG tolerance, so it checks that
+    solve and is not a certificate condition. linf2_QB, linf2_QC and
+    linf2_Q are the l_{inf,2} norms (largest row or column Euclidean norm)
+    of Q_B, Q_C and Q_B + Q_C, the norm the abstract states its recovery
+    bound in; they are measured only and enter no check.
     """
 
     Q_B: np.ndarray

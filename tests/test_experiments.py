@@ -1,6 +1,7 @@
 """Recovery-grid harness tests: seeding determinism, rate quantization,
 and export file formats."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -228,9 +229,17 @@ def test_export_manifest_fields(tmp_path):
     assert manifest["errors"] == [[0, 1]]
     assert manifest["version"] == __version__
     assert manifest["complete"] is False
-    assert manifest["spec"]["axis1_name"] == "n"
-    assert manifest["spec"]["trials"] == 10
-    assert manifest["spec"]["fixed"] == {"gamma": 0.85, "rho": 0.25}
+    # every GridSpec field, tuples as lists
+    assert manifest["spec"] == {
+        "axis1_name": "n",
+        "axis1_values": [25],
+        "axis2_name": "fraction",
+        "axis2_values": [0.1, 0.2],
+        "fixed": {"gamma": 0.85, "rho": 0.25},
+        "trials": 10,
+        "base_seed": 3,
+    }
+    assert list(manifest["spec"]) == [f.name for f in dataclasses.fields(GridSpec)]
     assert manifest["timings"] == [[0.5, 0.5]]
 
 

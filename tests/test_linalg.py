@@ -511,7 +511,7 @@ def support_masks(n: int, seed: int):
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_operator_step_matches_dense_projections(monkeypatch, fold, r):
     # one step maps the flat vector of X in T to that of P_T(P_Gamma(P_T X));
-    # at r = 2 and 3 the folded blocks S_j and R_i have off-diagonal bands
+    # folded, it is one product with the symmetric (2 n r) x (2 n r) matrix K
     force_fold(monkeypatch, fold)
     n = 9
     T = random_tangent(n, r, 40 + r)
@@ -523,9 +523,9 @@ def test_operator_step_matches_dense_projections(monkeypatch, fold, r):
     for mask in support_masks(n, 42 + r):
         S = SupportSet(n, mask)
         step = linalg_mod._GammaTangentOperator(S, T)
-        assert (step.N is not None) == fold
+        assert (step.K is not None) == fold
         if fold:
-            assert len(step.bands) == max(2 * r - 2, 0)
+            assert step.K.shape == (2 * n * r, 2 * n * r)
         y = step(x)
         assert y.shape == (2 * n * r,)
         got = linalg_mod._tangent_dense(y, T)
@@ -533,6 +533,62 @@ def test_operator_step_matches_dense_projections(monkeypatch, fold, r):
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         # the vector's dot is the Frobenius inner product of the tangent elements
         assert abs(float(x @ y) - float(np.tensordot(project_T_reference(X, T), ref))) <= 1e-12 * n * n
+
+
+def dense_operator_matrix(S: SupportSet, T: TangentSpace) -> np.ndarray:
+    """The (2 n r) x (2 n r) matrix of x -> the vector of P_T P_Gamma X, X =
+    U @ A + W @ V.T the tangent element of x = [vec A.T; vec W], built column
+    by column from project_T_reference on the unit vectors."""
+    n, r = T.n, T.r
+    cols = []
+    for e in np.eye(2 * n * r):
+        At, W = e.reshape(2, n, r)
+        X = project_T_reference(T.U @ At.T + W @ T.V.T, T)
+        Y = project_T_reference(np.where(S.mask, X, 0.0), T)
+        A = T.U.T @ Y
+        cols.append(np.concatenate((A.T, Y @ T.V - T.U @ (A @ T.V))).ravel())
+    # the reshape gives the empty matrix its shape at r = 0
+    return np.array(cols).T.reshape(2 * n * r, 2 * n * r)
+
+
+@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("same", [False, True])
+def test_operator_step_matches_dense_matrix(monkeypatch, fold, r, same):
+    # a step is the dense matrix of P_T P_Gamma P_T on the flat coordinates,
+    # with U != V and with U = V; folded, K is exactly symmetric
+    force_fold(monkeypatch, fold)
+    n = 8
+    T = random_tangent(n, r, 60 + r)
+    if same:
+        T = TangentSpace(T.U, T.U)
+    x = rng(61 + r).standard_normal(2 * n * r)
+    for mask in support_masks(n, 62 + r):
+        S = SupportSet(n, mask)
+        M = dense_operator_matrix(S, T)
+        step = linalg_mod._GammaTangentOperator(S, T)
+        if fold:
+            assert np.array_equal(step.K, step.K.T)
+        assert np.abs(step(x) - M @ x).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.10, 0.70])
+def test_operator_is_block_diagonal_on_suite_certificates(rho):
+    # U and V vanish off the planted block and Gamma lies off it, so N = 0
+    # and ||P_Gamma P_T||^2 is the top eigenvalue of the blocks S_j and R_i;
+    # the power estimate lies at most 2e-4 (relative) below it
+    for k in range(20):
+        inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, k)))
+        T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+        n, r = T.n, T.r
+        K = linalg_mod._GammaTangentOperator(inst.noise_support, T).K
+        assert not K[: n * r, n * r :].any()
+        t = np.arange(2 * n)
+        blocks = K.reshape(2 * n, r, 2 * n, r)[t, :, t, :]
+        exact = math.sqrt(np.linalg.eigvalsh(blocks).max())
+        est = opnorm_PGammaPT(inst.noise_support, T)
+        assert est <= exact
+        assert exact - est <= 2e-4 * exact
 
 
 @pytest.mark.parametrize("fold", [True, False])
@@ -566,12 +622,15 @@ def test_opnorm_steps_as_the_reference_on_a_suite_certificate(monkeypatch, rho):
 
 
 @pytest.mark.parametrize("n, r, fold", [
-    # the fold is taken while (n r)^2 <= _FOLD_MAX_ENTRIES, whatever Gamma
-    (2_048, 1, True),
+    # the fold is taken while (2 n r)^2 <= _FOLD_MAX_ENTRIES, whatever Gamma
+    (1_024, 1, True),
+    (1_025, 1, False),
     (2_049, 1, False),
-    (1_024, 2, True),
+    (512, 2, True),
+    (513, 2, False),
     (1_025, 2, False),
-    (682, 3, True),
+    (341, 3, True),
+    (342, 3, False),
     (683, 3, False),
     (100, 3, True),
     (100, 85, False),
