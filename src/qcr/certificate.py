@@ -289,13 +289,13 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
     x = np.concatenate((T.V, np.zeros_like(T.U))).ravel()
     a, w = x.reshape(2, -1)
     Y = np.zeros(T.n * T.n)
-    trace = [math.sqrt(a @ a + w @ w)]
+    trace = [math.sqrt(a.dot(a) + w.dot(w))]
     for E in runs:
         G = _tangent_at(x, E) / p
         # a batch holds each entry once, so the fancy-index add is exact
         Y[E.flat] += G
         x -= _tangent_factors_at(G, E, T)
-        trace.append(math.sqrt(a @ a + w @ w))
+        trace.append(math.sqrt(a.dot(a) + w.dot(w)))
     return project_T_perp(Y.reshape(T.n, T.n), T), trace
 
 
@@ -314,6 +314,8 @@ def neumann_QC(Gamma: SupportSet, T: TangentSpace, sign_C0, lam: float) -> np.nd
     1e-6, or when the residual is still above the tolerance after dim T =
     2 n r - r^2 steps.
     """
+    if Gamma.n != T.n:
+        raise ValueError("support and tangent space dimensions differ")
     sign_C0 = _as_matrix(sign_C0, "sign_C0")
     if sign_C0.shape != (Gamma.n, Gamma.n):
         raise ValueError("sign_C0 shape does not match the support")
@@ -326,7 +328,7 @@ def neumann_QC(Gamma: SupportSet, T: TangentSpace, sign_C0, lam: float) -> np.nd
     res = _tangent_factors(sign_C0, T)
     y = np.zeros_like(res)
     p = res.copy()
-    rr = res @ res
+    rr = res.dot(res)
     stop = (1e-10 * float(np.linalg.norm(sign_C0))) ** 2
     dim = 2 * T.n * T.r - T.r**2
     for k in range(dim + 1):
@@ -337,7 +339,7 @@ def neumann_QC(Gamma: SupportSet, T: TangentSpace, sign_C0, lam: float) -> np.nd
                 f"no CG convergence in dim T = {dim} steps; the series does not converge"
             )
         Kp = step(p)
-        pp, pKp = p @ p, p @ Kp
+        pp, pKp = p.dot(p), p.dot(Kp)
         if pKp >= (1.0 - 1e-6) ** 2 * pp:
             raise NeumannDivergenceError(
                 "a direction p with ||P_Gamma P_T p|| >= 0.999999 ||p|| shows the "
@@ -346,7 +348,7 @@ def neumann_QC(Gamma: SupportSet, T: TangentSpace, sign_C0, lam: float) -> np.nd
         alpha = rr / (pp - pKp)
         y += alpha * p
         res -= alpha * (p - Kp)
-        rr, last = res @ res, rr
+        rr, last = res.dot(res), rr
         p = res + (rr / last) * p
     acc = sign_C0 + np.where(Gamma.mask, _tangent_dense(y, T), 0.0)
     return lam * project_T_perp(acc, T)

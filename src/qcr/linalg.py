@@ -381,50 +381,80 @@ def _folds(n: int, r: int) -> bool:
     return (2 * n * r) ** 2 <= _FOLD_MAX_ENTRIES
 
 
+def _block_diagonal(S: SupportSet, T: TangentSpace) -> bool:
+    """Whether no entry of Gamma lies in supp(U) x supp(V), the rows where
+    U is nonzero crossed with those where V is: then every G_ij U_ik V_jl
+    vanishes and P_T P_Gamma P_T is block diagonal. It holds on every
+    planted certificate, where U and V vanish outside the planted block and
+    Gamma lies outside it."""
+    return not S.mask[T.U.any(axis=1)][:, T.V.any(axis=1)].any()
+
+
+def _tangent_blocks(S: SupportSet, T: TangentSpace) -> np.ndarray:
+    """The blocks S_j, then R_i, of _GammaTangentOperator, made exactly
+    symmetric, as one (2 n, r, r) array."""
+    n, r = T.n, T.r
+    G = S.mask.astype(float)
+    blocks = np.concatenate((
+        G.T @ (T.U[:, :, None] * T.U[:, None, :]).reshape(n, r * r),
+        G @ (T.V[:, :, None] * T.V[:, None, :]).reshape(n, r * r),
+    )).reshape(2 * n, r, r)
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+
+
 class _GammaTangentOperator:
     """P_T P_Gamma P_T restricted to T, as a map from the vector x of a
     tangent element X (see _tangent_factors) to that of P_T P_Gamma X.
     opnorm_PGammaPT and neumann_QC each build one and apply it at every
     step of the power iteration and of conjugate gradients.
 
-    Folded, U and V enter Gamma's 0/1 mask G once, as the symmetric
-    (2 n r) x (2 n r) matrix K = [[S, N], [N.T, R]]. With U_i, V_j the rows
-    of U and V, N[j r + k, i r + l] = G_ij U_ik V_jl, and S and R are block
-    diagonal with the r x r blocks S_j = sum_i G_ij U_i.T U_i and R_i =
-    sum_j G_ij V_j.T V_j. The image of x is K @ x with U @ (A @ V) then
-    taken off its W half: one GEMV and one rank-r correction, O((n r)^2).
-    Past _folds' cap on the size of K, a step instead reads X on Gamma's
-    entries and projects those values back, O(|Gamma| r + n r^2), with a
-    gather and a bincount each time."""
+    In the coordinates of x it is the symmetric (2 n r) x (2 n r) matrix
+    K = [[S, N], [N.T, R]] followed by the rank-r correction _deflate that
+    takes U @ (A @ V) off its W half. With G Gamma's 0/1 mask and U_i, V_j
+    the rows of U and V, N[j r + k, i r + l] = G_ij U_ik V_jl, and S and R
+    are block diagonal with the r x r blocks S_j = sum_i G_ij U_i.T U_i and
+    R_i = sum_j G_ij V_j.T V_j. The path is picked from Gamma, then shape:
+
+    - When no entry of Gamma lies in supp(U) x supp(V) (_block_diagonal),
+      N = 0 and only the 2 n blocks are kept, as the (2 n, r, r) array
+      blocks: a step is their blockwise product with x, O(n r^2). The
+      correction is exactly zero there,
+      so it is skipped: column j of the product's A half is S_j A_j, and
+      S_j != 0 needs an entry (i, j) of Gamma with U_i != 0, so V_j = 0,
+      and every term of A @ V has a factor that is exactly 0.
+    - Folded (_folds), K is one array and a step one GEMV and the
+      correction, O((n r)^2).
+    - Past _folds' cap on the size of K, a step reads X on Gamma's entries
+      and projects those values back, O(|Gamma| r + n r^2), with a gather
+      and a bincount each time."""
 
     def __init__(self, S: SupportSet, T: TangentSpace):
         n, r = T.n, T.r
         self.T = T
-        if not _folds(n, r):
-            self.K = None
+        self.blocks = self.K = self.E = None
+        if _block_diagonal(S, T):
+            self.blocks = _tangent_blocks(S, T)
+        elif _folds(n, r):
+            U, V = T.U, T.V
+            N = V[:, None, None, :] * U.T[None, :, :, None]
+            N *= S.mask.T[:, None, :, None]
+            N = N.reshape(n * r, n * r)
+            K = np.zeros((2 * n * r, 2 * n * r))
+            K[: n * r, n * r :] = N
+            K[n * r :, : n * r] = N.T
+            t = np.arange(2 * n)
+            K.reshape(2 * n, r, 2 * n, r)[t, :, t, :] = _tangent_blocks(S, T)
+            self.K = K
+        else:
             self.E = _Entries.gather(np.flatnonzero(S.mask), T)
-            return
-        U, V = T.U, T.V
-        N = V[:, None, None, :] * U.T[None, :, :, None]
-        N *= S.mask.T[:, None, :, None]
-        N = N.reshape(n * r, n * r)
-        G = S.mask.astype(float)
-        blocks = np.concatenate((
-            G.T @ (U[:, :, None] * U[:, None, :]).reshape(n, r * r),
-            G @ (V[:, :, None] * V[:, None, :]).reshape(n, r * r),
-        )).reshape(2 * n, r, r)
-        K = np.zeros((2 * n * r, 2 * n * r))
-        K[: n * r, n * r :] = N
-        K[n * r :, : n * r] = N.T
-        # the blocks, made exactly symmetric, on K's block diagonal
-        t = np.arange(2 * n)
-        K.reshape(2 * n, r, 2 * n, r)[t, :, t, :] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-        self.K = K
 
     def __call__(self, x):
-        if self.K is None:
-            return _tangent_factors_at(_tangent_at(x, self.E), self.E, self.T)
-        return _deflate(self.K @ x, self.T)
+        if self.blocks is not None:
+            B = self.blocks
+            return (B @ x.reshape(B.shape[:2] + (1,))).ravel()
+        if self.K is not None:
+            return _deflate(self.K @ x, self.T)
+        return _tangent_factors_at(_tangent_at(x, self.E), self.E, self.T)
 
 
 def project_T(Z, T: TangentSpace) -> np.ndarray:
@@ -464,11 +494,12 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     are held as flat vectors of their factors, x = [vec A.T; vec W] with
     X = U@A + W@V.T (see _tangent_factors), on which the Frobenius inner
     product is the dot product. Each step applies _GammaTangentOperator,
-    built once here: one matrix-vector product with the matrix of U and V
-    folded into Gamma's mask, O((n r)^2), or, past the fold's size cap, a
-    read of X on Gamma's entries projected back to factors, O(|Gamma| r +
-    n r^2). On hitting the iteration cap a warning is issued and the best
-    estimate returned.
+    built once here: when Gamma misses supp(U) x supp(V), a product with
+    its 2 n blocks of r x r, O(n r^2); otherwise one matrix-vector product
+    with the matrix of U and V folded into Gamma's mask, O((n r)^2), or,
+    past the fold's size cap, a read of X on Gamma's entries projected back
+    to factors, O(|Gamma| r + n r^2). On hitting the iteration cap a
+    warning is issued and the best estimate returned.
 
     The result is a lower estimate of the norm. Each step's eigenvalue
     estimate is the Rayleigh quotient <X, P_T P_Gamma P_T X> of a unit X,
@@ -480,10 +511,10 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     suggests. The report's gate reads it; neumann_QC does not.
 
     On planted instances the exact norm is known: U and V vanish outside
-    the planted block and Gamma lies outside it, so the folded matrix's N
-    block is zero and the squared norm is the top eigenvalue of its r x r
-    blocks S_j and R_i. On the n = 100 suite certificates the estimate lies
-    6e-7 to 1.7e-4 (relative) below it.
+    the planted block and Gamma lies outside it, so the operator is block
+    diagonal, holds only its r x r blocks S_j and R_i, and the squared
+    norm is their top eigenvalue. On the n = 100 suite certificates the
+    estimate lies 6e-7 to 1.7e-4 (relative) below it.
     """
     if S.n != T.n:
         raise ValueError("support and tangent space dimensions differ")
@@ -499,8 +530,9 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     lam = 0.0
     for _ in range(_POWER_ITER_CAP):
         y = step(x)
-        lam = max(float(x @ y), 0.0)
-        nrm = math.sqrt(y @ y)
+        # ndarray.dot is the BLAS dot that @ reaches, with less dispatch
+        lam = max(float(x.dot(y)), 0.0)
+        nrm = math.sqrt(y.dot(y))
         if nrm == 0.0:
             return 0.0
         x = y

@@ -331,8 +331,10 @@ def write_matrix_csv_reference(M, path):
 
 def force_fold(monkeypatch, fold: bool) -> None:
     """Put every support/tangent operator on the folded path or on the
-    entry path, whatever linalg._folds would pick."""
+    entry path, whatever linalg._folds would pick, and off the block path
+    that linalg._block_diagonal would pick."""
     monkeypatch.setattr(linalg_mod, "_folds", lambda n, r: fold)
+    monkeypatch.setattr(linalg_mod, "_block_diagonal", lambda S, T: False)
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -490,6 +490,15 @@ def test_neumann_validation():
         neumann_QC(G, T, sgn, lam=-0.1)
 
 
+def test_neumann_rejects_mismatched_dimensions(monkeypatch):
+    # checked before the operator is built
+    built = count_calls(monkeypatch, "_GammaTangentOperator", certificate)
+    G = gen_bernoulli_support(12, 0.3, seed=13)
+    with pytest.raises(ValueError, match="support and tangent space dimensions differ"):
+        neumann_QC(G, random_tangent(10, 1, 14), project_support(np.ones((12, 12)), G), lam=0.3)
+    assert built == []
+
+
 @pytest.mark.parametrize("fold", [True, False])
 @pytest.mark.parametrize("r, density, max_terms", [(1, 0.1, 200), (2, 0.05, 200), (3, 0.05, 200)])
 def test_neumann_matches_reference_on_both_paths(monkeypatch, fold, r, density, max_terms):
@@ -691,6 +700,27 @@ def test_verify_runs_power_iteration_once(monkeypatch):
     calls = count_calls(monkeypatch, "opnorm_PGammaPT", certificate)
     verify_certificate(gen_planted(InstanceParams(n=50, n_c=40, gamma=0.85, rho=0.10, seed=12)))
     assert len(calls) == 1
+
+
+def test_verify_builds_no_folded_matrix_on_a_suite_instance(monkeypatch):
+    # N = 0 on a planted certificate: both operators keep the 2 n blocks of
+    # r x r, and no (2 n r) x (2 n r) array is built
+    inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.1, seed=derive_seed(1000, 0)))
+    built = []
+    real = linalg_mod._GammaTangentOperator.__init__
+
+    def init(self, S, T):
+        real(self, S, T)
+        built.append(self)
+
+    monkeypatch.setattr(linalg_mod._GammaTangentOperator, "__init__", init)
+    verify_certificate(inst, lam=0.1)
+    assert len(built) == 2
+    for step in built:
+        n, r = step.T.n, step.T.r
+        assert step.K is None and step.E is None
+        assert step.blocks.shape == (2 * n, r, r)
+        assert all(a.size <= 2 * n * r * r for a in vars(step).values() if isinstance(a, np.ndarray))
 
 
 def test_verify_factors_planted_block_once(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qcr.linalg as linalg_mod
-from qcr.certificate import DEFAULT_RANK_TOL
+from qcr.certificate import DEFAULT_RANK_TOL, neumann_QC
 from qcr.instances import InstanceParams, derive_seed, gen_planted
 from qcr.linalg import (
     NORM_KINDS,
@@ -572,23 +572,101 @@ def test_operator_step_matches_dense_matrix(monkeypatch, fold, r, same):
         assert np.abs(step(x) - M @ x).max(initial=0.0) <= 1e-12
 
 
+def suite_certificate(rho: float, k: int):
+    """Gamma and T of the n = 100 certify-suite certificate derive_seed(1000, k)."""
+    inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, k)))
+    return inst, TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+
+
 @pytest.mark.parametrize("rho", [0.10, 0.70])
 def test_operator_is_block_diagonal_on_suite_certificates(rho):
-    # U and V vanish off the planted block and Gamma lies off it, so N = 0
-    # and ||P_Gamma P_T||^2 is the top eigenvalue of the blocks S_j and R_i;
-    # the power estimate lies at most 2e-4 (relative) below it
+    # U and V vanish off the planted block and Gamma lies off it, so the
+    # operator keeps only the blocks S_j and R_i, and ||P_Gamma P_T||^2 is
+    # their top eigenvalue; the power estimate lies at most 2e-4 (relative)
+    # below it
     for k in range(20):
-        inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, k)))
-        T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+        inst, T = suite_certificate(rho, k)
         n, r = T.n, T.r
-        K = linalg_mod._GammaTangentOperator(inst.noise_support, T).K
-        assert not K[: n * r, n * r :].any()
-        t = np.arange(2 * n)
-        blocks = K.reshape(2 * n, r, 2 * n, r)[t, :, t, :]
-        exact = math.sqrt(np.linalg.eigvalsh(blocks).max())
+        step = linalg_mod._GammaTangentOperator(inst.noise_support, T)
+        assert step.K is None and step.E is None
+        assert step.blocks.shape == (2 * n, r, r)
+        exact = math.sqrt(np.linalg.eigvalsh(step.blocks).max())
         est = opnorm_PGammaPT(inst.noise_support, T)
         assert est <= exact
         assert exact - est <= 2e-4 * exact
+
+
+@pytest.mark.parametrize("rho", [0.10, 0.70])
+def test_block_path_is_bitwise_the_folded_path_on_suite_certificates(monkeypatch, rho):
+    # at r = 1 a GEMV with the diagonal K adds only exact zeros to the
+    # products the block path takes, and the folded path's rank-r
+    # correction subtracts exact zeros, so a step, the norm estimate and
+    # the Neumann half are bitwise those of the folded path
+    cases = [suite_certificate(rho, k) for k in range(20)]
+    x = rng(90).standard_normal(200)
+
+    def run():
+        out = []
+        for inst, T in cases:
+            G, step = inst.noise_support, linalg_mod._GammaTangentOperator(inst.noise_support, T)
+            out.append((step, step(x), opnorm_PGammaPT(G, T), neumann_QC(G, T, np.sign(inst.C0), 0.1)))
+        return out
+
+    blocks = run()
+    force_fold(monkeypatch, True)
+    folded = run()
+    for (b, by, bn, bq), (f, fy, fn, fq) in zip(blocks, folded):
+        assert b.blocks is not None and f.K is not None
+        assert not f.K[:100, 100:].any()
+        assert np.array_equal(by, fy)
+        assert bn == fn
+        assert np.array_equal(bq, fq)
+
+
+def planted_tangent(n: int, r: int, rows_u, rows_v, seed: int) -> TangentSpace:
+    """A rank-r tangent space whose U and V vanish outside rows_u and rows_v."""
+    g = rng(seed)
+    U, V = np.zeros((n, r)), np.zeros((n, r))
+    U[rows_u] = np.linalg.qr(g.standard_normal((len(rows_u), r)))[0]
+    V[rows_v] = np.linalg.qr(g.standard_normal((len(rows_v), r)))[0]
+    return TangentSpace(U, V)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("same", [False, True])
+def test_block_path_matches_dense_matrix(r, same):
+    # Gamma misses supp(U) x supp(V): the block path, against the dense
+    # matrix of P_T P_Gamma P_T; one live entry in supp(U) x supp(V) sends
+    # the operator to the folded path, which matches it too
+    n = 10
+    rows_u, rows_v = np.arange(6), np.arange(2, 8)
+    if same:
+        T = planted_tangent(n, r, rows_u, rows_u, 80 + r)
+        T = TangentSpace(T.U, T.U)
+        rows_v = rows_u
+    else:
+        T = planted_tangent(n, r, rows_u, rows_v, 80 + r)
+    live = np.zeros((n, n), dtype=bool)
+    live[np.ix_(rows_u, rows_v)] = True
+    random = rng(81 + r).random((n, n)) < 0.4
+    x = rng(82 + r).standard_normal(2 * n * r)
+    for mask in (np.zeros((n, n), dtype=bool), ~live, random & ~live):
+        S = SupportSet(n, mask)
+        step = linalg_mod._GammaTangentOperator(S, T)
+        assert step.K is None and step.E is None
+        assert step.blocks.shape == (2 * n, r, r)
+        assert np.abs(step(x) - dense_operator_matrix(S, T) @ x).max() <= 1e-12
+    one = random & ~live
+    one[rows_u[1], rows_v[2]] = True
+    S = SupportSet(n, one)
+    step = linalg_mod._GammaTangentOperator(S, T)
+    assert step.blocks is None and step.K is not None
+    assert np.abs(step(x) - dense_operator_matrix(S, T) @ x).max() <= 1e-12
+
+
+def test_opnorm_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        opnorm_PGammaPT(SupportSet(12, np.ones((12, 12), dtype=bool)), random_tangent(10, 1, 5))
 
 
 @pytest.mark.parametrize("fold", [True, False])
