@@ -371,30 +371,12 @@ def _tangent_dense(x, T: TangentSpace) -> np.ndarray:
     return np.hstack((T.U, X[1])) @ np.vstack((X[0].T, T.V.T))
 
 
-# entries of the largest folded (2 n r) x (2 n r) matrix: 32 MB
-_FOLD_MAX_ENTRIES = 2**22
-
-
-def _folds(n: int, r: int) -> bool:
-    """Whether P_T P_Gamma P_T on an n x n grid and a rank-r T is folded: by
-    shape alone, whatever the size of Gamma."""
-    return (2 * n * r) ** 2 <= _FOLD_MAX_ENTRIES
-
-
-def _block_diagonal(S: SupportSet, T: TangentSpace) -> bool:
-    """Whether no entry of Gamma lies in supp(U) x supp(V), the rows where
-    U is nonzero crossed with those where V is: then every G_ij U_ik V_jl
-    vanishes and P_T P_Gamma P_T is block diagonal. It holds on every
-    planted certificate, where U and V vanish outside the planted block and
-    Gamma lies outside it."""
-    return not S.mask[T.U.any(axis=1)][:, T.V.any(axis=1)].any()
-
-
-def _tangent_blocks(S: SupportSet, T: TangentSpace) -> np.ndarray:
-    """The blocks S_j, then R_i, of _GammaTangentOperator, made exactly
-    symmetric, as one (2 n, r, r) array."""
+def _tangent_blocks(mask, T: TangentSpace) -> np.ndarray:
+    """The blocks S_j = sum_i G_ij U_i.T U_i, then R_i = sum_j G_ij V_j.T V_j,
+    of the n x n 0/1 mask G, made exactly symmetric, as one (2 n, r, r)
+    array."""
     n, r = T.n, T.r
-    G = S.mask.astype(float)
+    G = mask.astype(float)
     blocks = np.concatenate((
         G.T @ (T.U[:, :, None] * T.U[:, None, :]).reshape(n, r * r),
         G @ (T.V[:, :, None] * T.V[:, None, :]).reshape(n, r * r),
@@ -408,53 +390,30 @@ class _GammaTangentOperator:
     opnorm_PGammaPT and neumann_QC each build one and apply it at every
     step of the power iteration and of conjugate gradients.
 
-    In the coordinates of x it is the symmetric (2 n r) x (2 n r) matrix
-    K = [[S, N], [N.T, R]] followed by the rank-r correction _deflate that
-    takes U @ (A @ V) off its W half. With G Gamma's 0/1 mask and U_i, V_j
-    the rows of U and V, N[j r + k, i r + l] = G_ij U_ik V_jl, and S and R
-    are block diagonal with the r x r blocks S_j = sum_i G_ij U_i.T U_i and
-    R_i = sum_j G_ij V_j.T V_j. The path is picked from Gamma, then shape:
-
-    - When no entry of Gamma lies in supp(U) x supp(V) (_block_diagonal),
-      N = 0 and only the 2 n blocks are kept, as the (2 n, r, r) array
-      blocks: a step is their blockwise product with x, O(n r^2). The
-      correction is exactly zero there,
-      so it is skipped: column j of the product's A half is S_j A_j, and
-      S_j != 0 needs an entry (i, j) of Gamma with U_i != 0, so V_j = 0,
-      and every term of A @ V has a factor that is exactly 0.
-    - Folded (_folds), K is one array and a step one GEMV and the
-      correction, O((n r)^2).
-    - Past _folds' cap on the size of K, a step reads X on Gamma's entries
-      and projects those values back, O(|Gamma| r + n r^2), with a gather
-      and a bincount each time."""
+    Gamma is split in two. Its cross set E is its entries in supp(U) x
+    supp(V), the rows where U is nonzero crossed with those where V is; the
+    rest goes to the r x r blocks S_j and R_i of _tangent_blocks. On the
+    rest every cross term G_ij U_ik V_jl is zero, so there P_T P_Gamma P_T
+    is the blockwise product of the blocks with x, O(n r^2), with no rank-r
+    correction: column j of the product's A half is S_j A_j, and S_j != 0
+    needs an entry (i, j) of the rest with U_i != 0, so V_j = 0, and every
+    term of A @ V has a factor that is exactly 0. A step adds to that the
+    image of E: X read on E and projected back to factors,
+    O(|E| r + n r^2). E is empty on every planted certificate, where U and
+    V vanish outside the planted block and Gamma lies outside it."""
 
     def __init__(self, S: SupportSet, T: TangentSpace):
-        n, r = T.n, T.r
         self.T = T
-        self.blocks = self.K = self.E = None
-        if _block_diagonal(S, T):
-            self.blocks = _tangent_blocks(S, T)
-        elif _folds(n, r):
-            U, V = T.U, T.V
-            N = V[:, None, None, :] * U.T[None, :, :, None]
-            N *= S.mask.T[:, None, :, None]
-            N = N.reshape(n * r, n * r)
-            K = np.zeros((2 * n * r, 2 * n * r))
-            K[: n * r, n * r :] = N
-            K[n * r :, : n * r] = N.T
-            t = np.arange(2 * n)
-            K.reshape(2 * n, r, 2 * n, r)[t, :, t, :] = _tangent_blocks(S, T)
-            self.K = K
-        else:
-            self.E = _Entries.gather(np.flatnonzero(S.mask), T)
+        cross = S.mask & np.outer(T.U.any(axis=1), T.V.any(axis=1))
+        self.E = _Entries.gather(np.flatnonzero(cross), T)
+        self.blocks = _tangent_blocks(S.mask & ~cross, T)
 
     def __call__(self, x):
-        if self.blocks is not None:
-            B = self.blocks
-            return (B @ x.reshape(B.shape[:2] + (1,))).ravel()
-        if self.K is not None:
-            return _deflate(self.K @ x, self.T)
-        return _tangent_factors_at(_tangent_at(x, self.E), self.E, self.T)
+        B = self.blocks
+        y = (B @ x.reshape(B.shape[:2] + (1,))).ravel()
+        if self.E.flat.size:
+            y += _tangent_factors_at(_tangent_at(x, self.E), self.E, self.T)
+        return y
 
 
 def project_T(Z, T: TangentSpace) -> np.ndarray:
@@ -494,12 +453,10 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     are held as flat vectors of their factors, x = [vec A.T; vec W] with
     X = U@A + W@V.T (see _tangent_factors), on which the Frobenius inner
     product is the dot product. Each step applies _GammaTangentOperator,
-    built once here: when Gamma misses supp(U) x supp(V), a product with
-    its 2 n blocks of r x r, O(n r^2); otherwise one matrix-vector product
-    with the matrix of U and V folded into Gamma's mask, O((n r)^2), or,
-    past the fold's size cap, a read of X on Gamma's entries projected back
-    to factors, O(|Gamma| r + n r^2). On hitting the iteration cap a
-    warning is issued and the best estimate returned.
+    built once here: a product with its 2 n blocks of r x r, O(n r^2), plus,
+    for the entries of Gamma in supp(U) x supp(V), a read of X there
+    projected back to factors, O(|E| r + n r^2). On hitting the iteration
+    cap a warning is issued and the best estimate returned.
 
     The result is a lower estimate of the norm. Each step's eigenvalue
     estimate is the Rayleigh quotient <X, P_T P_Gamma P_T X> of a unit X,
@@ -511,10 +468,10 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     suggests. The report's gate reads it; neumann_QC does not.
 
     On planted instances the exact norm is known: U and V vanish outside
-    the planted block and Gamma lies outside it, so the operator is block
-    diagonal, holds only its r x r blocks S_j and R_i, and the squared
-    norm is their top eigenvalue. On the n = 100 suite certificates the
-    estimate lies 6e-7 to 1.7e-4 (relative) below it.
+    the planted block and Gamma lies outside it, so the cross set is empty,
+    the operator is block diagonal with the r x r blocks S_j and R_i, and
+    the squared norm is their top eigenvalue. On the n = 100 suite
+    certificates the estimate lies 6e-7 to 1.7e-4 (relative) below it.
     """
     if S.n != T.n:
         raise ValueError("support and tangent space dimensions differ")

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-import qcr.linalg as linalg_mod
 from qcr.fileio import FileFormatError
 from qcr.instances import InstanceParams, PlantedInstance
 from qcr.linalg import (
     SupportSet,
+    TangentSpace,
     _Entries,
     _tangent_at,
     _tangent_factors_at,
@@ -55,6 +55,42 @@ def gen_random_sign_sparse(n: int, p: float, seed: int) -> np.ndarray:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     u = rng(seed).random((n, n))
     return np.where(u < p / 2, 1.0, np.where(u < p, -1.0, 0.0))
+
+
+def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
+    """A rank-r tangent space with dense random orthonormal U and V."""
+    g = rng(seed)
+    U, _ = np.linalg.qr(g.standard_normal((n, r)))
+    V, _ = np.linalg.qr(g.standard_normal((n, r)))
+    return TangentSpace(U=U, V=V)
+
+
+def planted_tangent(n: int, r: int, rows_u, rows_v, seed: int) -> TangentSpace:
+    """A rank-r tangent space whose U and V vanish outside rows_u and rows_v."""
+    g = rng(seed)
+    U, V = np.zeros((n, r)), np.zeros((n, r))
+    U[rows_u] = np.linalg.qr(g.standard_normal((len(rows_u), r)))[0]
+    V[rows_v] = np.linalg.qr(g.standard_normal((len(rows_v), r)))[0]
+    return TangentSpace(U, V)
+
+
+def planted_supports(n: int, r: int, same: bool, seed: int, density: float):
+    """A planted T, whose U and V vanish outside rows 0..n/2 and 2..n-2 (U = V
+    when same), and two Gamma masks: a random one of the given density that
+    misses supp(U) x supp(V), and the same plus one entry inside it. Returns
+    (T, miss, one, the flat index of that entry)."""
+    rows_u = np.arange(n // 2 + 1)
+    rows_v = rows_u if same else np.arange(2, n - 1)
+    T = planted_tangent(n, r, rows_u, rows_v, seed)
+    if same:
+        T = TangentSpace(T.U, T.U)
+    live = np.zeros((n, n), dtype=bool)
+    live[np.ix_(rows_u, rows_v)] = True
+    miss = (rng(seed + 1).random((n, n)) < density) & ~live
+    one = miss.copy()
+    flat = rows_u[1] * n + rows_v[2]
+    one.flat[flat] = True
+    return T, miss, one, flat
 
 
 def gen_low_rank(n: int, r: int, seed: int) -> np.ndarray:
@@ -327,14 +363,6 @@ def write_matrix_csv_reference(M, path):
     with open(path, "w") as fh:
         for row in M:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def force_fold(monkeypatch, fold: bool) -> None:
-    """Put every support/tangent operator on the folded path or on the
-    entry path, whatever linalg._folds would pick, and off the block path
-    that linalg._block_diagonal would pick."""
-    monkeypatch.setattr(linalg_mod, "_folds", lambda n, r: fold)
-    monkeypatch.setattr(linalg_mod, "_block_diagonal", lambda S, T: False)
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -38,26 +38,20 @@ from qcr.linalg import (
 
 from conftest import (
     count_calls,
-    force_fold,
     gen_bernoulli_support,
     gen_low_rank,
     golfing_loop_reference,
     golfing_reference,
     neumann_reference,
     partition_reference,
+    planted_supports,
+    random_tangent,
     rng,
 )
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_certificates.py"
-
-
-def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
-    g = rng(seed)
-    U, _ = np.linalg.qr(g.standard_normal((n, r)))
-    V, _ = np.linalg.qr(g.standard_normal((n, r)))
-    return TangentSpace(U=U, V=V)
 
 
 def block_tangent(n: int, n_c: int) -> TangentSpace:
@@ -435,20 +429,20 @@ def dense_neumann_oracle(G: SupportSet, T: TangentSpace, sgn, lam):
     return lam * project_T_perp(W, T)
 
 
-def test_neumann_matches_dense_linear_system(monkeypatch):
-    # the CG sum against an exact solve, on both operator paths
+def test_neumann_matches_dense_linear_system():
+    # the CG sum against an exact solve, with Gamma inside supp(U) x supp(V)
+    # of a dense T, and off a planted T's, then meeting it in one entry
     g = rng(7)
     n = 8
     mask = np.zeros(n * n, dtype=bool)
     mask[g.choice(n * n, size=6, replace=False)] = True
-    G = SupportSet(n, mask.reshape(n, n))
-    sgn = np.where(G.mask, g.choice([-1.0, 1.0], size=(n, n)), 0.0)
+    signs = g.choice([-1.0, 1.0], size=(n, n))
     for r in (1, 2, 3):
-        T = random_tangent(n, r, 70 + r)
-        ref = dense_neumann_oracle(G, T, sgn, 0.3)
-        for fold in (True, False):
-            force_fold(monkeypatch, fold)
-            assert rel_close(neumann_QC(G, T, sgn, lam=0.3), ref, rtol=1e-9)
+        T, miss, one, _ = planted_supports(n, r, False, 70 + r, 0.1)
+        for T, m in ((random_tangent(n, r, 70 + r), mask.reshape(n, n)), (T, miss), (T, one)):
+            G = SupportSet(n, m)
+            sgn = np.where(m, signs, 0.0)
+            assert rel_close(neumann_QC(G, T, sgn, lam=0.3), dense_neumann_oracle(G, T, sgn, 0.3), rtol=1e-9)
 
 
 def test_neumann_fixed_point_identity():
@@ -471,12 +465,16 @@ def test_neumann_output_in_tangent_complement():
 
 
 def test_neumann_divergence_raises():
-    # a tangent space spanning everything makes the composed operator norm 1
-    T = random_tangent(6, 6, 9)
-    G = gen_bernoulli_support(6, 0.5, seed=10)
-    sgn = project_support(np.ones((6, 6)), G)
-    with pytest.raises(NeumannDivergenceError):
-        neumann_QC(G, T, sgn, lam=0.3)
+    # ||P_Gamma P_T|| = 1: with a tangent space spanning everything, and with
+    # a planted one and a Gamma that holds a whole column j off supp(V), so
+    # that its block S_j is U.T U = I
+    T, _, one, _ = planted_supports(6, 2, False, 9, 0.0)
+    column = one.copy()
+    column[:, -1] = True
+    cases = [(random_tangent(6, 6, 9), gen_bernoulli_support(6, 0.5, seed=10)), (T, SupportSet(6, column))]
+    for T, G in cases:
+        with pytest.raises(NeumannDivergenceError):
+            neumann_QC(G, T, project_support(np.ones((6, 6)), G), lam=0.3)
 
 
 def test_neumann_validation():
@@ -499,14 +497,18 @@ def test_neumann_rejects_mismatched_dimensions(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("planted", [True, False])
 @pytest.mark.parametrize("r, density, max_terms", [(1, 0.1, 200), (2, 0.05, 200), (3, 0.05, 200)])
-def test_neumann_matches_reference_on_both_paths(monkeypatch, fold, r, density, max_terms):
-    # the CG sum against the series, which converges here within max_terms
-    force_fold(monkeypatch, fold)
+def test_neumann_matches_reference_on_both_paths(planted, r, density, max_terms):
+    # the CG sum against the series, which converges here within max_terms,
+    # on both parts of a step: planted, Gamma goes to the blocks but for one
+    # entry in supp(U) x supp(V); with a dense T, all of it is such entries
     n = 24
-    T = random_tangent(n, r, 110 + r)
-    G = SupportSet(n, rng(111 + r).random((n, n)) < density)
+    if planted:
+        T, _, mask, _ = planted_supports(n, r, False, 110 + r, density)
+    else:
+        T, mask = random_tangent(n, r, 110 + r), rng(111 + r).random((n, n)) < density
+    G = SupportSet(n, mask)
     assert not np.array_equal(G.mask, G.mask.T)
     sgn = np.where(G.mask, rng(112 + r).choice([-1.0, 1.0], size=(n, n)), 0.0)
     ref, terms = neumann_reference(G, T, sgn, 0.3, max_terms=max_terms)
@@ -569,15 +571,6 @@ def test_verify_raises_where_the_series_diverges(k):
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.95, seed=derive_seed(1000, k)))
     with pytest.raises(NeumannDivergenceError, match="norm too close to 1"):
         verify_certificate(inst, lam=0.1)
-
-
-@pytest.mark.parametrize("fold", [True, False])
-def test_neumann_divergence_raises_on_both_paths(monkeypatch, fold):
-    force_fold(monkeypatch, fold)
-    T = random_tangent(6, 6, 9)
-    G = gen_bernoulli_support(6, 0.5, seed=10)
-    with pytest.raises(NeumannDivergenceError):
-        neumann_QC(G, T, project_support(np.ones((6, 6)), G), lam=0.3)
 
 
 def test_certificate_script_counts_diverged_seeds(monkeypatch, tmp_path, capsys):
@@ -703,8 +696,8 @@ def test_verify_runs_power_iteration_once(monkeypatch):
 
 
 def test_verify_builds_no_folded_matrix_on_a_suite_instance(monkeypatch):
-    # N = 0 on a planted certificate: both operators keep the 2 n blocks of
-    # r x r, and no (2 n r) x (2 n r) array is built
+    # Gamma misses supp(U) x supp(V) on a planted certificate: both operators
+    # have an empty cross set and keep only the 2 n blocks of r x r
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.1, seed=derive_seed(1000, 0)))
     built = []
     real = linalg_mod._GammaTangentOperator.__init__
@@ -718,7 +711,7 @@ def test_verify_builds_no_folded_matrix_on_a_suite_instance(monkeypatch):
     assert len(built) == 2
     for step in built:
         n, r = step.T.n, step.T.r
-        assert step.K is None and step.E is None
+        assert step.E.flat.size == 0
         assert step.blocks.shape == (2 * n, r, r)
         assert all(a.size <= 2 * n * r * r for a in vars(step).values() if isinstance(a, np.ndarray))
 

@@ -28,19 +28,15 @@ from qcr.linalg import (
 from conftest import (
     count_calls,
     dense_opnorm,
-    force_fold,
+    neumann_reference,
     opnorm_reference,
+    planted_supports,
+    planted_tangent,
     project_T_reference,
+    random_tangent,
     rng,
     svd_threshold_reference,
 )
-
-
-def random_tangent(n: int, r: int, seed: int) -> TangentSpace:
-    g = rng(seed)
-    U, _ = np.linalg.qr(g.standard_normal((n, r)))
-    V, _ = np.linalg.qr(g.standard_normal((n, r)))
-    return TangentSpace(U=U, V=V)
 
 
 # ---------------------------------------------------------------- svd
@@ -484,7 +480,9 @@ def test_opnorm_in_unit_interval(seed, n, r):
     assert -1e-12 <= val <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("n, r, density", [(12, 2, 0.3), (30, 1, 0.1), (20, 3, 0.6)])
+@pytest.mark.parametrize("n, r, density", [
+    (12, 2, 0.3), (30, 1, 0.1), (20, 3, 0.6), (30, 1, 0.02), (25, 1, 0.6), (10, 3, 0.4),
+])
 def test_opnorm_matches_reference_with_one_projection_per_step(monkeypatch, n, r, density):
     # each step applies the support/tangent operator once; the 1e-12 match
     # pins the step count to the reference's, and no n x n matrix is
@@ -507,25 +505,34 @@ def support_masks(n: int, seed: int):
     return [np.zeros((n, n), dtype=bool), np.ones((n, n), dtype=bool), random]
 
 
-@pytest.mark.parametrize("fold", [True, False])
+def operator_supports(n: int, r: int, planted: bool, same: bool, seed: int):
+    """(T, Gamma's mask, the flat indices of Gamma in supp(U) x supp(V))
+    triples, with U = V when same. Planted, Gamma misses supp(U) x supp(V),
+    then meets it in one entry; otherwise T is dense and random, and Gamma
+    lies inside supp(U) x supp(V) as the empty, the full and a random mask."""
+    if planted:
+        T, miss, one, flat = planted_supports(n, r, same, seed, 0.4)
+        return [(T, miss, []), (T, one, [flat] if r else [])]
+    T = random_tangent(n, r, seed)
+    if same:
+        T = TangentSpace(T.U, T.U)
+    return [(T, mask, np.flatnonzero(mask) if r else []) for mask in support_masks(n, seed + 1)]
+
+
+@pytest.mark.parametrize("planted", [True, False])
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
-def test_operator_step_matches_dense_projections(monkeypatch, fold, r):
-    # one step maps the flat vector of X in T to that of P_T(P_Gamma(P_T X));
-    # folded, it is one product with the symmetric (2 n r) x (2 n r) matrix K
-    force_fold(monkeypatch, fold)
+def test_operator_step_matches_dense_projections(planted, r):
+    # one step maps the flat vector of X in T to that of P_T(P_Gamma(P_T X)):
+    # the blocks on Gamma off supp(U) x supp(V), plus its entries there
     n = 9
-    T = random_tangent(n, r, 40 + r)
-    assert r == 0 or np.abs(T.U - T.V).max() > 0.1
     X = rng(41 + r).standard_normal((n, n))
-    x = linalg_mod._tangent_factors(X, T)
-    assert x.shape == (2 * n * r,)
-    assert np.abs(linalg_mod._tangent_dense(x, T) - project_T_reference(X, T)).max() <= 1e-12 * n
-    for mask in support_masks(n, 42 + r):
-        S = SupportSet(n, mask)
-        step = linalg_mod._GammaTangentOperator(S, T)
-        assert (step.K is not None) == fold
-        if fold:
-            assert step.K.shape == (2 * n * r, 2 * n * r)
+    for T, mask, cross in operator_supports(n, r, planted, False, 40 + r):
+        assert r == 0 or np.abs(T.U - T.V).max() > 0.1
+        x = linalg_mod._tangent_factors(X, T)
+        assert x.shape == (2 * n * r,)
+        assert np.abs(linalg_mod._tangent_dense(x, T) - project_T_reference(X, T)).max() <= 1e-12 * n
+        step = linalg_mod._GammaTangentOperator(SupportSet(n, mask), T)
+        assert np.array_equal(step.E.flat, cross)
         y = step(x)
         assert y.shape == (2 * n * r,)
         got = linalg_mod._tangent_dense(y, T)
@@ -551,24 +558,18 @@ def dense_operator_matrix(S: SupportSet, T: TangentSpace) -> np.ndarray:
     return np.array(cols).T.reshape(2 * n * r, 2 * n * r)
 
 
-@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("planted", [True, False])
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 @pytest.mark.parametrize("same", [False, True])
-def test_operator_step_matches_dense_matrix(monkeypatch, fold, r, same):
+def test_operator_step_matches_dense_matrix(planted, r, same):
     # a step is the dense matrix of P_T P_Gamma P_T on the flat coordinates,
-    # with U != V and with U = V; folded, K is exactly symmetric
-    force_fold(monkeypatch, fold)
+    # with U != V and with U = V
     n = 8
-    T = random_tangent(n, r, 60 + r)
-    if same:
-        T = TangentSpace(T.U, T.U)
     x = rng(61 + r).standard_normal(2 * n * r)
-    for mask in support_masks(n, 62 + r):
+    for T, mask, _ in operator_supports(n, r, planted, same, 60 + r):
         S = SupportSet(n, mask)
         M = dense_operator_matrix(S, T)
         step = linalg_mod._GammaTangentOperator(S, T)
-        if fold:
-            assert np.array_equal(step.K, step.K.T)
         assert np.abs(step(x) - M @ x).max(initial=0.0) <= 1e-12
 
 
@@ -588,7 +589,7 @@ def test_operator_is_block_diagonal_on_suite_certificates(rho):
         inst, T = suite_certificate(rho, k)
         n, r = T.n, T.r
         step = linalg_mod._GammaTangentOperator(inst.noise_support, T)
-        assert step.K is None and step.E is None
+        assert step.E.flat.size == 0
         assert step.blocks.shape == (2 * n, r, r)
         exact = math.sqrt(np.linalg.eigvalsh(step.blocks).max())
         est = opnorm_PGammaPT(inst.noise_support, T)
@@ -596,48 +597,11 @@ def test_operator_is_block_diagonal_on_suite_certificates(rho):
         assert exact - est <= 2e-4 * exact
 
 
-@pytest.mark.parametrize("rho", [0.10, 0.70])
-def test_block_path_is_bitwise_the_folded_path_on_suite_certificates(monkeypatch, rho):
-    # at r = 1 a GEMV with the diagonal K adds only exact zeros to the
-    # products the block path takes, and the folded path's rank-r
-    # correction subtracts exact zeros, so a step, the norm estimate and
-    # the Neumann half are bitwise those of the folded path
-    cases = [suite_certificate(rho, k) for k in range(20)]
-    x = rng(90).standard_normal(200)
-
-    def run():
-        out = []
-        for inst, T in cases:
-            G, step = inst.noise_support, linalg_mod._GammaTangentOperator(inst.noise_support, T)
-            out.append((step, step(x), opnorm_PGammaPT(G, T), neumann_QC(G, T, np.sign(inst.C0), 0.1)))
-        return out
-
-    blocks = run()
-    force_fold(monkeypatch, True)
-    folded = run()
-    for (b, by, bn, bq), (f, fy, fn, fq) in zip(blocks, folded):
-        assert b.blocks is not None and f.K is not None
-        assert not f.K[:100, 100:].any()
-        assert np.array_equal(by, fy)
-        assert bn == fn
-        assert np.array_equal(bq, fq)
-
-
-def planted_tangent(n: int, r: int, rows_u, rows_v, seed: int) -> TangentSpace:
-    """A rank-r tangent space whose U and V vanish outside rows_u and rows_v."""
-    g = rng(seed)
-    U, V = np.zeros((n, r)), np.zeros((n, r))
-    U[rows_u] = np.linalg.qr(g.standard_normal((len(rows_u), r)))[0]
-    V[rows_v] = np.linalg.qr(g.standard_normal((len(rows_v), r)))[0]
-    return TangentSpace(U, V)
-
-
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("same", [False, True])
 def test_block_path_matches_dense_matrix(r, same):
-    # Gamma misses supp(U) x supp(V): the block path, against the dense
-    # matrix of P_T P_Gamma P_T; one live entry in supp(U) x supp(V) sends
-    # the operator to the folded path, which matches it too
+    # Gamma misses supp(U) x supp(V): the operator keeps only its blocks,
+    # and matches the dense matrix of P_T P_Gamma P_T
     n = 10
     rows_u, rows_v = np.arange(6), np.arange(2, 8)
     if same:
@@ -653,15 +617,42 @@ def test_block_path_matches_dense_matrix(r, same):
     for mask in (np.zeros((n, n), dtype=bool), ~live, random & ~live):
         S = SupportSet(n, mask)
         step = linalg_mod._GammaTangentOperator(S, T)
-        assert step.K is None and step.E is None
+        assert step.E.flat.size == 0
         assert step.blocks.shape == (2 * n, r, r)
         assert np.abs(step(x) - dense_operator_matrix(S, T) @ x).max() <= 1e-12
-    one = random & ~live
-    one[rows_u[1], rows_v[2]] = True
-    S = SupportSet(n, one)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 5])
+def test_cross_split_matches_dense_references(monkeypatch, r, k):
+    # Gamma off a planted block plus k entries inside it: the k entries are
+    # the cross set, the rest goes to the blocks, and the step, the norm
+    # and the Neumann half match their dense references
+    n = 16
+    rows_u, rows_v = np.arange(10), np.arange(4, 14)
+    T = planted_tangent(n, r, rows_u, rows_v, 120 + r)
+    g = rng(121 + r)
+    live = np.zeros((n, n), dtype=bool)
+    live[np.ix_(rows_u, rows_v)] = True
+    rest = (g.random((n, n)) < 0.1) & ~live
+    cross = np.sort(g.choice(np.flatnonzero(live), size=k, replace=False))
+    mask = rest.copy()
+    mask.flat[cross] = True
+    S = SupportSet(n, mask)
     step = linalg_mod._GammaTangentOperator(S, T)
-    assert step.blocks is None and step.K is not None
+    assert np.array_equal(step.E.flat, cross)
+    assert np.array_equal(step.blocks, linalg_mod._tangent_blocks(rest, T))
+    x = g.standard_normal(2 * n * r)
     assert np.abs(step(x) - dense_operator_matrix(S, T) @ x).max() <= 1e-12
+    expected, steps = opnorm_reference(S, T)
+    applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
+    assert abs(opnorm_PGammaPT(S, T) - expected) <= 1e-12 * expected
+    assert len(applied) == steps
+    sgn = np.where(mask, g.choice([-1.0, 1.0], size=(n, n)), 0.0)
+    ref, terms = neumann_reference(S, T, sgn, 0.3, max_terms=1000)
+    assert terms < 1000
+    got = neumann_QC(S, T, sgn, 0.3)
+    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_opnorm_rejects_mismatched_dimensions():
@@ -669,26 +660,11 @@ def test_opnorm_rejects_mismatched_dimensions():
         opnorm_PGammaPT(SupportSet(12, np.ones((12, 12), dtype=bool)), random_tangent(10, 1, 5))
 
 
-@pytest.mark.parametrize("fold", [True, False])
-@pytest.mark.parametrize("n, r, density", [
-    (12, 2, 0.3), (30, 1, 0.02), (25, 1, 0.6), (10, 3, 0.4),
-])
-def test_opnorm_matches_reference_on_both_paths(monkeypatch, fold, n, r, density):
-    force_fold(monkeypatch, fold)
-    T = random_tangent(n, r, 3 * n + r)
-    S = SupportSet(n, rng(5 * n + r).random((n, n)) < density)
-    expected, steps = opnorm_reference(S, T)
-    applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
-    val = opnorm_PGammaPT(S, T)
-    assert abs(val - expected) <= 1e-12 * expected
-    assert len(applied) == steps
-
-
 @pytest.mark.parametrize("rho", [0.10, 0.70])
 def test_opnorm_steps_as_the_reference_on_a_suite_certificate(monkeypatch, rho):
-    # on the shape the certificate suites run (n = 100, r = 1, folded), the
-    # power iteration applies the operator once per reference step and stops
-    # at the same step
+    # on the shape the certificate suites run (n = 100, r = 1, an empty
+    # cross set), the power iteration applies the operator once per
+    # reference step and stops at the same step
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, 0)))
     T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
     assert T.r == 1
@@ -697,24 +673,6 @@ def test_opnorm_steps_as_the_reference_on_a_suite_certificate(monkeypatch, rho):
     val = opnorm_PGammaPT(inst.noise_support, T)
     assert abs(val - expected) <= 1e-12 * expected
     assert len(applied) == steps
-
-
-@pytest.mark.parametrize("n, r, fold", [
-    # the fold is taken while (2 n r)^2 <= _FOLD_MAX_ENTRIES, whatever Gamma
-    (1_024, 1, True),
-    (1_025, 1, False),
-    (2_049, 1, False),
-    (512, 2, True),
-    (513, 2, False),
-    (1_025, 2, False),
-    (341, 3, True),
-    (342, 3, False),
-    (683, 3, False),
-    (100, 3, True),
-    (100, 85, False),
-])
-def test_fold_rule(n, r, fold):
-    assert linalg_mod._folds(n, r) == fold
 
 
 def test_opnorm_warns_at_iteration_cap(monkeypatch):
