@@ -465,16 +465,29 @@ def test_neumann_output_in_tangent_complement():
 
 
 def test_neumann_divergence_raises():
-    # ||P_Gamma P_T|| = 1: with a tangent space spanning everything, and with
-    # a planted one and a Gamma that holds a whole column j off supp(V), so
-    # that its block S_j is U.T U = I
-    T, _, one, _ = planted_supports(6, 2, False, 9, 0.0)
-    column = one.copy()
-    column[:, -1] = True
-    cases = [(random_tangent(6, 6, 9), gen_bernoulli_support(6, 0.5, seed=10)), (T, SupportSet(6, column))]
-    for T, G in cases:
-        with pytest.raises(NeumannDivergenceError):
-            neumann_QC(G, T, project_support(np.ones((6, 6)), G), lam=0.3)
+    # a tangent space spanning everything makes the composed operator norm 1
+    T = random_tangent(6, 6, 9)
+    G = gen_bernoulli_support(6, 0.5, seed=10)
+    sgn = project_support(np.ones((6, 6)), G)
+    with pytest.raises(NeumannDivergenceError):
+        neumann_QC(G, T, sgn, lam=0.3)
+
+
+@pytest.mark.parametrize("planted", [True, False])
+def test_neumann_divergence_raises_on_both_paths(planted):
+    # ||P_Gamma P_T|| = 1 on both parts of a step: planted, Gamma holds a
+    # whole column j off supp(V), so that its block S_j is U.T U = I, plus
+    # one entry in supp(U) x supp(V); with a dense T spanning everything,
+    # all of Gamma is such entries
+    if planted:
+        T, _, one, _ = planted_supports(6, 2, False, 9, 0.0)
+        column = one.copy()
+        column[:, -1] = True
+        G = SupportSet(6, column)
+    else:
+        T, G = random_tangent(6, 6, 9), gen_bernoulli_support(6, 0.5, seed=10)
+    with pytest.raises(NeumannDivergenceError):
+        neumann_QC(G, T, project_support(np.ones((6, 6)), G), lam=0.3)
 
 
 def test_neumann_validation():
