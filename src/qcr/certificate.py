@@ -374,7 +374,8 @@ def verify_certificate(
     """
     params = inst.params
     n = params.n
-    if not np.any(inst.B0):
+    B0 = inst.B0
+    if not np.any(B0):
         raise ValueError("certificate verification requires a nonzero planted block")
     lam = SolverOptions(lam=lam).resolve_lam(n)
     if not 0 < regime_c0 < math.inf:
@@ -382,7 +383,7 @@ def verify_certificate(
     if cfg is None:
         cfg = GolfingConfig.for_instance(params)
 
-    factors = svd(inst.B0, rank_tol)
+    factors = svd(B0, rank_tol)
     T = TangentSpace.from_factors(factors)
     Gamma = inst.noise_support
     E = factors.U @ factors.V.T

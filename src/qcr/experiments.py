@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .instances import InstanceParams, derive_seed, gen_planted
-from .solver import SolverOptions, recovery_success, relative_error, solve_rpca
+from .solver import RECOVERY_TOL, SolverOptions, relative_error, solve_rpca
 
 __all__ = [
     "GridSpec",
@@ -123,7 +123,7 @@ def _run_cell(args) -> tuple[int, int, int, float, float, int, int, int]:
             rel = relative_error(res.B_star, inst.block_pattern)
             iterations += res.iterations
             nonconverged += not res.converged
-            if res.converged and recovery_success(res.B_star, inst.block_pattern):
+            if res.converged and rel <= RECOVERY_TOL:
                 successes += 1
         except Exception:
             log.warning("trial (%d, %d, %d) failed", i, j, t, exc_info=True)

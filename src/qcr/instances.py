@@ -78,38 +78,60 @@ class PlantedInstance:
     realized nonzeros of B0, and noise_support the realized nonzeros of C0.
     block_pattern is the full 0/1 indicator of omega, the rank-1 matrix the
     convex program recovers in the success regime.
+
+    Only A is stored, read-only; B0, C0 and the supports are derived from A
+    and params.n_c on each access, each read building fresh arrays. Nothing
+    is cached, so a held instance stays 8 n^2 bytes however often it is read.
     """
 
     params: InstanceParams
     A: np.ndarray
-    B0: np.ndarray
-    C0: np.ndarray
-    omega: SupportSet
-    gamma_support: SupportSet
-    noise_support: SupportSet
+
+    def __post_init__(self):
+        n = self.params.n
+        if not isinstance(self.A, np.ndarray) or self.A.dtype != np.float64 or self.A.shape != (n, n):
+            raise ValueError(f"A must be a float (n, n) array for n={n}, got shape {np.shape(self.A)}")
+        if not np.isfinite(self.A).all():
+            raise ValueError("A contains non-finite entries")
+        self.A.flags.writeable = False
+
+    @classmethod
+    def from_adjacency(cls, params: InstanceParams, A) -> "PlantedInstance":
+        """The instance of an observed adjacency: nonzeros of A inside
+        {0..n_c-1}^2 belong to B0, the rest to C0. A is copied, so that
+        freezing it leaves the caller's array writable and a later write
+        to the caller's array leaves the instance unchanged."""
+        return cls(params, np.array(A, dtype=float, order="C"))
+
+    def _block(self) -> np.ndarray:
+        n, n_c = self.params.n, self.params.n_c
+        block = np.zeros((n, n), dtype=bool)
+        block[:n_c, :n_c] = True
+        return block
+
+    @property
+    def B0(self) -> np.ndarray:
+        return np.where(self._block(), self.A, 0.0)
+
+    @property
+    def C0(self) -> np.ndarray:
+        return self.A - self.B0
+
+    @property
+    def omega(self) -> SupportSet:
+        return SupportSet(self.params.n, self._block())
+
+    @property
+    def gamma_support(self) -> SupportSet:
+        return SupportSet(self.params.n, self.B0 != 0)
+
+    @property
+    def noise_support(self) -> SupportSet:
+        return SupportSet(self.params.n, self.C0 != 0)
 
     @property
     def block_pattern(self) -> np.ndarray:
-        return self.omega.mask.astype(float)
-
-    @classmethod
-    def from_adjacency(cls, params: InstanceParams, A: np.ndarray) -> "PlantedInstance":
-        """Split an observed adjacency into block and noise: nonzeros of A
-        inside {0..n_c-1}^2 belong to B0, the rest to C0."""
-        n, n_c = params.n, params.n_c
-        block = np.zeros((n, n), dtype=bool)
-        block[:n_c, :n_c] = True
-        B0 = np.where(block, A, 0.0)
-        C0 = A - B0
-        return cls(
-            params=params,
-            A=A,
-            B0=B0,
-            C0=C0,
-            omega=SupportSet(n, block),
-            gamma_support=SupportSet.from_mask(B0 != 0),
-            noise_support=SupportSet.from_mask(C0 != 0),
-        )
+        return self._block().astype(float)
 
 
 def gen_planted(params: InstanceParams) -> PlantedInstance:

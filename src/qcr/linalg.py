@@ -341,6 +341,8 @@ class _Entries:
     @classmethod
     def gather(cls, flat, T: TangentSpace) -> "_Entries":
         n, r = T.n, T.r
+        if not flat.size:  # the empty cross set of every planted certificate
+            return cls(flat, np.empty((0, 2 * r), dtype=np.intp), np.empty((0, 2 * r)))
         rows, cols = np.divmod(flat, n)
         k = np.arange(r)
         bins = np.hstack((cols[:, None] * r + k, n * r + rows[:, None] * r + k))
@@ -404,9 +406,19 @@ class _GammaTangentOperator:
 
     def __init__(self, S: SupportSet, T: TangentSpace):
         self.T = T
-        cross = S.mask & np.outer(T.U.any(axis=1), T.V.any(axis=1))
-        self.E = _Entries.gather(np.flatnonzero(cross), T)
-        self.blocks = _tangent_blocks(S.mask & ~cross, T)
+        rows = np.flatnonzero(T.U.any(axis=1))
+        # E read on the rows of supp(U) alone, with no n x n temporary
+        cross = S.mask[rows] & T.V.any(axis=1)
+        flat = np.empty(0, dtype=np.intp)
+        rest = S.mask
+        if cross.any():
+            i, j = np.nonzero(cross)
+            i = rows[i]
+            flat = i * T.n + j  # sorted, as rows ascend
+            rest = rest.copy()
+            rest[i, j] = False
+        self.E = _Entries.gather(flat, T)
+        self.blocks = _tangent_blocks(rest, T)
 
     def __call__(self, x):
         B = self.blocks

@@ -30,8 +30,9 @@ GEN = ("gen", "--n", "30", "--nc", "22", "--gamma", "0.9", "--rho", "0.1", "--se
 def test_gen_writes_instance_and_summary(tmp_chdir, capsys):
     rc, out, _ = run(capsys, *GEN, "--out", "inst.txt")
     assert rc == 0
-    assert "n=30" in out and "|gamma_support|=" in out
-    assert (tmp_chdir / "inst.txt").exists()
+    inst = read_instance(str(tmp_chdir / "inst.txt"))
+    assert "n=30" in out
+    assert f"|gamma_support|={len(inst.gamma_support)} |noise_support|={len(inst.noise_support)}" in out
 
 
 def test_gen_deterministic(tmp_chdir, capsys):

@@ -1,12 +1,16 @@
-"""Planted-instance generator tests: exact structure, seeded determinism,
-binomial support counts, and the random test matrices of conftest."""
+"""Planted-instance generator tests: exact structure, storage of A alone,
+seeded determinism, binomial support counts, and the random test matrices of
+conftest."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcr.instances import InstanceParams, derive_seed, gen_planted
+from qcr.fileio import read_instance, write_instance
+from qcr.instances import InstanceParams, PlantedInstance, derive_seed, gen_planted
 
 from conftest import gen_bernoulli_support, gen_low_rank, gen_random_sign_sparse
 
@@ -106,6 +110,98 @@ def test_structure_invariants(seed, n, gamma, rho):
     # nothing planted outside the block in B0
     assert np.abs(inst.B0[n_c:, :]).max(initial=0.0) == 0.0
     assert np.abs(inst.B0[:, n_c:]).max(initial=0.0) == 0.0
+
+
+# ---------------------------------------------------------------- storage
+
+DERIVED = ("B0", "C0", "omega", "gamma_support", "noise_support", "block_pattern")
+
+
+def split_reference(params, A):
+    """The arrays the instance held before it stored A alone, built as then."""
+    n, n_c = params.n, params.n_c
+    block = np.zeros((n, n), dtype=bool)
+    block[:n_c, :n_c] = True
+    B0 = np.where(block, A, 0.0)
+    C0 = A - B0
+    return {
+        "B0": B0,
+        "C0": C0,
+        "omega": block,
+        "gamma_support": B0 != 0,
+        "noise_support": C0 != 0,
+        "block_pattern": block.astype(float),
+    }
+
+
+def weighted_adjacency(n, seed):
+    g = np.random.default_rng(seed)
+    W = np.where(g.random((n, n)) < 0.4, g.normal(size=(n, n)), 0.0)
+    W = W + W.T
+    W[0, 1] = W[1, 0] = -0.0
+    return W
+
+
+def test_instance_stores_params_and_A_alone():
+    inst = gen_planted(params(seed=6))
+    assert [f.name for f in dataclasses.fields(PlantedInstance)] == ["params", "A"]
+    for name in DERIVED:
+        getattr(inst, name)
+    assert set(vars(inst)) == {"params", "A"}
+
+
+@pytest.mark.parametrize("source", ["gen_planted", "read_instance", "weighted"])
+@pytest.mark.parametrize("n_c", [20, 1])
+def test_derived_fields_are_bitwise_the_stored_split(tmp_path, source, n_c):
+    p = params(n=20, n_c=n_c, gamma=0.7, rho=0.3, seed=11)
+    if source == "weighted":
+        inst = PlantedInstance.from_adjacency(p, weighted_adjacency(20, seed=n_c))
+    else:
+        inst = gen_planted(p)
+        if source == "read_instance":
+            path = str(tmp_path / "inst.txt")
+            write_instance(inst, path)
+            inst = read_instance(path)
+    expected = split_reference(p, np.array(inst.A))
+    for name in DERIVED:
+        got = getattr(inst, name)
+        got = got.mask if name in ("omega", "gamma_support", "noise_support") else got
+        assert got.dtype == expected[name].dtype and got.shape == (20, 20), name
+        assert got.tobytes() == expected[name].tobytes(), name
+
+
+def with_entry(i, j, v):
+    A = np.zeros((10, 10))
+    A[i, j] = v
+    return A
+
+
+@pytest.mark.parametrize("A", [
+    np.ones(10),                    # 1-d, would broadcast to 10 x 10
+    np.ones((12, 12)),              # square, but not n x n
+    np.ones((10, 12)),
+    np.ones((1, 10, 10)),
+    with_entry(2, 3, np.nan),       # inside the block
+    with_entry(9, 0, np.inf),       # outside it
+], ids=["1d", "12x12", "10x12", "3d", "nan", "inf"])
+def test_from_adjacency_rejects_a_bad_adjacency(A):
+    with pytest.raises(ValueError):
+        PlantedInstance.from_adjacency(params(n=10, n_c=6), A)
+
+
+def test_A_is_a_frozen_copy():
+    p = params(n=10, n_c=6)
+    A = weighted_adjacency(10, seed=3)
+    before = A.copy()
+    inst = PlantedInstance.from_adjacency(p, A)
+    assert not inst.A.flags.writeable and inst.A.flags.c_contiguous
+    with pytest.raises(ValueError):
+        inst.A[0, 0] = 5.0
+    A[0, 0] = A[9, 9] = 5.0
+    assert A.flags.writeable
+    assert np.array_equal(inst.A, before)
+    assert inst.B0.tobytes() == split_reference(p, before)["B0"].tobytes()
+    assert inst.C0.tobytes() == split_reference(p, before)["C0"].tobytes()
 
 
 # ---------------------------------------------------------------- counts

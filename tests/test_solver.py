@@ -423,7 +423,7 @@ def test_planted_quasi_clique_recovery():
 
 
 def test_quasi_clique_rejects_a_matrix_that_is_not_0_1():
-    A = planted(n=20, n_c=14, seed=1).A
+    A = planted(n=20, n_c=14, seed=1).A.copy()
     A[3, 5] = A[5, 3] = 0.5
     with pytest.raises(ValueError, match="0/1 matrix"):
         solve_quasi_clique(A, QuasiCliqueParams(gamma=0.9, eta=5))
