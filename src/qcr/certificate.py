@@ -384,7 +384,7 @@ def verify_certificate(
         cfg = GolfingConfig.for_instance(params)
 
     factors = svd(B0, rank_tol)
-    T = TangentSpace.from_factors(factors)
+    T = TangentSpace(factors.U, factors.V)
     Gamma = inst.noise_support
     E = factors.U @ factors.V.T
     sign_C0 = np.sign(inst.C0)

@@ -117,11 +117,10 @@ def cmd_gen(args) -> int:
     )
     inst = gen_planted(params)
     write_instance(inst, args.out)
-    in_block = np.count_nonzero(inst.A[: params.n_c, : params.n_c])
     print(
         f"n={params.n} n_c={params.n_c} gamma={params.gamma} rho={params.rho} "
-        f"seed={params.seed} |gamma_support|={in_block} "
-        f"|noise_support|={np.count_nonzero(inst.A) - in_block} -> {args.out}"
+        f"seed={params.seed} |gamma_support|={np.count_nonzero(inst.B0)} "
+        f"|noise_support|={np.count_nonzero(inst.C0)} -> {args.out}"
     )
     return EXIT_OK
 
@@ -162,13 +161,7 @@ def cmd_solve(args) -> int:
         extras = {
             "recovery": bool(recovered),
             "relative_error": rel,
-            "instance": {
-                "n": inst.params.n,
-                "n_c": inst.params.n_c,
-                "gamma": inst.params.gamma,
-                "rho": inst.params.rho,
-                "seed": inst.params.seed,
-            },
+            "instance": dataclasses.asdict(inst.params),
         }
     write_result(result, args.out, lam=lam_used, mode=label, extras=extras)
     print(

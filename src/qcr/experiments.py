@@ -196,10 +196,10 @@ def run_phase_grid(spec: GridSpec, threads: int = 1) -> RecoveryGrid:
     return _run_grid(spec, threads)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_bytes(path: str, data: bytes) -> None:
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
@@ -217,15 +217,11 @@ def export_grid(grid: RecoveryGrid, path_prefix: str) -> None:
     for i, v1 in enumerate(spec.axis1_values):
         cells = [repr(float(r)) for r in grid.success_rate[i]]
         lines.append(",".join([repr(v1)] + cells))
-    _write_text(path_prefix + ".csv", "\n".join(lines) + "\n")
+    _write_bytes(path_prefix + ".csv", ("\n".join(lines) + "\n").encode())
 
     pixels = np.rint(np.clip(grid.success_rate, 0.0, 1.0) * 255).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    try:
-        with open(path_prefix + ".pgm", "wb") as fh:
-            fh.write(header + pixels.tobytes())
-    except OSError as exc:
-        raise OSError(f"failed writing {path_prefix}.pgm: {exc}") from exc
+    _write_bytes(path_prefix + ".pgm", header + pixels.tobytes())
 
     manifest = {
         "spec": asdict(spec),
@@ -240,4 +236,4 @@ def export_grid(grid: RecoveryGrid, path_prefix: str) -> None:
         "nonconverged": grid.nonconverged.tolist(),
         "errors": grid.errors.tolist(),
     }
-    _write_text(path_prefix + "_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_bytes(path_prefix + "_manifest.json", (json.dumps(manifest, indent=2) + "\n").encode())

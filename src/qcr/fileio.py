@@ -3,6 +3,7 @@ solver results and certificate reports, and flat key=value config files."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -262,14 +263,7 @@ def write_report(report: CertificateReport, path: str, include_matrices: bool = 
         "linf2_QC": report.linf2_QC,
         "linf2_Q": report.linf2_Q,
         "golfing_trace": list(report.golfing_trace),
-        "incoherence": {
-            "mu_row": report.incoherence.mu_row,
-            "mu_col": report.incoherence.mu_col,
-            "mu_joint": report.incoherence.mu_joint,
-            "mu": report.incoherence.mu,
-            "r": report.incoherence.r,
-            "n": report.incoherence.n,
-        },
+        "incoherence": dataclasses.asdict(report.incoherence),
         "config": {
             "k0": report.config.k0,
             "q": report.config.q,

@@ -74,12 +74,12 @@ class PlantedInstance:
     """A planted instance: observed adjacency A split as A = B0 + C0, where B0
     is the sampled in-block adjacency and C0 the background noise.
 
-    omega is the planted vertex-pair block {0..n_c-1}^2, gamma_support the
-    realized nonzeros of B0, and noise_support the realized nonzeros of C0.
-    block_pattern is the full 0/1 indicator of omega, the rank-1 matrix the
-    convex program recovers in the success regime.
+    B0 is A on the planted vertex-pair block {0..n_c-1}^2 and C0 is A off
+    it; noise_support is the realized nonzeros of C0. block_pattern is the
+    full 0/1 indicator of the block, the rank-1 matrix the convex program
+    recovers in the success regime.
 
-    Only A is stored, read-only; B0, C0 and the supports are derived from A
+    Only A is stored, read-only; B0, C0 and noise_support are derived from A
     and params.n_c on each access, each read building fresh arrays. Nothing
     is cached, so a held instance stays 8 n^2 bytes however often it is read.
     """
@@ -115,19 +115,12 @@ class PlantedInstance:
 
     @property
     def C0(self) -> np.ndarray:
-        return self.A - self.B0
-
-    @property
-    def omega(self) -> SupportSet:
-        return SupportSet(self.params.n, self._block())
-
-    @property
-    def gamma_support(self) -> SupportSet:
-        return SupportSet(self.params.n, self.B0 != 0)
+        # for a finite A, the bytes of A - B0, -0.0 included
+        return np.where(self._block(), 0.0, self.A)
 
     @property
     def noise_support(self) -> SupportSet:
-        return SupportSet(self.params.n, self.C0 != 0)
+        return SupportSet(self.params.n, (self.A != 0) & ~self._block())
 
     @property
     def block_pattern(self) -> np.ndarray:

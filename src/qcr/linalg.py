@@ -76,7 +76,9 @@ class SvdFactors:
 
 @dataclass(frozen=True, eq=False)
 class SupportSet:
-    """Index set over an n x n grid, stored as a boolean mask."""
+    """Index set over an n x n grid, stored as a read-only copy of a boolean
+    mask, so that the caller's array stays writable and a later write to it
+    leaves the set unchanged."""
 
     n: int
     mask: np.ndarray
@@ -84,15 +86,9 @@ class SupportSet:
     def __post_init__(self):
         if self.mask.shape != (self.n, self.n) or self.mask.dtype != np.bool_:
             raise ValueError("mask must be a boolean (n, n) array")
-        self.mask.flags.writeable = False
-
-    @classmethod
-    def from_mask(cls, mask) -> "SupportSet":
-        # a copy, so that freezing it leaves the caller's array writable
-        mask = np.array(mask, dtype=bool, order="C")
-        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-            raise ValueError("mask must be square")
-        return cls(mask.shape[0], mask)
+        mask = self.mask.copy()
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     def __len__(self) -> int:
         return int(self.mask.sum())
@@ -113,10 +109,6 @@ class TangentSpace:
             err = np.abs(W.T @ W - np.eye(r)).max() if r else 0.0
             if err > _ORTHO_TOL:
                 raise ValueError(f"{name} not column-orthonormal (max deviation {err:.2e})")
-
-    @classmethod
-    def from_factors(cls, factors: SvdFactors) -> "TangentSpace":
-        return cls(factors.U, factors.V)
 
     @property
     def n(self) -> int:

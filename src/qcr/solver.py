@@ -19,11 +19,12 @@ __all__ = [
     "InfeasibleError",
     "solve_rpca",
     "solve_quasi_clique",
-    "recovery_success",
     "relative_error",
     "RECOVERY_TOL",
 ]
 
+# a solve recovers the planted block when it converged and its
+# relative_error to the block pattern is at most RECOVERY_TOL
 RECOVERY_TOL = 1e-6
 
 
@@ -35,14 +36,11 @@ class InfeasibleError(ValueError):
 class SolverOptions:
     """Solver knobs, read alike by both solvers. lam defaults to 1/sqrt(n),
     resolved at solve time when left None. mu0 is the starting penalty; when
-    left None each solver picks its own from the input matrix: solve_rpca
-    starts at 0.25/mean(|M|) (resolve_mu0), solve_quasi_clique at
-    1.25/||A||_2, the inexact-ALM start of Lin, Chen and Ma
-    (arXiv:1009.5055), under which the nuclear prox threshold 1/mu begins near
-    the top eigenvalue and keeps few of them. A given mu0 overrides both. The
-    penalty grows by mu_growth whenever the primal residual has not shrunk by
-    a factor 0.9 over the last 10 iterations; the solve stops once that
-    residual is at most tol_primal, or after max_iters iterations."""
+    left None each solver computes its own start from the input matrix, as
+    its docstring states. The penalty grows by mu_growth whenever the primal
+    residual has not shrunk by a factor 0.9 over the last 10 iterations; the
+    solve stops once that residual is at most tol_primal, or after max_iters
+    iterations."""
 
     lam: float | None = None
     mu0: float | None = None
@@ -64,11 +62,6 @@ class SolverOptions:
 
     def resolve_lam(self, n: int) -> float:
         return self.lam if self.lam is not None else 1.0 / math.sqrt(n)
-
-    def resolve_mu0(self, M: np.ndarray) -> float:
-        if self.mu0 is not None:
-            return self.mu0
-        return 0.25 / max(float(np.abs(M).mean()), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -150,12 +143,13 @@ def solve_rpca(M, opts: SolverOptions | None = None) -> DecompositionResult:
     """Minimize ||B||_* + lam*||C||_1 subject to B + C = M.
 
     The inexact augmented-Lagrangian iteration of SolverOptions, with C by
-    entrywise shrinkage, from the penalty opts.resolve_mu0(M). The reported
-    primal_residual is ||M - B - C||_F / ||M||_F.
+    entrywise shrinkage, from the penalty 0.25/mean(|M|) unless opts.mu0 is
+    given. The reported primal_residual is ||M - B - C||_F / ||M||_F.
     """
     M = _as_square(M)
     opts = opts or SolverOptions()
-    B, C, stats = _alm(M, soft_threshold, opts.resolve_mu0(M), opts)
+    mu0 = opts.mu0 if opts.mu0 is not None else 0.25 / max(float(np.abs(M).mean()), 1e-12)
+    B, C, stats = _alm(M, soft_threshold, mu0, opts)
     return _result(B, C, opts.resolve_lam(M.shape[0]), stats)
 
 
@@ -224,10 +218,12 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
     B + C = A with the constraint moved onto C: its C-step is the l1 prox
     subject to A - C in the box/halfspace set (clip(W + t, 0, 1) with the
     least shift t >= 0 that meets the density target). Only the start
-    differs: 1.25/||A||_2 unless opts.mu0 is given. Returns B* = A - C, which
-    lies in the box exactly, and C* = A - B*. The reported primal_residual is
-    ||A - B - C||_F / ||A||_F with B the last singular-value shrinkage, which
-    is also how far B* lies from it.
+    differs: 1.25/||A||_2 unless opts.mu0 is given, the inexact-ALM start of
+    Lin, Chen and Ma (arXiv:1009.5055), under which the nuclear prox
+    threshold 1/mu begins near the top eigenvalue and keeps few of them.
+    Returns B* = A - C, which lies in the box exactly, and C* = A - B*. The
+    reported primal_residual is ||A - B - C||_F / ||A||_F with B the last
+    singular-value shrinkage, which is also how far B* lies from it.
     """
     A = _as_square(A)
     opts = opts or SolverOptions()
@@ -264,8 +260,3 @@ def relative_error(B_star, B0) -> float:
     if denom == 0.0:
         return float(np.linalg.norm(B_star))
     return float(np.linalg.norm(B0 - B_star)) / denom
-
-
-def recovery_success(B_star, B0) -> bool:
-    """True iff the relative Frobenius error is at most 1e-6 (inclusive)."""
-    return relative_error(B_star, B0) <= RECOVERY_TOL

@@ -185,7 +185,8 @@ def test_certificate_suite_failure_regime():
 
 def test_certificate_internals():
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.10, seed=0))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     Gamma = inst.noise_support
     sgn = np.sign(inst.C0)
     lam, tol = 0.1, 1e-10

@@ -58,7 +58,8 @@ def block_tangent(n: int, n_c: int) -> TangentSpace:
     """Rank-1 tangent space of the ideal planted block."""
     pat = np.zeros((n, n))
     pat[:n_c, :n_c] = 1.0
-    return TangentSpace.from_factors(svd(pat))
+    f = svd(pat)
+    return TangentSpace(f.U, f.V)
 
 
 # ---------------------------------------------------------------- incoherence
@@ -370,7 +371,8 @@ def test_golfing_matches_per_batch_loop_bitwise(r):
 
 def test_golfing_matches_per_batch_loop_bitwise_on_a_certificate_schedule():
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.1, seed=7))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     cfg = GolfingConfig.for_instance(inst.params)
     Q_B, trace = golfing_QB(T, partition_complement(inst.noise_support, cfg), cfg.p)
     ref_Q_B, ref_trace = golfing_loop_reference(T, partition_reference(inst.noise_support, cfg), cfg.p)
@@ -393,7 +395,8 @@ def test_golfing_trace_contracts_with_dense_batches():
     # per-batch sampling at q = 0.3 on a size-100 problem satisfies the
     # sampling regime, so every step contracts by a factor well below 1/2
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.10, seed=0))
-    T = TangentSpace.from_factors(svd(inst.block_pattern))
+    f = svd(inst.block_pattern)
+    T = TangentSpace(f.U, f.V)
     g = rng(123)
     batches = [
         np.flatnonzero((g.random((100, 100)) < 0.3) & ~inst.noise_support.mask)
@@ -447,7 +450,8 @@ def test_neumann_matches_dense_linear_system():
 
 def test_neumann_fixed_point_identity():
     inst = gen_planted(InstanceParams(n=60, n_c=48, gamma=0.85, rho=0.1, seed=5))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     G = inst.noise_support
     sgn = np.sign(inst.C0)
     lam, tol = 0.1, 1e-10
@@ -458,7 +462,8 @@ def test_neumann_fixed_point_identity():
 
 def test_neumann_output_in_tangent_complement():
     inst = gen_planted(InstanceParams(n=60, n_c=48, gamma=0.85, rho=0.1, seed=5))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     Q_C = neumann_QC(inst.noise_support, T, np.sign(inst.C0), 0.1)
     leak = np.linalg.norm(project_T(Q_C, T))
     assert leak <= 1e-10 * max(1.0, np.linalg.norm(Q_C))
@@ -533,7 +538,8 @@ def test_neumann_matches_reference_on_both_paths(planted, r, density, max_terms)
 def test_neumann_steps_on_a_failure_regime_suite_certificate(monkeypatch, k):
     # the rho = 0.7 suite, where the series took up to 180 terms
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.7, seed=derive_seed(1000, k)))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
     neumann_QC(inst.noise_support, T, np.sign(inst.C0), 0.1)
     assert 0 < len(applied) <= 20
@@ -686,7 +692,8 @@ def test_verify_linf2_norms_of_both_halves_and_their_sum():
 def test_verify_duals_in_tangent_complement():
     inst = gen_planted(InstanceParams(n=60, n_c=48, gamma=0.85, rho=0.10, seed=4))
     rep = verify_certificate(inst)
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     for Q in (rep.Q_B, rep.Q_C):
         leak = np.linalg.norm(project_T(Q, T))
         assert leak <= 1e-10 * max(1.0, np.linalg.norm(Q))

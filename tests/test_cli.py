@@ -32,7 +32,7 @@ def test_gen_writes_instance_and_summary(tmp_chdir, capsys):
     assert rc == 0
     inst = read_instance(str(tmp_chdir / "inst.txt"))
     assert "n=30" in out
-    assert f"|gamma_support|={len(inst.gamma_support)} |noise_support|={len(inst.noise_support)}" in out
+    assert f"|gamma_support|={np.count_nonzero(inst.B0)} |noise_support|={len(inst.noise_support)}" in out
 
 
 def test_gen_deterministic(tmp_chdir, capsys):

@@ -3,6 +3,7 @@ and export file formats."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -254,5 +255,15 @@ def test_export_reruns_byte_identical(tmp_path):
 
 def test_export_write_failure_raises_oserror(tmp_path):
     grid = handmade_grid([[0.5]])
-    with pytest.raises(OSError):
-        export_grid(grid, str(tmp_path / "missing_dir" / "g"))
+    prefix = str(tmp_path / "missing_dir" / "g")
+    with pytest.raises(OSError, match=re.escape(f"failed writing {prefix}.csv: ")):
+        export_grid(grid, prefix)
+
+
+@pytest.mark.parametrize("suffix", [".pgm", "_manifest.json"])
+def test_export_names_the_file_it_failed_writing(tmp_path, suffix):
+    # a directory in the file's place fails that write alone, after the CSV
+    (tmp_path / f"g{suffix}").mkdir()
+    prefix = str(tmp_path / "g")
+    with pytest.raises(OSError, match=re.escape(f"failed writing {prefix}{suffix}: ")):
+        export_grid(handmade_grid([[0.5]]), prefix)

@@ -1,7 +1,8 @@
 """Export-list tests: the package exports exactly the public names of its five
-library modules, every public name has one home module, and every function
-the perfbench tracer wraps still exists, so a deletion cannot leave a dangling
-re-export or trace target behind."""
+library modules, every public name has one home module and a reader in the
+program's own code, and every function the perfbench tracer wraps still
+exists, so a deletion cannot leave a dangling re-export or trace target
+behind, and a public name that only tests read cannot stay."""
 
 import ast
 import importlib
@@ -68,6 +69,40 @@ def test_traced_names_resolve_to_callables():
         module, func = dotted.split(".")
         target = getattr(importlib.import_module(f"qcr.{module}"), func, None)
         assert callable(target), f"{dotted} does not resolve to a callable"
+
+
+def code_readers():
+    """The names read as code in src/qcr, scripts/ and perfbench/: loads of a
+    bare name, attribute reads, and the function of each TRACED string.
+    Strings such as the __all__ entries, assignments, and a function's or
+    class's reads of its own name inside its own body do not count."""
+    readers = {dotted.split(".")[1] for dotted in traced_names()}
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        read = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read = node.attr
+        if read is not None and read not in own:
+            readers.add(read)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for folder in ("src/qcr", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            visit(ast.parse(path.read_text()), frozenset())
+    return readers
+
+
+def test_every_export_has_a_code_reader():
+    # a public name that only tests read is a second definition of something
+    # the program no longer needs
+    readers = code_readers()
+    unread = [name for name in qcr.__all__ if name != "__version__" and name not in readers]
+    assert not unread, f"exported names no code outside their definition reads: {unread}"
 
 
 def test_distribution_version_is_the_package_version():

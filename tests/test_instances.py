@@ -57,7 +57,7 @@ def test_deterministic_block_when_gamma_one_rho_zero():
     assert np.array_equal(inst.A, block)
     assert np.array_equal(inst.B0, block)
     assert np.array_equal(inst.C0, np.zeros((10, 10)))
-    assert len(inst.gamma_support) == 36
+    assert np.count_nonzero(inst.B0) == 36
     assert len(inst.noise_support) == 0
 
 
@@ -88,9 +88,9 @@ def test_symmetry_and_binary_entries():
 def test_supports_match_nonzeros():
     inst = gen_planted(params(seed=4))
     block = inst.block_pattern.astype(bool)
-    assert np.array_equal(inst.gamma_support.mask, (inst.A != 0) & block)
+    assert np.array_equal(inst.B0 != 0, (inst.A != 0) & block)
     assert np.array_equal(inst.noise_support.mask, (inst.A != 0) & ~block)
-    assert np.array_equal(inst.omega.mask, block)
+    assert np.array_equal(inst._block(), block)
 
 
 @pytest.mark.property
@@ -105,8 +105,8 @@ def test_structure_invariants(seed, n, gamma, rho):
     inst = gen_planted(InstanceParams(n=n, n_c=n_c, gamma=gamma, rho=rho, seed=seed))
     assert np.array_equal(inst.A, inst.A.T)
     assert np.array_equal(inst.A, inst.B0 + inst.C0)
-    assert not (inst.gamma_support.mask & inst.noise_support.mask).any()
-    assert np.array_equal(inst.gamma_support.mask | inst.noise_support.mask, inst.A != 0)
+    assert not ((inst.B0 != 0) & inst.noise_support.mask).any()
+    assert np.array_equal((inst.B0 != 0) | inst.noise_support.mask, inst.A != 0)
     # nothing planted outside the block in B0
     assert np.abs(inst.B0[n_c:, :]).max(initial=0.0) == 0.0
     assert np.abs(inst.B0[:, n_c:]).max(initial=0.0) == 0.0
@@ -114,7 +114,7 @@ def test_structure_invariants(seed, n, gamma, rho):
 
 # ---------------------------------------------------------------- storage
 
-DERIVED = ("B0", "C0", "omega", "gamma_support", "noise_support", "block_pattern")
+DERIVED = ("B0", "C0", "noise_support", "block_pattern")
 
 
 def split_reference(params, A):
@@ -127,8 +127,6 @@ def split_reference(params, A):
     return {
         "B0": B0,
         "C0": C0,
-        "omega": block,
-        "gamma_support": B0 != 0,
         "noise_support": C0 != 0,
         "block_pattern": block.astype(float),
     }
@@ -165,7 +163,7 @@ def test_derived_fields_are_bitwise_the_stored_split(tmp_path, source, n_c):
     expected = split_reference(p, np.array(inst.A))
     for name in DERIVED:
         got = getattr(inst, name)
-        got = got.mask if name in ("omega", "gamma_support", "noise_support") else got
+        got = got.mask if name == "noise_support" else got
         assert got.dtype == expected[name].dtype and got.shape == (20, 20), name
         assert got.tobytes() == expected[name].tobytes(), name
 
@@ -216,7 +214,7 @@ def test_support_counts_within_three_sigma():
     m_off = n_c * (n_c - 1) // 2
     mean_g = 2 * gamma * m_off + gamma * n_c
     var_g = 4 * gamma * (1 - gamma) * m_off + gamma * (1 - gamma) * n_c
-    assert abs(len(inst.gamma_support) - mean_g) <= 3 * np.sqrt(var_g)
+    assert abs(np.count_nonzero(inst.B0) - mean_g) <= 3 * np.sqrt(var_g)
 
     m_noise_off = n * (n - 1) // 2 - m_off
     mean_c = 2 * rho * m_noise_off + rho * (n - n_c)
@@ -229,7 +227,7 @@ def test_counts_stable_across_seeds():
     n, n_c, gamma = 40, 30, 0.6
     cells = n_c * (n_c - 1) + n_c
     rates = [
-        len(gen_planted(params(n=n, n_c=n_c, gamma=gamma, rho=0.1, seed=s)).gamma_support) / cells
+        np.count_nonzero(gen_planted(params(n=n, n_c=n_c, gamma=gamma, rho=0.1, seed=s)).B0) / cells
         for s in range(100)
     ]
     assert abs(np.mean(rates) - gamma) < 0.01
@@ -243,7 +241,7 @@ def test_generation_deterministic():
     b = gen_planted(params(seed=77))
     assert np.array_equal(a.A, b.A)
     assert np.array_equal(a.B0, b.B0)
-    assert np.array_equal(a.gamma_support.mask, b.gamma_support.mask)
+    assert np.array_equal(a.noise_support.mask, b.noise_support.mask)
 
 
 def test_different_seeds_differ():

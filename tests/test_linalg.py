@@ -365,16 +365,16 @@ def test_support_set_mask_read_only():
         S.mask[0, 0] = True
 
 
-def test_support_set_from_mask_leaves_caller_array_writable():
+def test_support_set_leaves_caller_array_writable():
     m = np.zeros((3, 3), dtype=bool)
-    S = SupportSet.from_mask(m)
+    S = SupportSet(3, m)
     m[0, 0] = True
     assert len(S) == 0
     assert not S.mask[0, 0]
 
 
 def test_project_support():
-    S = SupportSet.from_mask([[False, True], [False, False]])
+    S = SupportSet(2, np.array([[False, True], [False, False]]))
     Z = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(project_support(Z, S), [[0.0, 2.0], [0.0, 0.0]])
 
@@ -460,7 +460,8 @@ def test_opnorm_is_a_lower_estimate_of_the_dense_norm(rho, k):
     # the top eigenvalue; its tol bounds the step-to-step change, so the
     # estimate is checked against the exact norm of the dense operator
     inst = gen_planted(InstanceParams(n=14, n_c=10, gamma=0.85, rho=rho, seed=derive_seed(1000, k)))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     exact = dense_opnorm(inst.noise_support, T)
     est = opnorm_PGammaPT(inst.noise_support, T)
     assert est <= exact * (1 + 1e-12)
@@ -593,7 +594,8 @@ def test_operator_step_matches_dense_matrix(planted, r, same):
 def suite_certificate(rho: float, k: int):
     """Gamma and T of the n = 100 certify-suite certificate derive_seed(1000, k)."""
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, k)))
-    return inst, TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    return inst, TangentSpace(f.U, f.V)
 
 
 @pytest.mark.parametrize("rho", [0.10, 0.70])
@@ -683,7 +685,8 @@ def test_opnorm_steps_as_the_reference_on_a_suite_certificate(monkeypatch, rho):
     # cross set), the power iteration applies the operator once per
     # reference step and stops at the same step
     inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, 0)))
-    T = TangentSpace.from_factors(svd(inst.B0, DEFAULT_RANK_TOL))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    T = TangentSpace(f.U, f.V)
     assert T.r == 1
     expected, steps = opnorm_reference(inst.noise_support, T)
     applied = count_calls(monkeypatch, "__call__", linalg_mod._GammaTangentOperator)
