@@ -36,14 +36,7 @@ from .fileio import (
 )
 from .instances import InstanceParams, gen_planted
 from .linalg import NORM_KINDS, norm
-from .solver import (
-    RECOVERY_TOL,
-    QuasiCliqueParams,
-    SolverOptions,
-    relative_error,
-    solve_quasi_clique,
-    solve_rpca,
-)
+from .solver import QuasiCliqueParams, SolverOptions, recovery_verdict, solve_quasi_clique, solve_rpca
 
 __all__ = ["main"]
 
@@ -156,8 +149,7 @@ def cmd_solve(args) -> int:
     lam_used = opts.resolve_lam(n)
     extras: dict = {}
     if inst is not None:
-        rel = relative_error(result.B_star, inst.block_pattern)
-        recovered = result.converged and rel <= RECOVERY_TOL
+        recovered, rel = recovery_verdict(result, inst.block_pattern)
         extras = {
             "recovery": bool(recovered),
             "relative_error": rel,

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .instances import InstanceParams, derive_seed, gen_planted
-from .solver import RECOVERY_TOL, SolverOptions, relative_error, solve_rpca
+from .solver import SolverOptions, recovery_verdict, solve_rpca
 
 __all__ = [
     "GridSpec",
@@ -108,10 +108,10 @@ def _cell_params(spec: GridSpec, i: int, j: int, seed: int) -> InstanceParams:
     return InstanceParams(n=n, n_c=n_c, gamma=float(cell["gamma"]), rho=float(cell["rho"]), seed=seed)
 
 
-def _run_cell(args) -> tuple[int, int, int, float, float, int, int, int]:
-    """Trials of cell (i, j): returns i, j, the successes, the summed
-    relative error, the wall time, the summed solver iterations, and the
-    counts of unconverged and raised trials."""
+def _run_cell(args) -> tuple[int, float, float, int, int, int]:
+    """Trials of cell (i, j): returns the successes, the summed relative
+    error, the wall time, the summed solver iterations, and the counts of
+    unconverged and raised trials."""
     spec, i, j = args
     start = time.perf_counter()
     successes = iterations = nonconverged = errors = 0
@@ -120,17 +120,16 @@ def _run_cell(args) -> tuple[int, int, int, float, float, int, int, int]:
         try:
             inst = gen_planted(_cell_params(spec, i, j, derive_seed(spec.base_seed, i, j, t)))
             res = solve_rpca(inst.A, SolverOptions())
-            rel = relative_error(res.B_star, inst.block_pattern)
+            recovered, rel = recovery_verdict(res, inst.block_pattern)
             iterations += res.iterations
             nonconverged += not res.converged
-            if res.converged and rel <= RECOVERY_TOL:
-                successes += 1
+            successes += recovered
         except Exception:
             log.warning("trial (%d, %d, %d) failed", i, j, t, exc_info=True)
             rel = float("inf")
             errors += 1
         rel_sum += rel
-    return i, j, successes, rel_sum, time.perf_counter() - start, iterations, nonconverged, errors
+    return successes, rel_sum, time.perf_counter() - start, iterations, nonconverged, errors
 
 
 def _run_grid(spec: GridSpec, threads: int) -> RecoveryGrid:
@@ -158,8 +157,8 @@ def _run_grid(spec: GridSpec, threads: int) -> RecoveryGrid:
     except KeyboardInterrupt:
         # keep whatever cells finished; the caller exports them flagged incomplete
         complete = False
-    # aggregation in fixed (i, j) order regardless of completion order
-    for i, j, successes, rel_sum, secs, *cell_counts in sorted(outcomes, key=lambda o: (o[0], o[1])):
+    # both loops yield cells in job order, and an interrupt leaves a prefix of it
+    for (_, i, j), (successes, rel_sum, secs, *cell_counts) in zip(jobs, outcomes):
         success[i, j] = successes / spec.trials
         mean_rel[i, j] = rel_sum / spec.trials
         wall[i, j] = secs

@@ -22,7 +22,6 @@ __all__ = [
     "read_matrix_csv",
     "read_matrix_any",
     "write_result",
-    "read_result",
     "write_report",
     "parse_config_file",
     "MATRIX_INLINE_LIMIT",
@@ -73,8 +72,7 @@ def read_instance(path: str) -> PlantedInstance:
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad header: {exc}") from exc
 
-    A = _read_triplets(path, lines[1:], n)
-    return PlantedInstance.from_adjacency(params, A)
+    return PlantedInstance(params, _read_triplets(path, lines[1:], n))
 
 
 def _read_triplets(path: str, lines: list[str], n: int) -> np.ndarray:
@@ -234,14 +232,6 @@ def write_result(
     doc.update(_matrix_payload(np.asarray(result.B_star), path, "B_star"))
     doc.update(_matrix_payload(np.asarray(result.C_star), path, "C_star"))
     _write_json(doc, path)
-
-
-def read_result(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: bad JSON: {exc}") from exc
 
 
 def write_report(report: CertificateReport, path: str, include_matrices: bool = False) -> None:

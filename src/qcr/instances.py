@@ -79,8 +79,10 @@ class PlantedInstance:
     full 0/1 indicator of the block, the rank-1 matrix the convex program
     recovers in the success regime.
 
-    Only A is stored, read-only; B0, C0 and noise_support are derived from A
-    and params.n_c on each access, each read building fresh arrays. Nothing
+    Only A is stored: a read-only C-contiguous float64 copy of the caller's
+    array, so that the caller's array stays writable and a later write to it
+    leaves the instance unchanged. B0, C0 and noise_support are derived from
+    A and params.n_c on each access, each read building fresh arrays. Nothing
     is cached, so a held instance stays 8 n^2 bytes however often it is read.
     """
 
@@ -89,19 +91,13 @@ class PlantedInstance:
 
     def __post_init__(self):
         n = self.params.n
-        if not isinstance(self.A, np.ndarray) or self.A.dtype != np.float64 or self.A.shape != (n, n):
-            raise ValueError(f"A must be a float (n, n) array for n={n}, got shape {np.shape(self.A)}")
-        if not np.isfinite(self.A).all():
+        A = np.array(self.A, dtype=np.float64, order="C")
+        if A.shape != (n, n):
+            raise ValueError(f"A must be an (n, n) array for n={n}, got shape {A.shape}")
+        if not np.isfinite(A).all():
             raise ValueError("A contains non-finite entries")
-        self.A.flags.writeable = False
-
-    @classmethod
-    def from_adjacency(cls, params: InstanceParams, A) -> "PlantedInstance":
-        """The instance of an observed adjacency: nonzeros of A inside
-        {0..n_c-1}^2 belong to B0, the rest to C0. A is copied, so that
-        freezing it leaves the caller's array writable and a later write
-        to the caller's array leaves the instance unchanged."""
-        return cls(params, np.array(A, dtype=float, order="C"))
+        A.flags.writeable = False
+        object.__setattr__(self, "A", A)
 
     def _block(self) -> np.ndarray:
         n, n_c = self.params.n, self.params.n_c
@@ -142,5 +138,5 @@ def gen_planted(params: InstanceParams) -> PlantedInstance:
     A = np.zeros((n, n))
     A[iu[draws], ju[draws]] = 1.0
     A = np.maximum(A, A.T)
-    return PlantedInstance.from_adjacency(params, A)
+    return PlantedInstance(params, A)
 

@@ -21,11 +21,8 @@ __all__ = [
     "solve_quasi_clique",
     "relative_error",
     "RECOVERY_TOL",
+    "recovery_verdict",
 ]
-
-# a solve recovers the planted block when it converged and its
-# relative_error to the block pattern is at most RECOVERY_TOL
-RECOVERY_TOL = 1e-6
 
 
 class InfeasibleError(ValueError):
@@ -260,3 +257,14 @@ def relative_error(B_star, B0) -> float:
     if denom == 0.0:
         return float(np.linalg.norm(B_star))
     return float(np.linalg.norm(B0 - B_star)) / denom
+
+
+RECOVERY_TOL = 1e-6
+
+
+def recovery_verdict(result: DecompositionResult, pattern) -> tuple[bool, float]:
+    """Score a solve against a block pattern: (recovered, rel), with rel the
+    relative_error of result.B_star to pattern. The solve recovers the
+    pattern when it converged and rel is at most RECOVERY_TOL."""
+    rel = relative_error(result.B_star, pattern)
+    return result.converged and rel <= RECOVERY_TOL, rel

@@ -20,6 +20,7 @@ from qcr.linalg import (
     project_T,
     project_T_perp,
 )
+from qcr.solver import DecompositionResult
 
 settings.register_profile(
     "default",
@@ -137,7 +138,7 @@ def read_instance_reference(path):
         if not (0 <= i < n and 0 <= j < n):
             raise FileFormatError(f"{path}: index ({i}, {j}) out of range for n={n}")
         A[i, j] = v
-    return PlantedInstance.from_adjacency(params, A)
+    return PlantedInstance(params, A)
 
 
 def svd_threshold_reference(M, tau, *, warm=None):
@@ -378,6 +379,26 @@ def count_calls(monkeypatch, name, *modules):
     for mod in modules:
         monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+# (off-block entry of B*, converged, recovered) around the recovery tolerance:
+# on an n=2, n_c=1 instance the block pattern has norm 1, so the relative
+# error is the off-block entry, 1e-6 being RECOVERY_TOL exactly
+VERDICT_CASES = [(1e-6, True, True), (1.5e-6, True, False), (1e-6, False, False)]
+
+
+def solve_off_pattern(off: float, converged: bool):
+    """A stand-in solver whose B* is the n=2, n_c=1 block pattern plus `off`
+    in the entry (1, 0) outside the block."""
+
+    def solve(M, *args, **kwargs):
+        B = np.array([[1.0, 0.0], [off, 0.0]])
+        return DecompositionResult(
+            B_star=B, C_star=np.asarray(M) - B, iterations=1, primal_residual=0.0,
+            objective=0.0, converged=converged, final_penalty=1.0,
+        )
+
+    return solve
 
 
 @pytest.fixture

@@ -10,9 +10,11 @@ import qcr.cli as cli
 from qcr.certificate import verify_certificate
 from qcr.cli import _BOOLEANS, _float_list, _int_list, build_parser, main
 from qcr.experiments import PHASE_GRID, SIZE_GRID, RecoveryGrid
-from qcr.fileio import read_instance, read_result, write_matrix_csv, write_report
+from qcr.fileio import read_instance, write_matrix_csv, write_report
 from qcr.instances import derive_seed
 from qcr.solver import QuasiCliqueParams, solve_quasi_clique, solve_rpca
+
+from conftest import VERDICT_CASES, solve_off_pattern
 
 
 def run(capsys, *argv):
@@ -61,17 +63,29 @@ def test_solve_reports_recovery(tmp_chdir, capsys):
     rc, out, _ = run(capsys, "solve", "--input", "inst.txt", "--out", "res.json")
     assert rc == 0
     assert "verdict: recovered" in out
-    doc = read_result("res.json")
+    doc = json.loads(open("res.json").read())
     assert doc["converged"] is True
     assert doc["recovery"] is True
     assert doc["instance"]["n"] == 30
+
+
+@pytest.mark.parametrize("off, converged, recovered", VERDICT_CASES)
+def test_solve_verdict_at_the_recovery_tolerance(tmp_chdir, capsys, monkeypatch, off, converged, recovered):
+    run(capsys, "gen", "--n", "2", "--nc", "1", "--gamma", "1", "--rho", "0", "--out", "inst.txt")
+    monkeypatch.setattr(cli, "solve_rpca", solve_off_pattern(off, converged))
+    rc, out, _ = run(capsys, "solve", "--input", "inst.txt", "--out", "res.json")
+    assert rc == (0 if converged else 4)
+    assert f"verdict: {'recovered' if recovered else 'not recovered'} (relative error {off:.3e})" in out
+    doc = json.loads(open("res.json").read())
+    assert doc["recovery"] is recovered
+    assert doc["relative_error"] == off
 
 
 def test_solve_defaults_match_library(tmp_chdir, capsys):
     run(capsys, *GEN, "--out", "inst.txt")
     rc, _, _ = run(capsys, "solve", "--input", "inst.txt", "--out", "res.json")
     assert rc == 0
-    doc = read_result("res.json")
+    doc = json.loads(open("res.json").read())
     res = solve_rpca(read_instance("inst.txt").A)
     assert doc["iterations"] == res.iterations
     assert doc["objective"] == res.objective
@@ -82,7 +96,7 @@ def test_solve_nonconvergence_exit4_still_writes(tmp_chdir, capsys):
     run(capsys, *GEN, "--out", "inst.txt")
     rc, out, _ = run(capsys, "solve", "--input", "inst.txt", "--max-iters", "2", "--out", "res.json")
     assert rc == 4
-    doc = read_result("res.json")
+    doc = json.loads(open("res.json").read())
     assert doc["converged"] is False
     assert doc["iterations"] == 2
 
@@ -91,7 +105,7 @@ def test_solve_reports_final_penalty(tmp_chdir, capsys):
     run(capsys, *GEN, "--out", "inst.txt")
     rc, out, _ = run(capsys, "solve", "--input", "inst.txt", "--mode", "quasi_clique", "--out", "res.json")
     assert rc == 0
-    doc = read_result("res.json")
+    doc = json.loads(open("res.json").read())
     res = solve_quasi_clique(read_instance("inst.txt").A, QuasiCliqueParams(gamma=0.9, eta=22))
     assert doc["final_penalty"] == res.final_penalty
     assert list(doc)[3:5] == ["iterations", "final_penalty"]
@@ -121,7 +135,7 @@ def test_solve_quasi_clique_defaults_from_instance(tmp_chdir, capsys):
     )
     assert rc == 0
     assert "quasi_clique_constrained" in out
-    assert read_result("res.json")["mode"] == "quasi_clique_constrained"
+    assert json.loads(open("res.json").read())["mode"] == "quasi_clique_constrained"
 
 
 def test_solve_quasi_clique_converges_on_the_slow_tail_instance(tmp_chdir, capsys):
@@ -131,7 +145,7 @@ def test_solve_quasi_clique_converges_on_the_slow_tail_instance(tmp_chdir, capsy
         "--out", "inst.txt")
     rc, _, _ = run(capsys, "solve", "--input", "inst.txt", "--mode", "quasi_clique", "--out", "res.json")
     assert rc == 0
-    doc = read_result("res.json")
+    doc = json.loads(open("res.json").read())
     assert doc["converged"] is True
     assert doc["primal_residual"] <= 1e-8
     assert doc["iterations"] < 1000
@@ -161,7 +175,7 @@ def test_solve_csv_matrix_has_no_verdict(tmp_chdir, capsys):
     rc, out, _ = run(capsys, "solve", "--input", "m.csv", "--out", "res.json")
     assert rc == 0
     assert "verdict" not in out
-    assert "recovery" not in read_result("res.json")
+    assert "recovery" not in json.loads(open("res.json").read())
 
 
 @pytest.mark.parametrize("command", ["solve", "certify", "norms"])

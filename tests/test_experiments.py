@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcr.experiments as experiments
-from conftest import count_calls
+from conftest import VERDICT_CASES, count_calls, solve_off_pattern
 from qcr import __version__
 from qcr.experiments import (
     GridSpec,
@@ -157,6 +157,14 @@ def test_solver_exception_counts_as_failure(monkeypatch):
     # every raised trial is counted; none ran the solver to an end
     assert np.all(grid.errors == 2)
     assert np.all(grid.iterations == 0) and np.all(grid.nonconverged == 0)
+
+
+@pytest.mark.parametrize("off, converged, recovered", VERDICT_CASES)
+def test_grid_verdict_at_the_recovery_tolerance(monkeypatch, off, converged, recovered):
+    monkeypatch.setattr(experiments, "solve_rpca", solve_off_pattern(off, converged))
+    grid = run_phase_grid(GridSpec("gamma", (1.0,), "rho", (0.0,), fixed={"n": 2, "n_c": 1}, trials=1))
+    assert grid.success_rate.tolist() == [[1.0 if recovered else 0.0]]
+    assert grid.mean_rel_error.tolist() == [[off]]
 
 
 def test_cells_count_iterations_and_unconverged_trials(monkeypatch):

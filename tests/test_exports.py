@@ -1,8 +1,10 @@
 """Export-list tests: the package exports exactly the public names of its five
-library modules, every public name has one home module and a reader in the
-program's own code, and every function the perfbench tracer wraps still
-exists, so a deletion cannot leave a dangling re-export or trace target
-behind, and a public name that only tests read cannot stay."""
+library modules, every public name has one home module, every name in the
+__all__ of any qcr module has a reader in the program's own code, every
+function the perfbench tracer wraps still exists, and every name the
+acceptance module imports from qcr resolves, so a deletion cannot leave a
+dangling re-export, trace target or import behind, and a public name that
+only tests read cannot stay."""
 
 import ast
 import importlib
@@ -16,6 +18,7 @@ import qcr
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 LIBRARY_MODULES = ("instances", "linalg", "solver", "certificate", "experiments")
 
 
@@ -101,8 +104,28 @@ def test_every_export_has_a_code_reader():
     # a public name that only tests read is a second definition of something
     # the program no longer needs
     readers = code_readers()
-    unread = [name for name in qcr.__all__ if name != "__version__" and name not in readers]
+    unread = [
+        f"{module}.{name}"
+        for module, names in submodule_exports().items()
+        for name in names
+        if name not in readers
+    ]
     assert not unread, f"exported names no code outside their definition reads: {unread}"
+
+
+def test_acceptance_module_imports_resolve():
+    # the module skips whole without cvxpy, so a name it imports from qcr
+    # can vanish without any collected test failing
+    imported = []
+    for node in ast.walk(ast.parse(ACCEPTANCE.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "qcr":
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "qcr"]
+    assert imported
+    for module, name in imported:
+        mod = importlib.import_module(module)
+        assert name is None or hasattr(mod, name), f"{module}.{name} does not resolve"
 
 
 def test_distribution_version_is_the_package_version():

@@ -153,7 +153,7 @@ def test_instance_stores_params_and_A_alone():
 def test_derived_fields_are_bitwise_the_stored_split(tmp_path, source, n_c):
     p = params(n=20, n_c=n_c, gamma=0.7, rho=0.3, seed=11)
     if source == "weighted":
-        inst = PlantedInstance.from_adjacency(p, weighted_adjacency(20, seed=n_c))
+        inst = PlantedInstance(p, weighted_adjacency(20, seed=n_c))
     else:
         inst = gen_planted(p)
         if source == "read_instance":
@@ -183,15 +183,25 @@ def with_entry(i, j, v):
     with_entry(9, 0, np.inf),       # outside it
 ], ids=["1d", "12x12", "10x12", "3d", "nan", "inf"])
 def test_from_adjacency_rejects_a_bad_adjacency(A):
+    # the constructor is the one way to build an instance from an adjacency
     with pytest.raises(ValueError):
-        PlantedInstance.from_adjacency(params(n=10, n_c=6), A)
+        PlantedInstance(params(n=10, n_c=6), A)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_constructor_stores_a_float_copy_of_the_callers_array(dtype):
+    A = np.eye(4, dtype=dtype)
+    inst = PlantedInstance(params(n=4, n_c=2), A)
+    assert A.flags.writeable
+    assert inst.A.dtype == np.float64 and inst.A.flags.c_contiguous and not inst.A.flags.writeable
+    assert np.array_equal(inst.A, A)
 
 
 def test_A_is_a_frozen_copy():
     p = params(n=10, n_c=6)
     A = weighted_adjacency(10, seed=3)
     before = A.copy()
-    inst = PlantedInstance.from_adjacency(p, A)
+    inst = PlantedInstance(p, A)
     assert not inst.A.flags.writeable and inst.A.flags.c_contiguous
     with pytest.raises(ValueError):
         inst.A[0, 0] = 5.0
