@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import InstanceParams, PlantedInstance, derive_seed
+from .instances import InstanceParams, PlantedInstance, _bernoulli_words, derive_seed
 from .linalg import (
     SupportSet,
     SvdFactors,
@@ -227,19 +227,14 @@ def partition_complement(Gamma: SupportSet, cfg: GolfingConfig) -> list[np.ndarr
     i * n + j of its entries. Each batch takes n * n raw 64-bit words from
     one Philox stream seeded with cfg.seed, in row-major order, so the
     batches are deterministic given cfg.seed. An entry is drawn when its
-    word x has x >> 11 < L = min(ceil(q * 2^53), 2^53): that is exactly
-    (x >> 11) * 2^-53 < q, the test of Generator.random(...) < q on the same
-    stream, without forming the doubles. It is made in one pass over the
-    words as x < L << 11; at L = 2^53 (q = 1), where L << 11 = 2^64 does not
-    fit in 64 bits, every word is kept."""
+    word passes the instances' Bernoulli(q) word test, the test of
+    Generator.random(...) < q on the same stream."""
     bits = np.random.Philox(cfg.seed)
     on_gamma = Gamma.mask.ravel()
-    cut = min(math.ceil(cfg.q * 2.0**53), 2**53) << 11
-    keep, cut = (np.less, np.uint64(cut)) if cut < 2**64 else (np.less_equal, np.uint64(2**64 - 1))
     hit = np.empty(on_gamma.shape, dtype=bool)
     batches = []
     for _ in range(cfg.k0):
-        flat = np.flatnonzero(keep(bits.random_raw(hit.size), cut, out=hit))
+        flat = np.flatnonzero(_bernoulli_words(bits.random_raw(hit.size), cfg.q, out=hit))
         batches.append(flat[~on_gamma[flat]])
     return batches
 

@@ -4,14 +4,14 @@ parallelism, and CSV/PGM/manifest export.
 
 A cell's instance parameters are its GridSpec's fixed parameters and its two
 axis values, by name. Every cell is checked to be a valid instance before
-any trial runs; `threads` worker processes (default 1) run the cells."""
+any trial runs; `threads` worker processes (default 1) run the cells, and
+the process pool is imported only when there is more than one."""
 
 from __future__ import annotations
 
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -148,17 +148,29 @@ def _run_grid(spec: GridSpec, threads: int) -> RecoveryGrid:
     complete = True
     try:
         if threads > 1:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for out in pool.map(_run_cell, jobs):
-                    outcomes.append(out)
+                futures = [pool.submit(_run_cell, job) for job in jobs]
+                try:
+                    for future in as_completed(futures):
+                        future.result()
+                finally:
+                    # on an interrupt, start no further cell, wait for the
+                    # running ones and keep every cell that finished
+                    pool.shutdown(cancel_futures=True)
+                    outcomes = [
+                        (job, f.result())
+                        for job, f in zip(jobs, futures)
+                        if not f.cancelled() and f.exception() is None
+                    ]
         else:
             for job in jobs:
-                outcomes.append(_run_cell(job))
+                outcomes.append((job, _run_cell(job)))
     except KeyboardInterrupt:
         # keep whatever cells finished; the caller exports them flagged incomplete
         complete = False
-    # both loops yield cells in job order, and an interrupt leaves a prefix of it
-    for (_, i, j), (successes, rel_sum, secs, *cell_counts) in zip(jobs, outcomes):
+    for (_, i, j), (successes, rel_sum, secs, *cell_counts) in outcomes:
         success[i, j] = successes / spec.trials
         mean_rel[i, j] = rel_sum / spec.trials
         wall[i, j] = secs

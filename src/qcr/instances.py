@@ -4,11 +4,13 @@ derivation of the recovery grids.
 All randomness flows through numpy's Philox counter-based bit generator so
 that a given seed reproduces the same instance on every platform. Symmetric
 matrices are built by sampling the upper triangle (diagonal included, row-major
-order) and mirroring.
+order) and mirroring. A Bernoulli(q) draw is made on a raw 64-bit word by one
+rule, shared with the golfing batches of the certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,16 @@ __all__ = [
 _SEED_MAX = 2**64
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+def _bernoulli_words(words: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Bernoulli(q) draws from raw 64-bit Philox words: True where a word x
+    has x < L * 2^11, L = min(ceil(q * 2^53), 2^53). Generator.random turns
+    x into (x >> 11) * 2^-53, so this is exactly Generator.random(...) < q
+    on the same stream, without forming the doubles. At q = 1, where
+    L * 2^11 = 2^64 does not fit in 64 bits, every word is kept."""
+    limit = min(math.ceil(q * 2.0**53), 2**53) << 11
+    if limit < 2**64:
+        return np.less(words, np.uint64(limit), out=out)
+    return np.less_equal(words, np.uint64(2**64 - 1), out=out)
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
@@ -128,15 +138,19 @@ def gen_planted(params: InstanceParams) -> PlantedInstance:
 
     Each upper-triangle entry (diagonal included) inside the block
     {0..n_c-1}^2 is set to one with probability gamma, each entry outside
-    with probability rho, then mirrored to make A symmetric.
+    with probability rho, then mirrored to make A symmetric. Entry k of the
+    upper triangle in row-major order (the order of np.triu_indices) is
+    drawn from word k of Philox(seed) by _bernoulli_words, so A is the one
+    Generator.random draws below gamma or rho would give.
     """
     n, n_c = params.n, params.n_c
-    rng = _rng(params.seed)
-    iu, ju = np.triu_indices(n)
-    probs = np.where((iu < n_c) & (ju < n_c), params.gamma, params.rho)
-    draws = rng.random(iu.size) < probs
-    A = np.zeros((n, n))
-    A[iu[draws], ju[draws]] = 1.0
-    A = np.maximum(A, A.T)
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    words = np.random.Philox(params.seed).random_raw(n * (n + 1) // 2)
+    # a boolean mask takes its values in row-major order
+    hit, in_block = np.zeros((2, n, n), dtype=bool)
+    hit[upper] = _bernoulli_words(words, params.rho)
+    in_block[upper] = _bernoulli_words(words, params.gamma)
+    hit[:n_c, :n_c] = in_block[:n_c, :n_c]
+    A = (hit | hit.T).astype(np.float64)
     return PlantedInstance(params, A)
 

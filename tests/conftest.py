@@ -104,6 +104,20 @@ def gen_low_rank(n: int, r: int, seed: int) -> np.ndarray:
     return G @ H.T
 
 
+def planted_reference(params: InstanceParams) -> np.ndarray:
+    """A planted adjacency built from doubles: Generator.random over the
+    upper triangle in np.triu_indices order, below gamma inside the block
+    and rho outside, then mirrored. gen_planted must give the same bytes."""
+    n, n_c = params.n, params.n_c
+    rng = np.random.Generator(np.random.Philox(params.seed))
+    iu, ju = np.triu_indices(n)
+    probs = np.where((iu < n_c) & (ju < n_c), params.gamma, params.rho)
+    draws = rng.random(iu.size) < probs
+    A = np.zeros((n, n))
+    A[iu[draws], ju[draws]] = 1.0
+    return np.maximum(A, A.T)
+
+
 def read_instance_reference(path):
     """Instance file parse with every triplet line checked one by one in
     Python; read_instance must return the same instance or raise the same

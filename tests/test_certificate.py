@@ -227,20 +227,17 @@ def test_partition_matches_mask_reference_at_exact_q(k0, p):
         assert np.array_equal(b, np.flatnonzero(S.mask))
 
 
-@pytest.mark.parametrize("p, kept", [(0.5, [0, 1, 6, 7, 8]), (0.0, list(range(9))), (1.0, [])])
-def test_partition_word_test_is_that_of_random(monkeypatch, p, kept):
-    # Generator.random turns a Philox word x into (x >> 11) * 2^-53 ...
-    words = np.random.Philox(23).random_raw(1000)
-    doubles = np.random.Generator(np.random.Philox(23)).random(1000)
-    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
-    # ... so at q = 0.5 the word with x >> 11 = 2^52 draws 0.5, which is not
-    # below q: it and every word above it are left out; q = 1 keeps even
-    # the largest word and q = 0 none
-    half = 2**52 << 11
-    words = np.array(
-        [0, half - 1, half, half + 2047, half + 2048, 2**64 - 1, half - 2048, 1 << 11, 2**63 - 1],
-        dtype=np.uint64,
-    )
+# Philox words about the draw 0.5: x >> 11 = 2^52 is the first word that
+# Generator.random turns into 0.5 or more
+HALF = 2**52 << 11
+BOUNDARY_WORDS = np.array(
+    [0, HALF - 1, HALF, HALF + 2047, HALF + 2048, 2**64 - 1, HALF - 2048, 1 << 11, 2**63 - 1],
+    dtype=np.uint64,
+)
+
+
+def word_stream(words):
+    """A stand-in for np.random.Philox whose one stream is the given words."""
 
     class Stream:
         def __init__(self, seed):
@@ -250,10 +247,36 @@ def test_partition_word_test_is_that_of_random(monkeypatch, p, kept):
             assert size == words.size
             return words.copy()
 
-    monkeypatch.setattr(np.random, "Philox", Stream)
+    return Stream
+
+
+@pytest.mark.parametrize("p, kept", [(0.5, [0, 1, 6, 7, 8]), (0.0, list(range(9))), (1.0, [])])
+def test_partition_word_test_is_that_of_random(monkeypatch, p, kept):
+    # Generator.random turns a Philox word x into (x >> 11) * 2^-53 ...
+    words = np.random.Philox(23).random_raw(1000)
+    doubles = np.random.Generator(np.random.Philox(23)).random(1000)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
+    # ... so at q = 0.5 the word with x >> 11 = 2^52 draws 0.5, which is not
+    # below q: it and every word above it are left out; q = 1 keeps even
+    # the largest word and q = 0 none
+    monkeypatch.setattr(np.random, "Philox", word_stream(BOUNDARY_WORDS))
     G = SupportSet(3, np.zeros((3, 3), dtype=bool))
     (batch,) = partition_complement(G, GolfingConfig(k0=1, p=p, seed=0))
     assert batch.tolist() == kept
+
+
+@pytest.mark.parametrize("q, kept", [(0.5, [0, 1, 6, 7, 8]), (1.0, list(range(9))), (0.0, [])])
+def test_gen_planted_word_test_is_that_of_random(monkeypatch, q, kept):
+    # the same words through the other caller of the word test: a 4 x 4
+    # upper triangle takes word 0 at (0, 0), then the nine boundary words.
+    # They are drawn at gamma = q in a block of n_c = 4, and at rho = q
+    # outside a block of n_c = 1 and gamma = 1; both keep word 0
+    monkeypatch.setattr(np.random, "Philox", word_stream(np.insert(BOUNDARY_WORDS, 0, 0)))
+    sides = [dict(n_c=4, gamma=q, rho=0.0)] if q > 0 else []
+    sides += [dict(n_c=1, gamma=1.0, rho=q)] if q < 1 else []
+    for side in sides:
+        A = gen_planted(InstanceParams(n=4, seed=0, **side)).A
+        assert np.flatnonzero(A[np.triu_indices(4)]).tolist() == [0] + [k + 1 for k in kept]
 
 
 def test_partition_uncovered_fraction_matches_binomial_model():

@@ -1,9 +1,14 @@
 """Recovery-grid harness tests: seeding determinism, rate quantization,
-and export file formats."""
+interrupts, the on-demand process pool, and export file formats."""
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +148,48 @@ def test_interrupt_yields_partial_incomplete_grid(monkeypatch):
     assert not grid.complete
     # exactly one finished cell carries data, the rest stay zeroed
     assert np.count_nonzero(grid.wall_times) == 1
+
+
+def interrupting_cell(args):
+    """A stand-in for _run_cell: cell (0, 1) leaves a marker file and
+    returns; cell (0, 0) waits for the marker, then raises KeyboardInterrupt;
+    every other cell returns at once. Worker processes forked from the test
+    see this function and its marker path."""
+    _, i, j = args
+    if (i, j) == (0, 1):
+        Path(interrupting_cell.marker).touch()
+    elif (i, j) == (0, 0):
+        deadline = time.monotonic() + 60
+        while not os.path.exists(interrupting_cell.marker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+    return 1, 0.25, 1.0, 5, 0, 0
+
+
+def test_parallel_interrupt_keeps_every_finished_cell(monkeypatch, tmp_path):
+    # cell (0, 1) finishes before cell (0, 0), the first in job order, raises
+    monkeypatch.setattr(interrupting_cell, "marker", str(tmp_path / "cell-0-1"), raising=False)
+    monkeypatch.setattr(experiments, "_run_cell", interrupting_cell)
+    grid = run_phase_grid(small_phase_spec(), threads=2)
+    assert not grid.complete
+    assert (grid.success_rate[0, 1], grid.mean_rel_error[0, 1], grid.wall_times[0, 1]) == (0.5, 0.125, 1.0)
+    assert (grid.iterations[0, 1], grid.nonconverged[0, 1], grid.errors[0, 1]) == (5, 0, 0)
+    # the interrupted cell stays zero with zero timing
+    assert (grid.success_rate[0, 0], grid.wall_times[0, 0], grid.iterations[0, 0]) == (0.0, 0.0, 0)
+
+
+def test_importing_qcr_loads_no_process_pool():
+    # only a grid with threads > 1 imports the process pool
+    code = (
+        "import sys, qcr, qcr.cli, qcr.fileio; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_solver_exception_counts_as_failure(monkeypatch):

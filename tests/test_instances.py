@@ -1,8 +1,9 @@
 """Planted-instance generator tests: exact structure, storage of A alone,
-seeded determinism, binomial support counts, and the random test matrices of
-conftest."""
+seeded determinism, the bytes of A against a construction from doubles,
+binomial support counts, and the random test matrices of conftest."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from qcr.fileio import read_instance, write_instance
 from qcr.instances import InstanceParams, PlantedInstance, derive_seed, gen_planted
 
-from conftest import gen_bernoulli_support, gen_low_rank, gen_random_sign_sparse
+from conftest import gen_bernoulli_support, gen_low_rank, gen_random_sign_sparse, planted_reference
 
 
 def params(n=60, n_c=45, gamma=0.85, rho=0.25, seed=0):
@@ -258,6 +259,41 @@ def test_different_seeds_differ():
     a = gen_planted(params(seed=1))
     b = gen_planted(params(seed=2))
     assert not np.array_equal(a.A, b.A)
+
+
+@pytest.mark.parametrize("n, n_c, gamma, rho", [
+    (1, 1, 0.85, 0.25),
+    (1, 1, 1.0, 0.0),
+    (7, 3, 0.85, 0.25),
+    (31, 31, 0.6, 0.4),
+    (40, 17, 1.0, 0.3),
+    (40, 17, 0.7, 0.0),
+    (100, 85, 0.85, 0.7),
+])
+def test_generation_is_bitwise_the_reference(n, n_c, gamma, rho):
+    # n = 1, odd n, n_c = n, and the limits gamma = 1 (every word) and rho = 0 (none)
+    for s in range(25):
+        p = params(n=n, n_c=n_c, gamma=gamma, rho=rho, seed=derive_seed(11, s))
+        assert gen_planted(p).A.tobytes() == planted_reference(p).tobytes()
+
+
+# SHA-256 of A.tobytes() for the certificate-suite instances (n=100, n_c=85,
+# gamma=0.85, seed derive_seed(1000, k)), as the Generator.random
+# construction of planted_reference gave them
+SUITE_SHA256 = {
+    (0.1, 0): "d4005f567871ee5919286558b2c501ed9436e2ed245451fe4242020fdf84af88",
+    (0.1, 1): "a75d9825efc976a00e7f5dbaa77d308462fe25bc1c5e18de958f88ac8fd71eb2",
+    (0.1, 2): "ee1e26cfe2926358d77066c8fb93fe19a5dd6b83a0f0449e59dd1caedb9bec31",
+    (0.7, 0): "64a328d6a619e69d29998843d654cd625350b3c7bf1972191398a9d7cabd8725",
+    (0.7, 1): "be114a2ce6694bab1266bea0ec3584bf15e0d1f65cdf68773b2420c709f5a0af",
+    (0.7, 2): "bfeb96c47c4bfa25dcc48d7095242ef03e3e9aea530ce98fe70dc3650833a5ed",
+}
+
+
+@pytest.mark.parametrize("rho, k", sorted(SUITE_SHA256))
+def test_suite_instances_keep_their_bytes(rho, k):
+    A = gen_planted(params(n=100, n_c=85, gamma=0.85, rho=rho, seed=derive_seed(1000, k))).A
+    assert hashlib.sha256(A.tobytes()).hexdigest() == SUITE_SHA256[rho, k]
 
 
 @pytest.mark.property
