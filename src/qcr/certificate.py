@@ -221,22 +221,50 @@ def _incoherence_of(factors: SvdFactors) -> IncoherenceReport:
     )
 
 
-def partition_complement(Gamma: SupportSet, cfg: GolfingConfig) -> list[np.ndarray]:
-    """Draw k0 index batches, each Bernoulli(q) over the full grid intersected
-    with the complement of Gamma. A batch is the sorted flat indices
-    i * n + j of its entries. Each batch takes n * n raw 64-bit words from
-    one Philox stream seeded with cfg.seed, in row-major order, so the
-    batches are deterministic given cfg.seed. An entry is drawn when its
-    word passes the instances' Bernoulli(q) word test, the test of
-    Generator.random(...) < q on the same stream."""
+def partition_complement(Gamma: SupportSet, cfg: GolfingConfig, T: TangentSpace) -> list[np.ndarray]:
+    """Draw k0 index batches, each Bernoulli(q) over supp(U) x supp(V) (the
+    rows where U is nonzero crossed with those where V is) outside Gamma. A
+    batch is the sorted flat indices i * n + j of its entries. Golfing adds
+    exact zeros at the other entries when its residual vanishes there, as
+    on a planted instance.
+
+    Batch k reads entry (i, j) from word k * n * n + i * n + j of one Philox
+    stream seeded with cfg.seed and keeps it when the word passes the
+    instances' Bernoulli(q) word test, that of Generator.random(...) < q on
+    the same stream; so a batch is the full-grid draw filtered to
+    supp(U) x supp(V). Only the words of the rows from the first to the
+    last of supp(U) are drawn; _skip_words moves past the others."""
+    n = Gamma.n
+    if T.n != n:
+        raise ValueError("support and tangent space dimensions differ")
+    in_U = T.U.any(axis=1)
+    rows = np.flatnonzero(in_U)
+    lo, hi = (int(rows[0]) * n, (int(rows[-1]) + 1) * n) if rows.size else (0, 0)
+    keep = (in_U[:, None] & T.V.any(axis=1) & ~Gamma.mask).ravel()[lo:hi]
     bits = np.random.Philox(cfg.seed)
-    on_gamma = Gamma.mask.ravel()
-    hit = np.empty(on_gamma.shape, dtype=bool)
+    hit = np.empty(hi - lo, dtype=bool)
     batches = []
-    for _ in range(cfg.k0):
+    drawn = 0
+    for k in range(cfg.k0):
+        _skip_words(bits, drawn, k * n * n + lo)
         flat = np.flatnonzero(_bernoulli_words(bits.random_raw(hit.size), cfg.q, out=hit))
-        batches.append(flat[~on_gamma[flat]])
+        batches.append(flat[keep[flat]] + lo)
+        drawn = k * n * n + hi
     return batches
+
+
+def _skip_words(bits: np.random.Philox, drawn: int, to: int) -> None:
+    """Move a Philox stream that has given its first `drawn` raw words on to
+    word `to` >= drawn. Philox makes its words in blocks of four, and
+    Philox.advance skips whole blocks and drops the rest of a block begun;
+    the words of the last block before `to` are drawn and dropped."""
+    if to == drawn:
+        return
+    begun = -(-drawn // 4)
+    if to // 4 >= begun:
+        bits.advance(to // 4 - begun)
+        drawn = to - to % 4
+    bits.random_raw(to - drawn)
 
 
 def _gather_batches(batches, T: TangentSpace) -> list[_Entries]:
@@ -270,9 +298,12 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
     factors, Z = U@A + W@V.T, starting from A = V.T, W = 0. The batches are
     checked, and their rows, columns and rows of U and V gathered, once for
     all of them; a batch then reads Z on its entries and projects G back to
-    factors, O(|batch| r + n r^2), so the only dense projection is the last
-    one. Each batch is an array of strictly increasing flat indices
-    i * n + j, as partition_complement draws them. Returns (Q_B, trace)
+    factors, O(|batch| r + n r^2). Y = G_1 + ... + G_k0 is summed once,
+    after the loop, by one bincount over all batches, so the only dense
+    projection is the last one. Each batch is an array of strictly
+    increasing flat indices i * n + j, as partition_complement draws them;
+    entries outside supp(U) x supp(V), where a planted residual vanishes,
+    may be left out of it, as they add exact zeros. Returns (Q_B, trace)
     with Q_B the projection of the final Y onto the tangent complement and
     trace the Frobenius norms sqrt(||A||^2 + ||W||^2) of Z_0, ..., Z_k0.
     """
@@ -283,14 +314,18 @@ def golfing_QB(T: TangentSpace, batches: list[np.ndarray], p: float):
     runs = _gather_batches(batches, T)
     x = np.concatenate((T.V, np.zeros_like(T.U))).ravel()
     a, w = x.reshape(2, -1)
-    Y = np.zeros(T.n * T.n)
     trace = [math.sqrt(a.dot(a) + w.dot(w))]
+    added = []
     for E in runs:
         G = _tangent_at(x, E) / p
-        # a batch holds each entry once, so the fancy-index add is exact
-        Y[E.flat] += G
+        added.append(G)
         x -= _tangent_factors_at(G, E, T)
         trace.append(math.sqrt(a.dot(a) + w.dot(w)))
+    # bincount adds in array order, so an entry in several batches sums in
+    # batch order from 0.0, as a per-batch Y[E.flat] += G would; with no
+    # entries at all it counts in integers
+    flat = np.concatenate([E.flat for E in runs])
+    Y = np.bincount(flat, np.concatenate(added), T.n * T.n).astype(float, copy=False)
     return project_T_perp(Y.reshape(T.n, T.n), T), trace
 
 
@@ -384,7 +419,7 @@ def verify_certificate(
     E = factors.U @ factors.V.T
     sign_C0 = np.sign(inst.C0)
 
-    batches = partition_complement(Gamma, cfg)
+    batches = partition_complement(Gamma, cfg, T)
     Q_B, trace = golfing_QB(T, batches, cfg.p)
     opn = opnorm_PGammaPT(Gamma, T)
     Q_C = neumann_QC(Gamma, T, sign_C0, lam)

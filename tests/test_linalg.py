@@ -106,6 +106,51 @@ def test_svd_of_symmetric_matrix_matches_lapack_svd(monkeypatch, eigs):
         assert np.abs(f.U[:, mine] @ f.V[:, mine].T - U[:, :r][:, theirs] @ Vt[:r][theirs]).max() <= 1e-12
 
 
+def with_zero_lines(M, rows, cols):
+    """M with the given rows and columns set to zero."""
+    M = M.copy()
+    M[rows] = 0.0
+    M[:, cols] = 0.0
+    return M
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["eigh", "svd"])
+@pytest.mark.parametrize("n", [6, 40, 100])
+def test_svd_factors_the_nonzero_part_alone(monkeypatch, symmetric, n):
+    # zero rows get exact zero rows of U, zero columns exact zero rows of V,
+    # and the kernel sees the nonzero part alone; the singular values are
+    # those of the whole matrix
+    g = rng(400 + n)
+    X = g.standard_normal((n, n))
+    rows, cols = g.random(n) < 0.3, g.random(n) < 0.3
+    rows[0] = cols[-1] = True
+    if symmetric:
+        M = with_zero_lines(X + X.T, rows | cols, rows | cols)
+        rows = cols = rows | cols
+    else:
+        M = with_zero_lines(X, rows, cols)
+    eigh = count_calls(monkeypatch, "eigh", np.linalg)
+    dense = count_calls(monkeypatch, "svd", np.linalg)
+    f = svd(M, rank_tol=1e-10)
+    kernel = eigh if symmetric else dense
+    assert (len(eigh), len(dense)) == ((1, 0) if symmetric else (0, 1))
+    assert kernel[0][0].shape == (np.count_nonzero(~rows), np.count_nonzero(~cols))
+    assert np.all(f.U[rows] == 0.0) and np.all(f.V[cols] == 0.0)
+    s = np.linalg.svd(M, compute_uv=False)
+    r = int(np.count_nonzero(s > 1e-10 * s[0]))
+    assert f.rank == r
+    assert np.abs(f.sigma - s[:r]).max() <= 1e-14 * s[0]
+    assert np.abs((f.U * f.sigma) @ f.V.T - M).max() <= 1e-12 * s[0]
+
+
+def test_svd_of_a_planted_block_factors_the_block():
+    inst = gen_planted(InstanceParams(n=100, n_c=85, gamma=0.85, rho=0.1, seed=derive_seed(1000, 0)))
+    f = svd(inst.B0, DEFAULT_RANK_TOL)
+    assert f.rank == 1
+    assert np.all(f.U[85:] == 0.0) and np.all(f.V[85:] == 0.0)
+    assert abs(f.sigma[0] - np.linalg.svd(inst.B0, compute_uv=False)[0]) <= 1e-14 * f.sigma[0]
+
+
 def test_svd_rejects_nonfinite():
     M = np.ones((3, 3))
     M[1, 1] = np.nan
@@ -160,6 +205,37 @@ def test_norm_chain(seed, n):
     assert spec <= fro + slack
     assert fro <= l1 + slack
     assert spec <= nuc + slack
+
+
+def spectral_cases() -> dict:
+    g = rng(500)
+    X = g.standard_normal((60, 60))
+    one_row = np.zeros((60, 60))
+    one_row[17] = g.standard_normal(60)
+    return {
+        "random": X,
+        "rank-1": np.outer(g.standard_normal(60), g.standard_normal(60)),
+        "symmetric": X + X.T,
+        "all-zero": np.zeros((60, 60)),
+        "one nonzero row": one_row,
+        "one nonzero column": one_row.T.copy(),
+        "zero rows and columns": with_zero_lines(X, g.random(60) < 0.4, g.random(60) < 0.2),
+        "1 x 1": np.array([[-3.0]]),
+    }
+
+
+SPECTRAL_CASES = spectral_cases()
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_spectral_norm_is_the_top_singular_value_without_an_svd(monkeypatch, case):
+    M = SPECTRAL_CASES[case]
+    expected = float(np.linalg.svd(M, compute_uv=False).max())
+    dense = count_calls(monkeypatch, "svd", np.linalg)
+    got = norm(M, "spectral")
+    assert not dense
+    assert abs(got - expected) <= 1e-14 * expected
+    assert (got == 0.0) == (expected == 0.0)
 
 
 @pytest.mark.property
