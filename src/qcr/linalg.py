@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,7 +195,7 @@ def soft_threshold(M, tau: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
-def sv_threshold(M, tau: float, *, warm=None) -> np.ndarray:
+def sv_threshold(M, tau: float, *, warm=None, carry=None) -> np.ndarray:
     """Singular-value shrinkage U @ diag(max(sigma - tau, 0)) @ V.T, the prox of
     tau*||.||_*.
 
@@ -209,10 +210,14 @@ def sv_threshold(M, tau: float, *, warm=None) -> np.ndarray:
     iterative solver. For n >= 128 and a warm of rank at most 8, the prox
     is first tried as a certified low-rank prox (see _certified_prox): at
     most 16 block subspace steps from the range of warm, accepted only when
-    a residual bound and two Cholesky factorizations prove the result within
+    a residual bound, and either two Cholesky factorizations or a bound
+    carried from an earlier call in carry, prove the result within
     sqrt(2) * 1e-13 * ||M||_F of the exact prox. Otherwise the prox is one
-    full eigh. warm only picks the path: the output depends on M, tau and
-    warm alone. Below n = 128 a full eigh costs no more than the attempt."""
+    full eigh. carry is a _ProxCarry that one solve hands to each of its
+    calls, or None. warm and carry only pick the path, and a carried bound
+    only proves what the Cholesky pair would: the output depends on M, tau
+    and warm alone. Below n = 128 a full eigh costs no more than the
+    attempt."""
     M = _as_square(M)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -222,7 +227,7 @@ def sv_threshold(M, tau: float, *, warm=None) -> np.ndarray:
             warm = _as_square(warm, "warm")
             if warm.shape != M.shape:
                 raise ValueError(f"warm shape {warm.shape} does not match M shape {M.shape}")
-            R = _certified_prox(M, tau, warm)
+            R = _certified_prox(M, tau, warm, carry)
         if R is None:
             w, Q = np.linalg.eigh(M)
             keep = np.abs(w) > tau
@@ -234,29 +239,79 @@ def sv_threshold(M, tau: float, *, warm=None) -> np.ndarray:
     return (U * s) @ Vt
 
 
+@lru_cache(maxsize=8)
+def _gaussian(seed: int, shape: tuple, unit: bool = False) -> np.ndarray:
+    """The standard normal draw of the given shape from default_rng(seed),
+    scaled to unit Frobenius norm when unit: a fixed start, drawn on first
+    use and then returned as one read-only array."""
+    X = np.random.default_rng(seed).standard_normal(shape)
+    if unit:
+        X /= np.linalg.norm(X)
+    X.flags.writeable = False
+    return X
+
+
 # The certified low-rank prox: the least n it is tried at, the largest warm
 # rank, the start vectors added to the warm range, the most block steps, the
-# residual bound relative to ||M||_F and the seed of the sketch of warm.
+# residual bound relative to ||M||_F, the seed of the sketch of warm and the
+# shift, as a fraction of tau, at which a Cholesky pair first tries to prove
+# a bound it can hand on (see _certified_prox).
+#
+# With the floor at 0, the seed-0 phase grid (n = 100, one trial per cell)
+# certifies 863 of its 10,377 prox calls, fails 9,514 attempts and runs
+# 12.52 -> 12.65 s (medians of 4, alternated in one process, 2-core x86-64,
+# OpenBLAS, 1 thread), with no iteration count changed; so it stays at 128.
+# A shift of 0.95 or 0.9 in place of 0.99 fails the first pair on so many
+# calls of n = 400 plain solves that they factor more than with no carried
+# bound at all (48-54 Cholesky calls against 32-36).
 _WARM_MIN_N = 128
 _WARM_RANK_MAX = 8
 _WARM_EXTRA = 4
 _WARM_STEPS = 16
 _WARM_RTOL = 1e-13
 _WARM_SEED = 0x5EED
+_CARRY_SHIFT = 0.99
 
 
-def _certified_prox(M, tau: float, warm):
+@dataclass(eq=False)
+class _ProxCarry:
+    """What the certified prox calls of one solve hand on to later calls: a
+    copy M_ref of an input whose dropped spectrum a Cholesky pair proved
+    small, the number `kept` of Ritz values it kept, and the bound b with
+    all but `kept` eigenvalues of M_ref in (-b, b). M_ref is None until the
+    first such proof."""
+
+    M_ref: np.ndarray | None = None
+    kept: int = 0
+    bound: float = math.inf
+
+
+def _certified_prox(M, tau: float, warm, carry=None):
     """The prox of the symmetric M from block subspace steps started at the
     range of warm, or None when it cannot be certified.
 
     The steps end with Ritz pairs (Q, theta) of M, kept where |theta| > tau.
     With the residual R = M Q - Q diag(theta) and D = (I - QQ.T) M (I - QQ.T),
     the matrix M - R Q.T - Q R.T is block diagonal: diag(theta) on range(Q),
-    D on its complement. When -tau I < D < tau I, which the Cholesky
-    factorizations of tau I - D and tau I + D prove, its prox is exactly
+    D on its complement. When -tau I < D < tau I its prox is exactly
     Q diag(sign(theta) (|theta| - tau)) Q.T. The prox is nonexpansive, so
     that is within ||R Q.T + Q R.T||_F = sqrt(2) ||R||_F of the prox of M.
     It is accepted when ||R||_F <= 1e-13 ||M||_F.
+
+    Two proofs of -tau I < D < tau I are tried, in turn. The first is a bound
+    carried in carry from an earlier call on M_ref, whose eigenvalues all
+    but k = carry.kept lie in (-b, b). By Weyl's inequality the eigenvalues
+    of M, and then those of M - R Q.T - Q R.T, in the same sorted positions
+    lie within ||M - M_ref||_F, and then sqrt(2) ||R||_F, further out. So
+    when this call keeps k Ritz values too and
+    b + ||M - M_ref||_F + sqrt(2) ||R||_F < tau, at most k eigenvalues of
+    M - R Q.T - Q R.T reach tau in magnitude, and theta holds k of them:
+    D holds none. The second is Cholesky factorizations of
+    s I - D and s I + D, first at s = _CARRY_SHIFT * tau, then at s = tau.
+    A pair that succeeds at the smaller s puts the n - k eigenvalues of the
+    block D in (-s, s), so those of M in (-b, b) with
+    b = s + sqrt(2) ||R||_F; M, k and b then replace what carry held.
+    With carry None only the pair at tau is tried.
 
     Each step filters the block by M^2 - tau^2 I / 2, a multiple of the
     Chebyshev polynomial T_2(M / tau), which is at most 1 in magnitude on
@@ -279,7 +334,7 @@ def _certified_prox(M, tau: float, warm):
     g = np.linalg.eigvalsh(C.T @ C)
     if np.count_nonzero(g > 1e-12 * g[-1]) > _WARM_RANK_MAX:
         return None
-    omega = np.random.default_rng(_WARM_SEED).standard_normal((n, b))
+    omega = _gaussian(_WARM_SEED, (n, b))
     U, s, _ = np.linalg.svd(warm @ omega, full_matrices=False)
     k = int(np.count_nonzero(s > 1e-10 * s[0]))
     if not 0 < k <= _WARM_RANK_MAX:
@@ -301,18 +356,44 @@ def _certified_prox(M, tau: float, warm):
             return None
         last = res
         V = np.linalg.qr(M @ MV - (0.5 * tau * tau) * V)[0]
-    # tau I - D = [Q E] [E Q].T - M + tau I, with E = MQ - Q (Q.T MQ) / 2
+    spread = math.sqrt(2.0) * res
+    carried = (
+        carry is not None and carry.kept == theta.size and carry.bound + spread < tau
+        and carry.bound + float(np.linalg.norm(M - carry.M_ref)) + spread < tau
+    )
+    if not carried:
+        s = _proven_shift(M, Q, MQ, (tau,) if carry is None else (_CARRY_SHIFT * tau, tau))
+        if s is None:
+            return None
+        if s < tau:
+            carry.M_ref = M.copy()
+            carry.kept = theta.size
+            carry.bound = s + spread
+    return (Q * (theta - np.copysign(tau, theta))) @ Q.T
+
+
+def _proven_shift(M, Q, MQ, shifts):
+    """The first s in shifts with -s I < D < s I, for D = (I - QQ.T) M (I - QQ.T)
+    and Q column-orthonormal, as proven by Cholesky factorizations of s I - D
+    and s I + D; None when no s is."""
+    # -D = [Q E] [E Q].T - M with E = MQ - Q (Q.T MQ) / 2; each pair factors
+    # in the storage of -D, negated in place with its diagonal d between the
+    # two factorizations, the diagonal rewritten from d for each
+    n = M.shape[0]
     E = MQ - 0.5 * Q @ (Q.T @ MQ)
     D = np.hstack((Q, E)) @ np.vstack((E.T, Q.T)) - M
-    D.flat[:: n + 1] += tau
-    try:
-        np.linalg.cholesky(D)
-        D *= -1.0
-        D.flat[:: n + 1] += 2.0 * tau
-        np.linalg.cholesky(D)
-    except np.linalg.LinAlgError:
-        return None
-    return (Q * (theta - np.copysign(tau, theta))) @ Q.T
+    d = D.diagonal().copy()
+    for s in shifts:
+        try:
+            for _ in range(2):
+                D.flat[:: n + 1] = d + s
+                np.linalg.cholesky(D)
+                np.negative(D, out=D)
+                np.negative(d, out=d)
+        except np.linalg.LinAlgError:
+            continue
+        return s
+    return None
 
 
 # A tangent element U @ A + W @ V.T, with U.T @ W = 0, is held as one flat
@@ -500,10 +581,7 @@ def opnorm_PGammaPT(S: SupportSet, T: TangentSpace) -> float:
     if len(S) == 0 or T.r == 0:
         return 0.0
 
-    rng = np.random.default_rng(0x9E3779B9)
-    X = rng.standard_normal((S.n, S.n))
-    X /= np.linalg.norm(X)
-    x = _tangent_factors(X, T)
+    x = _tangent_factors(_gaussian(0x9E3779B9, (S.n, S.n), unit=True), T)
     step = _GammaTangentOperator(S, T)
     lam_prev = np.inf
     lam = 0.0

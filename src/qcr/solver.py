@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_square, norm, soft_threshold, sv_threshold
+from .linalg import _as_square, _ProxCarry, norm, soft_threshold, sv_threshold
 
 __all__ = [
     "SolverOptions",
@@ -91,7 +91,9 @@ def _alm(M, c_prox, mu, opts: SolverOptions):
     """Inexact augmented-Lagrangian iteration for min ||B||_* + g(C) subject
     to B + C = M, from the penalty mu, on the schedule of SolverOptions.
     Each pass takes B by singular-value shrinkage (warm-started from the
-    previous B), C by c_prox, then a dual ascent step on the constraint.
+    previous B, with one _ProxCarry for the whole solve, so that a bound
+    proven on one call can certify later ones), C by c_prox, then a dual
+    ascent step on the constraint.
     c_prox(V, kappa) is the prox of g/mu at V, called with kappa = lam/mu:
     soft_threshold when g = lam*||C||_1. Returns the last B and C and the
     result's iterations, primal_residual, converged and final_penalty.
@@ -103,12 +105,13 @@ def _alm(M, c_prox, mu, opts: SolverOptions):
     B = np.zeros_like(M)
     C = np.zeros_like(M)
     Y = np.zeros_like(M)
+    carry = _ProxCarry()
     hist: list[float] = []
     converged = False
     residual = float(np.linalg.norm(M)) / norm_M
 
     for _k in range(opts.max_iters):
-        B = sv_threshold(M - C + Y / mu, 1.0 / mu, warm=B)
+        B = sv_threshold(M - C + Y / mu, 1.0 / mu, warm=B, carry=carry)
         C = c_prox(M - B + Y / mu, lam / mu)
         R = M - B - C
         Y = Y + mu * R

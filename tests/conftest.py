@@ -155,9 +155,9 @@ def read_instance_reference(path):
     return PlantedInstance(params, A)
 
 
-def svd_threshold_reference(M, tau, *, warm=None):
+def svd_threshold_reference(M, tau, *, warm=None, carry=None):
     """Singular-value shrinkage by the SVD formula, whatever path sv_threshold
-    takes; warm, which only picks that path, is ignored."""
+    takes; warm and carry, which only pick that path, are ignored."""
     U, s, Vt = np.linalg.svd(M)
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 

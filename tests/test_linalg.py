@@ -389,6 +389,84 @@ def test_certified_prox_needs_positive_tau_and_low_rank_warm(tau, warm):
     assert np.array_equal(sv_threshold(M, tau, warm=W), sv_threshold(M, tau))
 
 
+def carried_spike(spikes, warm_spikes):
+    """A spiked M with bulk 0.5 at n = 200, tau = 1, and a warm spanning the
+    eigenvectors of its first warm_spikes spikes exactly."""
+    M, Q = spiked(200, 8, spikes, bulk=0.5)
+    warm = (Q[:, :warm_spikes] * (np.asarray(spikes[:warm_spikes]) - 1.0)) @ Q[:, :warm_spikes].T
+    return M, Q, warm
+
+
+def test_carried_bound_certifies_a_nearby_call_without_factoring(monkeypatch):
+    # the pair at 0.99 tau proves the bulk of M below 0.99 tau; a later M
+    # within 1e-3 (Frobenius) of it keeps that bound below tau by Weyl
+    M, _, warm = carried_spike([30.0], 1)
+    carry = linalg_mod._ProxCarry()
+    chol = count_calls(monkeypatch, "cholesky", np.linalg)
+    assert linalg_mod._certified_prox(M, 1.0, warm, carry) is not None
+    assert len(chol) == 2 and carry.kept == 1
+    assert 0.99 <= carry.bound < 0.99 + 1e-12
+    P = random_symmetric(rng(12), 200)
+    M2 = M + 1e-3 * P / np.linalg.norm(P)
+    Z = sv_threshold(M2, 1.0, warm=warm, carry=carry)
+    assert len(chol) == 2
+    assert np.abs(Z - svd_threshold_reference(M2, 1.0)).max() <= 1e-10
+
+
+def test_carried_bound_rejects_a_dropped_eigenvalue_that_crossed_tau():
+    # a bulk eigenvalue moves from at most 0.5 tau to 1.2 tau outside the
+    # warm range: the kept count stays 1, and only ||M - M_ref||_F in the
+    # carried bound tells the later call apart from M_ref
+    M, Q, warm = carried_spike([30.0], 1)
+    carry = linalg_mod._ProxCarry()
+    assert linalg_mod._certified_prox(M, 1.0, warm, carry) is not None
+    q = Q[:, 1]
+    M2 = M + (1.2 - q @ M @ q) * np.outer(q, q)
+    assert linalg_mod._certified_prox(M2, 1.0, warm, carry) is None
+    assert carry.kept == 1
+    Z = sv_threshold(M2, 1.0, warm=warm, carry=carry)
+    assert np.abs(Z - svd_threshold_reference(M2, 1.0)).max() <= 1e-10
+
+
+def test_carried_bound_needs_the_same_kept_count():
+    # the bound proven with two kept eigenvalues covers all but two; a later
+    # call on the same M whose warm misses the spike at 3 tau keeps one, so
+    # only the Cholesky pair, which fails, can judge it
+    M, _, both = carried_spike([30.0, 3.0], 2)
+    carry = linalg_mod._ProxCarry()
+    assert linalg_mod._certified_prox(M, 1.0, both, carry) is not None
+    assert carry.kept == 2
+    one = carried_spike([30.0, 3.0], 1)[2]
+    assert linalg_mod._certified_prox(M, 1.0, one, carry) is None
+    Z = sv_threshold(M, 1.0, warm=one, carry=carry)
+    assert np.abs(Z - svd_threshold_reference(M, 1.0)).max() <= 1e-10
+
+
+def test_failed_shift_falls_back_to_the_pair_at_tau():
+    # a bulk eigenvalue at 0.995 tau fails the pair at 0.99 tau but not the
+    # one at tau: the call is certified and records no bound
+    M, Q = spiked(200, 9, [30.0, 0.995], bulk=0.5)
+    warm = 29.0 * np.outer(Q[:, 0], Q[:, 0])
+    carry = linalg_mod._ProxCarry()
+    Z = linalg_mod._certified_prox(M, 1.0, warm, carry)
+    assert Z is not None and carry.M_ref is None
+    assert np.abs(Z - svd_threshold_reference(M, 1.0)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("seed, shape, unit", [
+    (0x9E3779B9, (100, 100), True),
+    (linalg_mod._WARM_SEED, (200, linalg_mod._WARM_RANK_MAX + linalg_mod._WARM_EXTRA), False),
+], ids=["opnorm start", "prox sketch"])
+def test_fixed_starts_are_one_read_only_draw(seed, shape, unit):
+    fresh = np.random.default_rng(seed).standard_normal(shape)
+    if unit:
+        fresh /= np.linalg.norm(fresh)
+    X = linalg_mod._gaussian(seed, shape, unit)
+    assert X.shape == shape and X.tobytes() == fresh.tobytes()
+    assert not X.flags.writeable
+    assert linalg_mod._gaussian(seed, shape, unit) is X
+
+
 @pytest.mark.parametrize("warm", [np.zeros((200, 100)), np.full((200, 200), np.nan)])
 def test_sv_threshold_rejects_bad_warm(warm):
     M, _ = spiked(200, 8, [30.0], bulk=0.5)

@@ -288,8 +288,8 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
     certified = []
     real_prox = linalg._certified_prox
 
-    def counting(M, tau, warm):
-        out = real_prox(M, tau, warm)
+    def counting(M, tau, warm, carry):
+        out = real_prox(M, tau, warm, carry)
         certified.append(out is not None)
         return out
 
@@ -312,8 +312,8 @@ def test_quasi_clique_spectral_start_certifies_every_call_after_the_first(monkey
     certified = []
     real_prox = linalg._certified_prox
 
-    def counting(M, tau, warm):
-        out = real_prox(M, tau, warm)
+    def counting(M, tau, warm, carry):
+        out = real_prox(M, tau, warm, carry)
         certified.append(out is not None)
         return out
 
@@ -322,6 +322,46 @@ def test_quasi_clique_spectral_start_certifies_every_call_after_the_first(monkey
     assert len(certified) == res.iterations
     assert all(certified[1:])
     assert res.converged and relative_error(res.B_star, inst.block_pattern) <= RECOVERY_TOL
+
+
+def test_carried_bound_halves_the_cholesky_calls_of_an_n200_solve(monkeypatch):
+    # the solve above proves each certified call with the Cholesky pair or
+    # with the bound an earlier pair carries; fewer than one factorization
+    # per certified call means most calls are carried
+    inst = planted(n=200, n_c=100, seed=0)
+    certified = []
+    real_prox = linalg._certified_prox
+
+    def counting(M, tau, warm, carry):
+        out = real_prox(M, tau, warm, carry)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_certified_prox", counting)
+    chol = count_calls(monkeypatch, "cholesky", np.linalg)
+    solve_quasi_clique(inst.A, N200_QC)
+    assert 0 < len(chol) < sum(certified)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("solve", [
+    solve_rpca, lambda A: solve_quasi_clique(A, QuasiCliqueParams(gamma=0.85, eta=A.shape[0] // 2)),
+], ids=["rpca", "quasi_clique"])
+def test_carried_bound_leaves_every_solve_output_unchanged(monkeypatch, solve, n):
+    # the carry changes how a certified call is proven, never its output:
+    # the solve is bitwise the one whose calls each factor their own pair
+    A = planted(n=n, n_c=n // 2, seed=derive_seed(0, 1)).A
+    real = solver.sv_threshold
+    monkeypatch.setattr(solver, "sv_threshold", lambda M, tau, warm=None, carry=None: real(M, tau, warm=warm))
+    chol = count_calls(monkeypatch, "cholesky", np.linalg)
+    alone = solve(A)
+    factored = len(chol)
+    monkeypatch.setattr(solver, "sv_threshold", real)
+    carried = solve(A)
+    assert len(chol) - factored < factored
+    assert carried.B_star.tobytes() == alone.B_star.tobytes()
+    assert carried.C_star.tobytes() == alone.C_star.tobytes()
+    assert (carried.iterations, carried.final_penalty) == (alone.iterations, alone.final_penalty)
 
 
 # the instance of `qcr gen --n 40 --nc 30 --gamma 0.7 --rho 0.3 --seed 1`, on
