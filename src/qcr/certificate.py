@@ -20,6 +20,7 @@ from .linalg import (
     SupportSet,
     SvdFactors,
     TangentSpace,
+    _as_int,
     _as_matrix,
     _Entries,
     _GammaTangentOperator,
@@ -126,7 +127,7 @@ class GolfingConfig:
     seed: int
 
     def __post_init__(self):
-        if self.k0 < 1:
+        if _as_int(self.k0, "k0") < 1:
             raise ValueError(f"k0 must be >= 1, got {self.k0}")
         # p = 0 (q = 1) is legal for partitioning alone; golfing_QB
         # separately requires a positive p for its 1/p scaling

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .instances import InstanceParams, derive_seed, gen_planted
+from .linalg import _as_int
 from .solver import SolverOptions, recovery_verdict, solve_rpca
 
 __all__ = [
@@ -49,7 +50,7 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "axis1_values", tuple(self.axis1_values))
         object.__setattr__(self, "axis2_values", tuple(self.axis2_values))
-        if self.trials < 1:
+        if _as_int(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.axis1_values or not self.axis2_values:
             raise ValueError("axes must be nonempty")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SupportSet
+from .linalg import SupportSet, _as_int
 
 __all__ = [
     "InstanceParams",
@@ -67,15 +67,15 @@ class InstanceParams:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if _as_int(self.n, "n") < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        if not (0 < self.n_c <= self.n):
+        if not (0 < _as_int(self.n_c, "n_c") <= self.n):
             raise ValueError(f"n_c must satisfy 0 < n_c <= n, got n_c={self.n_c}, n={self.n}")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if not (0 <= self.seed < _SEED_MAX):
+        if not (0 <= _as_int(self.seed, "seed") < _SEED_MAX):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 

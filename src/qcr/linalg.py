@@ -5,6 +5,7 @@ solver and certificate modules compose."""
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,10 +43,18 @@ def _as_matrix(M, name="M"):
     return M
 
 
-def _as_square(M, name="M"):
-    M = _as_matrix(M, name)
+def _as_int(value, name):
+    """operator.index(value), or ValueError naming the field when it fails."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_square(M):
+    M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
+        raise ValueError(f"M must be square, got shape {M.shape}")
     return M
 
 
@@ -195,7 +204,7 @@ def soft_threshold(M, tau: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
-def sv_threshold(M, tau: float, *, warm=None, carry=None) -> np.ndarray:
+def sv_threshold(M, tau: float, *, carry=None) -> np.ndarray:
     """Singular-value shrinkage U @ diag(max(sigma - tau, 0)) @ V.T, the prox of
     tau*||.||_*.
 
@@ -205,38 +214,33 @@ def sv_threshold(M, tau: float, *, warm=None, carry=None) -> np.ndarray:
     entrywise, so a symmetric input keeps every later prox on this path. Any
     other M uses the SVD.
 
-    warm, on the eigen path, is a matrix whose range is close to the span of
-    the eigenvectors the prox keeps, such as the previous output of an
-    iterative solver. For n >= 128 and a warm of rank at most 8, the prox
-    is first tried as a certified low-rank prox (see _certified_prox): at
-    most 16 block subspace steps from the range of warm, accepted only when
-    a residual bound, and either two Cholesky factorizations or a bound
-    carried from an earlier call in carry, prove the result within
-    sqrt(2) * 1e-13 * ||M||_F of the exact prox. Otherwise the prox is one
-    full eigh. carry is a _ProxCarry that one solve hands to each of its
-    calls, or None. warm and carry only pick the path, and a carried bound
-    only proves what the Cholesky pair would: the output depends on M, tau
-    and warm alone. Below n = 128 a full eigh costs no more than the
-    attempt."""
+    carry is the _ProxCarry that one solve hands to each of its calls, or
+    None. A call with a carry sets carry.warm to its output, on either path.
+    On the eigen path at n >= 128, a call whose carry holds a warm first
+    tries _certified_prox from its range: a result proven within
+    sqrt(2) * 1e-13 * ||M||_F of the exact prox, or None. Otherwise, and
+    below n = 128 where a full eigh costs no more than the attempt, the
+    prox is one full eigh. The output depends on M, tau and carry.warm
+    alone; the rest of the carry changes only how a call is proven."""
     M = _as_square(M)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if np.array_equal(M, M.T):
         R = None
-        if warm is not None and M.shape[0] >= _WARM_MIN_N:
-            warm = _as_square(warm, "warm")
-            if warm.shape != M.shape:
-                raise ValueError(f"warm shape {warm.shape} does not match M shape {M.shape}")
-            R = _certified_prox(M, tau, warm, carry)
+        if carry is not None and carry.warm is not None and M.shape[0] >= _WARM_MIN_N:
+            R = _certified_prox(M, tau, carry)
         if R is None:
             w, Q = np.linalg.eigh(M)
             keep = np.abs(w) > tau
             w, Q = w[keep], Q[:, keep]
             R = (Q * (w - np.copysign(tau, w))) @ Q.T
-        return 0.5 * (R + R.T)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    return (U * s) @ Vt
+        out = 0.5 * (R + R.T)
+    else:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        out = (U * np.maximum(s - tau, 0.0)) @ Vt
+    if carry is not None:
+        carry.warm = out
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -275,20 +279,22 @@ _CARRY_SHIFT = 0.99
 
 @dataclass(eq=False)
 class _ProxCarry:
-    """What the certified prox calls of one solve hand on to later calls: a
-    copy M_ref of an input whose dropped spectrum a Cholesky pair proved
+    """What the prox calls of one solve hand on to later calls: warm, the
+    output of the last call, whose range starts the next call's block steps;
+    a copy M_ref of an input whose dropped spectrum a Cholesky pair proved
     small, the number `kept` of Ritz values it kept, and the bound b with
-    all but `kept` eigenvalues of M_ref in (-b, b). M_ref is None until the
-    first such proof."""
+    all but `kept` eigenvalues of M_ref in (-b, b). warm is None before the
+    first call, M_ref until the first such proof."""
 
+    warm: np.ndarray | None = None
     M_ref: np.ndarray | None = None
     kept: int = 0
     bound: float = math.inf
 
 
-def _certified_prox(M, tau: float, warm, carry=None):
+def _certified_prox(M, tau: float, carry):
     """The prox of the symmetric M from block subspace steps started at the
-    range of warm, or None when it cannot be certified.
+    range of carry.warm, or None when it cannot be certified.
 
     The steps end with Ritz pairs (Q, theta) of M, kept where |theta| > tau.
     With the residual R = M Q - Q diag(theta) and D = (I - QQ.T) M (I - QQ.T),
@@ -311,7 +317,6 @@ def _certified_prox(M, tau: float, warm, carry=None):
     A pair that succeeds at the smaller s puts the n - k eigenvalues of the
     block D in (-s, s), so those of M in (-b, b) with
     b = s + sqrt(2) ||R||_F; M, k and b then replace what carry held.
-    With carry None only the pair at tau is tried.
 
     Each step filters the block by M^2 - tau^2 I / 2, a multiple of the
     Chebyshev polynomial T_2(M / tau), which is at most 1 in magnitude on
@@ -320,22 +325,22 @@ def _certified_prox(M, tau: float, warm, carry=None):
     as late in a quasi-clique solve, the residual needs more than 8 steps
     from a rank-one warm start. The budget of 16 certifies as many calls of
     such a solve at n = 200, 400 and 800 as 32 steps do. The attempt ends
-    early, with None, when warm has rank above _WARM_RANK_MAX, when a kept
-    Ritz value lies within a factor 2 of tau (the steps would converge too
-    slowly) or when the residual, shrinking at its last rate, would miss the
-    bound within _WARM_STEPS steps."""
+    early, with None, when carry.warm has rank above _WARM_RANK_MAX, when a
+    kept Ritz value lies within a factor 2 of tau (the steps would converge
+    too slowly) or when the residual, shrinking at its last rate, would miss
+    the bound within _WARM_STEPS steps."""
     n = M.shape[0]
     b = _WARM_RANK_MAX + _WARM_EXTRA
     if not tau > 0.0 or n <= 2 * b:
         return None
     # a cheap exit for a warm of high rank: b of its columns already span
     # more than _WARM_RANK_MAX dimensions
-    C = warm[:, :: n // b][:, :b]
+    C = carry.warm[:, :: n // b][:, :b]
     g = np.linalg.eigvalsh(C.T @ C)
     if np.count_nonzero(g > 1e-12 * g[-1]) > _WARM_RANK_MAX:
         return None
     omega = _gaussian(_WARM_SEED, (n, b))
-    U, s, _ = np.linalg.svd(warm @ omega, full_matrices=False)
+    U, s, _ = np.linalg.svd(carry.warm @ omega, full_matrices=False)
     k = int(np.count_nonzero(s > 1e-10 * s[0]))
     if not 0 < k <= _WARM_RANK_MAX:
         return None
@@ -358,11 +363,11 @@ def _certified_prox(M, tau: float, warm, carry=None):
         V = np.linalg.qr(M @ MV - (0.5 * tau * tau) * V)[0]
     spread = math.sqrt(2.0) * res
     carried = (
-        carry is not None and carry.kept == theta.size and carry.bound + spread < tau
+        carry.kept == theta.size and carry.bound + spread < tau
         and carry.bound + float(np.linalg.norm(M - carry.M_ref)) + spread < tau
     )
     if not carried:
-        s = _proven_shift(M, Q, MQ, (tau,) if carry is None else (_CARRY_SHIFT * tau, tau))
+        s = _proven_shift(M, Q, MQ, tau)
         if s is None:
             return None
         if s < tau:
@@ -372,10 +377,10 @@ def _certified_prox(M, tau: float, warm, carry=None):
     return (Q * (theta - np.copysign(tau, theta))) @ Q.T
 
 
-def _proven_shift(M, Q, MQ, shifts):
-    """The first s in shifts with -s I < D < s I, for D = (I - QQ.T) M (I - QQ.T)
-    and Q column-orthonormal, as proven by Cholesky factorizations of s I - D
-    and s I + D; None when no s is."""
+def _proven_shift(M, Q, MQ, tau: float):
+    """The first s of _CARRY_SHIFT * tau and tau with -s I < D < s I, for
+    D = (I - QQ.T) M (I - QQ.T) and Q column-orthonormal, as proven by
+    Cholesky factorizations of s I - D and s I + D; None when neither is."""
     # -D = [Q E] [E Q].T - M with E = MQ - Q (Q.T MQ) / 2; each pair factors
     # in the storage of -D, negated in place with its diagonal d between the
     # two factorizations, the diagonal rewritten from d for each
@@ -383,7 +388,7 @@ def _proven_shift(M, Q, MQ, shifts):
     E = MQ - 0.5 * Q @ (Q.T @ MQ)
     D = np.hstack((Q, E)) @ np.vstack((E.T, Q.T)) - M
     d = D.diagonal().copy()
-    for s in shifts:
+    for s in (_CARRY_SHIFT * tau, tau):
         try:
             for _ in range(2):
                 D.flat[:: n + 1] = d + s
@@ -432,8 +437,6 @@ class _Entries:
     @classmethod
     def gather(cls, flat, T: TangentSpace) -> "_Entries":
         n, r = T.n, T.r
-        if not flat.size:  # the empty cross set of every planted certificate
-            return cls(flat, np.empty((0, 2 * r), dtype=np.intp), np.empty((0, 2 * r)))
         rows, cols = np.divmod(flat, n)
         k = np.arange(r)
         bins = np.hstack((cols[:, None] * r + k, n * r + rows[:, None] * r + k))

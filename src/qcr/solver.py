@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_square, _ProxCarry, norm, soft_threshold, sv_threshold
+from .linalg import _as_square, _as_int, _ProxCarry, norm, soft_threshold, sv_threshold
 
 __all__ = [
     "SolverOptions",
@@ -54,7 +54,7 @@ class SolverOptions:
             raise ValueError(f"mu_growth must be finite and >= 1, got {self.mu_growth}")
         if not 0 < self.tol_primal < math.inf:
             raise ValueError(f"tol_primal must be positive and finite, got {self.tol_primal}")
-        if self.max_iters < 1:
+        if _as_int(self.max_iters, "max_iters") < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
     def resolve_lam(self, n: int) -> float:
@@ -90,10 +90,10 @@ class DecompositionResult:
 def _alm(M, c_prox, mu, opts: SolverOptions):
     """Inexact augmented-Lagrangian iteration for min ||B||_* + g(C) subject
     to B + C = M, from the penalty mu, on the schedule of SolverOptions.
-    Each pass takes B by singular-value shrinkage (warm-started from the
-    previous B, with one _ProxCarry for the whole solve, so that a bound
-    proven on one call can certify later ones), C by c_prox, then a dual
-    ascent step on the constraint.
+    Each pass takes B by singular-value shrinkage, with one _ProxCarry for
+    the whole solve: it holds the previous B as the next call's warm start,
+    none on the first call, and a bound proven on one call that can certify
+    later ones. Then C by c_prox, then a dual ascent step on the constraint.
     c_prox(V, kappa) is the prox of g/mu at V, called with kappa = lam/mu:
     soft_threshold when g = lam*||C||_1. Returns the last B and C and the
     result's iterations, primal_residual, converged and final_penalty.
@@ -102,16 +102,13 @@ def _alm(M, c_prox, mu, opts: SolverOptions):
     lam = opts.resolve_lam(M.shape[0])
     norm_M = max(float(np.linalg.norm(M)), 1e-12)
 
-    B = np.zeros_like(M)
     C = np.zeros_like(M)
     Y = np.zeros_like(M)
     carry = _ProxCarry()
     hist: list[float] = []
-    converged = False
-    residual = float(np.linalg.norm(M)) / norm_M
 
     for _k in range(opts.max_iters):
-        B = sv_threshold(M - C + Y / mu, 1.0 / mu, warm=B, carry=carry)
+        B = sv_threshold(M - C + Y / mu, 1.0 / mu, carry=carry)
         C = c_prox(M - B + Y / mu, lam / mu)
         R = M - B - C
         Y = Y + mu * R
@@ -120,17 +117,13 @@ def _alm(M, c_prox, mu, opts: SolverOptions):
             raise ValueError(f"iteration {len(hist) + 1} produced a non-finite iterate")
         hist.append(residual)
         if residual <= opts.tol_primal:
-            converged = True
             break
         if len(hist) > 10 and hist[-1] > 0.9 * hist[-11]:
             mu *= opts.mu_growth
 
-    stats = {
-        "iterations": len(hist),
-        "primal_residual": residual,
-        "converged": converged,
-        "final_penalty": mu,
-    }
+    stats = {"iterations": len(hist), "primal_residual": residual, "final_penalty": mu}
+    # the loop breaks exactly when the residual reaches tol_primal
+    stats["converged"] = residual <= opts.tol_primal
     return B, C, stats
 
 

@@ -155,9 +155,9 @@ def read_instance_reference(path):
     return PlantedInstance(params, A)
 
 
-def svd_threshold_reference(M, tau, *, warm=None, carry=None):
+def svd_threshold_reference(M, tau, *, carry=None):
     """Singular-value shrinkage by the SVD formula, whatever path sv_threshold
-    takes; warm and carry, which only pick that path, are ignored."""
+    takes; carry, which only picks that path, is ignored."""
     U, s, Vt = np.linalg.svd(M)
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 

@@ -1,6 +1,7 @@
 """Dual-certificate tests: incoherence, batch partitioning, golfing recursion,
 Neumann series against a dense oracle, end-to-end verification."""
 
+import ast
 import functools
 import json
 import math
@@ -53,6 +54,7 @@ from conftest import (
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_certificates.py"
 
 
@@ -902,3 +904,40 @@ def test_verify_keeps_certify_suite_reference(rho, k):
     assert len(recorded["norms"]) == 6
     for field, value in recorded["norms"].items():
         assert math.isclose(getattr(rep, field), value, rel_tol=doc["norm_rtol"], abs_tol=1e-12), field
+
+
+def benchmark_certificate_violations():
+    """perfbench/workloads.py::_certificate_violations, compiled alone from
+    the file's source, which is read and never imported or written."""
+    tree = ast.parse(WORKLOADS.read_text())
+    node = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_certificate_violations"
+    )
+    namespace = {}
+    exec(compile(ast.Module([node], type_ignores=[]), str(WORKLOADS), "exec"), namespace)
+    return namespace["_certificate_violations"]
+
+
+@pytest.mark.parametrize("check", certificate.CONDITIONS + certificate.GATES, ids=lambda c: c.measured)
+def test_benchmark_restates_every_certificate_threshold(check):
+    # the benchmark checks each written report against its own copy of the
+    # five conditions and two gates; a report with every other field well
+    # inside, and this one an ulp below, at and an ulp above its threshold,
+    # gets the same verdicts from both copies, on both sides of the bound
+    violations = benchmark_certificate_violations()
+    lam = 0.1
+    bound = check.threshold(lam)
+    held = []
+    for value in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)):
+        measured = {c.measured: 0.0 for c in certificate.CONDITIONS + certificate.GATES}
+        measured["lam"] = lam
+        measured[check.measured] = value
+        at = measured["lam"]
+        conditions = [c.holds(measured[c.measured], at) for c in certificate.CONDITIONS]
+        overall = all(conditions) and all(g.holds(measured[g.measured], at) for g in certificate.GATES)
+        doc = {("lambda" if f == "lam" else f): v for f, v in measured.items()}
+        doc.update(conditions=conditions, overall=overall)
+        assert violations(doc) == [], value
+        held.append(check.holds(value, at))
+    assert held == ([True, False, False] if check.relation == "<" else [True, True, False])

@@ -15,6 +15,7 @@ from qcr.linalg import (
     NORM_KINDS,
     SupportSet,
     TangentSpace,
+    _ProxCarry,
     norm,
     opnorm_PGammaPT,
     project_support,
@@ -277,10 +278,6 @@ def test_sv_threshold_checks_its_inputs():
     bad[3, 4] = bad[4, 3] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         sv_threshold(bad, 0.5)
-    with pytest.raises(ValueError, match="non-finite"):
-        sv_threshold(M, 0.5, warm=bad)
-    with pytest.raises(ValueError, match="warm shape"):
-        sv_threshold(M, 0.5, warm=M[:129, :129])
     with pytest.raises(ValueError, match="tau"):
         sv_threshold(M, -0.5)
 
@@ -343,10 +340,10 @@ def test_certified_prox_matches_svd_reference(n):
     M = 30.0 * np.outer(u, u) + random_symmetric(g, n) / (4.0 * math.sqrt(n))
     tau = 1.0
     warm = svd_threshold_reference(M + 1e-3 * random_symmetric(g, n), tau)
-    Z = linalg_mod._certified_prox(M, tau, warm)
+    Z = linalg_mod._certified_prox(M, tau, _ProxCarry(warm=warm))
     assert Z is not None
     assert np.abs(Z - svd_threshold_reference(M, tau)).max() <= 1e-11
-    out = sv_threshold(M, tau, warm=warm)
+    out = sv_threshold(M, tau, carry=_ProxCarry(warm=warm))
     assert np.abs(out - svd_threshold_reference(M, tau)).max() <= 1e-11
     assert np.array_equal(out, out.T)
 
@@ -359,7 +356,7 @@ def test_certified_prox_converges_within_its_step_budget():
     M, _ = spiked(n, 11, [2.45], bulk=0.88)
     warm = svd_threshold_reference(M + 1e-3 * random_symmetric(rng(111), n) / math.sqrt(n), tau)
     assert np.linalg.matrix_rank(warm) == 1
-    Z = linalg_mod._certified_prox(M, tau, warm)
+    Z = linalg_mod._certified_prox(M, tau, _ProxCarry(warm=warm))
     assert Z is not None
     assert np.abs(Z - svd_threshold_reference(M, tau)).max() <= 1e-11
 
@@ -372,8 +369,8 @@ def test_certified_prox_falls_back_on_eigenvalue_outside_warm(sign):
     n, tau = 200, 1.0
     M, Q = spiked(n, 7, [30.0, sign * 1.001])
     warm = 29.0 * np.outer(Q[:, 0], Q[:, 0])
-    assert linalg_mod._certified_prox(M, tau, warm) is None
-    assert np.array_equal(sv_threshold(M, tau, warm=warm), sv_threshold(M, tau))
+    assert linalg_mod._certified_prox(M, tau, _ProxCarry(warm=warm)) is None
+    assert np.array_equal(sv_threshold(M, tau, carry=_ProxCarry(warm=warm)), sv_threshold(M, tau))
 
 
 @pytest.mark.parametrize("tau, warm", [(0.0, "spike"), (1.0, "zero"), (1.0, "full rank")])
@@ -385,8 +382,8 @@ def test_certified_prox_needs_positive_tau_and_low_rank_warm(tau, warm):
         "zero": np.zeros((n, n)),
         "full rank": random_symmetric(rng(10), n),
     }[warm]
-    assert linalg_mod._certified_prox(M, tau, W) is None
-    assert np.array_equal(sv_threshold(M, tau, warm=W), sv_threshold(M, tau))
+    assert linalg_mod._certified_prox(M, tau, _ProxCarry(warm=W)) is None
+    assert np.array_equal(sv_threshold(M, tau, carry=_ProxCarry(warm=W)), sv_threshold(M, tau))
 
 
 def carried_spike(spikes, warm_spikes):
@@ -401,14 +398,14 @@ def test_carried_bound_certifies_a_nearby_call_without_factoring(monkeypatch):
     # the pair at 0.99 tau proves the bulk of M below 0.99 tau; a later M
     # within 1e-3 (Frobenius) of it keeps that bound below tau by Weyl
     M, _, warm = carried_spike([30.0], 1)
-    carry = linalg_mod._ProxCarry()
+    carry = _ProxCarry(warm=warm)
     chol = count_calls(monkeypatch, "cholesky", np.linalg)
-    assert linalg_mod._certified_prox(M, 1.0, warm, carry) is not None
+    assert linalg_mod._certified_prox(M, 1.0, carry) is not None
     assert len(chol) == 2 and carry.kept == 1
     assert 0.99 <= carry.bound < 0.99 + 1e-12
     P = random_symmetric(rng(12), 200)
     M2 = M + 1e-3 * P / np.linalg.norm(P)
-    Z = sv_threshold(M2, 1.0, warm=warm, carry=carry)
+    Z = sv_threshold(M2, 1.0, carry=carry)
     assert len(chol) == 2
     assert np.abs(Z - svd_threshold_reference(M2, 1.0)).max() <= 1e-10
 
@@ -418,13 +415,13 @@ def test_carried_bound_rejects_a_dropped_eigenvalue_that_crossed_tau():
     # warm range: the kept count stays 1, and only ||M - M_ref||_F in the
     # carried bound tells the later call apart from M_ref
     M, Q, warm = carried_spike([30.0], 1)
-    carry = linalg_mod._ProxCarry()
-    assert linalg_mod._certified_prox(M, 1.0, warm, carry) is not None
+    carry = _ProxCarry(warm=warm)
+    assert linalg_mod._certified_prox(M, 1.0, carry) is not None
     q = Q[:, 1]
     M2 = M + (1.2 - q @ M @ q) * np.outer(q, q)
-    assert linalg_mod._certified_prox(M2, 1.0, warm, carry) is None
+    assert linalg_mod._certified_prox(M2, 1.0, carry) is None
     assert carry.kept == 1
-    Z = sv_threshold(M2, 1.0, warm=warm, carry=carry)
+    Z = sv_threshold(M2, 1.0, carry=carry)
     assert np.abs(Z - svd_threshold_reference(M2, 1.0)).max() <= 1e-10
 
 
@@ -433,12 +430,12 @@ def test_carried_bound_needs_the_same_kept_count():
     # call on the same M whose warm misses the spike at 3 tau keeps one, so
     # only the Cholesky pair, which fails, can judge it
     M, _, both = carried_spike([30.0, 3.0], 2)
-    carry = linalg_mod._ProxCarry()
-    assert linalg_mod._certified_prox(M, 1.0, both, carry) is not None
+    carry = _ProxCarry(warm=both)
+    assert linalg_mod._certified_prox(M, 1.0, carry) is not None
     assert carry.kept == 2
-    one = carried_spike([30.0, 3.0], 1)[2]
-    assert linalg_mod._certified_prox(M, 1.0, one, carry) is None
-    Z = sv_threshold(M, 1.0, warm=one, carry=carry)
+    carry.warm = carried_spike([30.0, 3.0], 1)[2]
+    assert linalg_mod._certified_prox(M, 1.0, carry) is None
+    Z = sv_threshold(M, 1.0, carry=carry)
     assert np.abs(Z - svd_threshold_reference(M, 1.0)).max() <= 1e-10
 
 
@@ -446,11 +443,38 @@ def test_failed_shift_falls_back_to_the_pair_at_tau():
     # a bulk eigenvalue at 0.995 tau fails the pair at 0.99 tau but not the
     # one at tau: the call is certified and records no bound
     M, Q = spiked(200, 9, [30.0, 0.995], bulk=0.5)
-    warm = 29.0 * np.outer(Q[:, 0], Q[:, 0])
-    carry = linalg_mod._ProxCarry()
-    Z = linalg_mod._certified_prox(M, 1.0, warm, carry)
+    carry = _ProxCarry(warm=29.0 * np.outer(Q[:, 0], Q[:, 0]))
+    Z = linalg_mod._certified_prox(M, 1.0, carry)
     assert Z is not None and carry.M_ref is None
     assert np.abs(Z - svd_threshold_reference(M, 1.0)).max() <= 1e-11
+
+
+def test_fresh_carry_takes_the_full_eigh_first(monkeypatch):
+    # a carry with no warm yet has nothing to start block steps from: the
+    # first call is one full eigh, and only the next reaches the certified prox
+    M, _ = spiked(200, 8, [30.0], bulk=0.5)
+    reached = count_calls(monkeypatch, "_certified_prox", linalg_mod)
+    eigh = count_calls(monkeypatch, "eigh", np.linalg)
+    carry = _ProxCarry()
+    first = sv_threshold(M, 1.0, carry=carry)
+    assert (len(reached), len(eigh)) == (0, 1)
+    assert np.array_equal(first, sv_threshold(M, 1.0))
+    sv_threshold(M, 1.0, carry=carry)
+    assert len(reached) == 1
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["eigen", "svd"])
+def test_carry_warm_is_every_call_output(symmetric):
+    # each call leaves its own return value as the next call's warm, on the
+    # eigen path (first a full eigh, then certified calls) and on the SVD path
+    M, _ = spiked(200, 8, [30.0], bulk=0.5)
+    g = rng(13)
+    carry = _ProxCarry()
+    for _ in range(3):
+        P = random_symmetric(g, 200) if symmetric else g.standard_normal((200, 200))
+        out = sv_threshold(M + 1e-6 * P, 1.0, carry=carry)
+        assert carry.warm is out
+    assert np.array_equal(out, out.T) == symmetric
 
 
 @pytest.mark.parametrize("seed, shape, unit", [
@@ -465,13 +489,6 @@ def test_fixed_starts_are_one_read_only_draw(seed, shape, unit):
     assert X.shape == shape and X.tobytes() == fresh.tobytes()
     assert not X.flags.writeable
     assert linalg_mod._gaussian(seed, shape, unit) is X
-
-
-@pytest.mark.parametrize("warm", [np.zeros((200, 100)), np.full((200, 200), np.nan)])
-def test_sv_threshold_rejects_bad_warm(warm):
-    M, _ = spiked(200, 8, [30.0], bulk=0.5)
-    with pytest.raises(ValueError, match="warm"):
-        sv_threshold(M, 1.0, warm=warm)
 
 
 @pytest.mark.property

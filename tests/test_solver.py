@@ -1,6 +1,7 @@
 """Decomposition solver tests: exact splits, augmented-Lagrangian descent,
 constrained mode feasibility, and a small convex-programming cross-check."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import qcr.linalg as linalg
 import qcr.solver as solver
+from qcr.certificate import GolfingConfig
 from qcr.experiments import PHASE_GRID
 from qcr.instances import InstanceParams, derive_seed, gen_planted
 from qcr.solver import (
@@ -62,6 +64,28 @@ def test_options_validation():
         for field in ("lam", "mu0", "mu_growth", "tol_primal"):
             with pytest.raises(ValueError, match=f"{field} must be"):
                 SolverOptions(**{field: bad})
+
+
+PARAMS = dict(n=10, n_c=4, gamma=0.5, rho=0.1, seed=1)
+
+
+@pytest.mark.parametrize("field, make, valid", [
+    ("max_iters", lambda v: SolverOptions(max_iters=v), 3),
+    ("n", lambda v: InstanceParams(**{**PARAMS, "n": v}), 10),
+    ("n_c", lambda v: InstanceParams(**{**PARAMS, "n_c": v}), 4),
+    ("seed", lambda v: InstanceParams(**{**PARAMS, "seed": v}), 1),
+    ("trials", lambda v: dataclasses.replace(PHASE_GRID, trials=v), 2),
+    ("k0", lambda v: GolfingConfig(k0=v, p=0.5, seed=0), 3),
+], ids=["SolverOptions.max_iters", "InstanceParams.n", "InstanceParams.n_c",
+        "InstanceParams.seed", "GridSpec.trials", "GolfingConfig.k0"])
+def test_integer_fields_reject_non_integers(field, make, valid):
+    # a float count or seed would pass the range checks and fail later, in
+    # a range(), a draw or a grid cell; Python and numpy integers pass
+    for bad in (2.5, float(valid), str(valid)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
+            make(bad)
+    for good in (valid, np.int64(valid)):
+        assert getattr(make(good), field) == valid
 
 
 def test_options_defaults_resolve():
@@ -288,8 +312,8 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
     certified = []
     real_prox = linalg._certified_prox
 
-    def counting(M, tau, warm, carry):
-        out = real_prox(M, tau, warm, carry)
+    def counting(M, tau, carry):
+        out = real_prox(M, tau, carry)
         certified.append(out is not None)
         return out
 
@@ -306,21 +330,21 @@ N200_QC = QuasiCliqueParams(gamma=0.85, eta=100)
 
 def test_quasi_clique_spectral_start_certifies_every_call_after_the_first(monkeypatch):
     # under 1.25/||A||_2 the prox threshold starts near the top eigenvalue,
-    # so every prox call keeps few eigenvalues; all but the first, whose warm
-    # start B = 0 has rank 0, skip the full eigh
+    # so every prox call keeps few eigenvalues; all but the first, whose
+    # fresh carry holds no warm start, skip the full eigh
     inst = planted(n=200, n_c=100, seed=0)
     certified = []
     real_prox = linalg._certified_prox
 
-    def counting(M, tau, warm, carry):
-        out = real_prox(M, tau, warm, carry)
+    def counting(M, tau, carry):
+        out = real_prox(M, tau, carry)
         certified.append(out is not None)
         return out
 
     monkeypatch.setattr(linalg, "_certified_prox", counting)
     res = solve_quasi_clique(inst.A, N200_QC)
-    assert len(certified) == res.iterations
-    assert all(certified[1:])
+    assert len(certified) == res.iterations - 1
+    assert all(certified)
     assert res.converged and relative_error(res.B_star, inst.block_pattern) <= RECOVERY_TOL
 
 
@@ -332,8 +356,8 @@ def test_carried_bound_halves_the_cholesky_calls_of_an_n200_solve(monkeypatch):
     certified = []
     real_prox = linalg._certified_prox
 
-    def counting(M, tau, warm, carry):
-        out = real_prox(M, tau, warm, carry)
+    def counting(M, tau, carry):
+        out = real_prox(M, tau, carry)
         certified.append(out is not None)
         return out
 
@@ -349,10 +373,16 @@ def test_carried_bound_halves_the_cholesky_calls_of_an_n200_solve(monkeypatch):
 ], ids=["rpca", "quasi_clique"])
 def test_carried_bound_leaves_every_solve_output_unchanged(monkeypatch, solve, n):
     # the carry changes how a certified call is proven, never its output:
-    # the solve is bitwise the one whose calls each factor their own pair
+    # the solve is bitwise the one whose calls each get a fresh carry that
+    # holds only the previous output, and so factor their own pair
     A = planted(n=n, n_c=n // 2, seed=derive_seed(0, 1)).A
     real = solver.sv_threshold
-    monkeypatch.setattr(solver, "sv_threshold", lambda M, tau, warm=None, carry=None: real(M, tau, warm=warm))
+
+    def fresh_carry(M, tau, carry):
+        carry.warm = real(M, tau, carry=linalg._ProxCarry(warm=carry.warm))
+        return carry.warm
+
+    monkeypatch.setattr(solver, "sv_threshold", fresh_carry)
     chol = count_calls(monkeypatch, "cholesky", np.linalg)
     alone = solve(A)
     factored = len(chol)
