@@ -475,6 +475,8 @@ def test_carry_warm_is_every_call_output(symmetric):
         out = sv_threshold(M + 1e-6 * P, 1.0, carry=carry)
         assert carry.warm is out
     assert np.array_equal(out, out.T) == symmetric
+    # on the eigen path a certified call proved a bound; the SVD path has none
+    assert (carry.M_ref is not None) == symmetric
 
 
 @pytest.mark.parametrize("seed, shape, unit", [
