@@ -104,8 +104,8 @@ def _cell_params(spec: GridSpec, i: int, j: int, seed: int) -> InstanceParams:
     axis values by name, with n_c taken from a planted fraction when the cell
     gives one instead."""
     cell = {**spec.fixed, spec.axis1_name: spec.axis1_values[i], spec.axis2_name: spec.axis2_values[j]}
-    n = int(cell["n"])
-    n_c = int(cell["n_c"]) if "n_c" in cell else planted_size(n, float(cell["fraction"]))
+    n = cell["n"]
+    n_c = cell["n_c"] if "n_c" in cell else planted_size(n, float(cell["fraction"]))
     return InstanceParams(n=n, n_c=n_c, gamma=float(cell["gamma"]), rho=float(cell["rho"]), seed=seed)
 
 

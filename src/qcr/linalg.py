@@ -208,39 +208,39 @@ def sv_threshold(M, tau: float, *, carry=None) -> np.ndarray:
     """Singular-value shrinkage U @ diag(max(sigma - tau, 0)) @ V.T, the prox of
     tau*||.||_*.
 
-    An exactly symmetric M takes the symmetric eigen path: with M = Q diag(w) Q.T,
-    the prox is Q diag(sign(w) * max(|w| - tau, 0)) Q.T, symmetrized so that
-    the output is exactly symmetric too. The solvers' other steps are
-    entrywise, so a symmetric input keeps every later prox on this path. Any
-    other M uses the SVD.
+    An exactly symmetric M takes the symmetric eigen path: from eigenpairs
+    (w, Q) of M with |w| > tau, the prox is R = Q diag(w - sign(w) tau) Q.T,
+    returned as (R + R.T) / 2 so that the output is exactly symmetric too.
+    The solvers' other steps are entrywise, so a symmetric input keeps every
+    later prox on this path. Any other M uses the SVD.
 
     carry is the _ProxCarry that one solve hands to each of its calls, or
-    None. A call with a carry sets carry.warm to its output, on either path.
-    On the eigen path at n >= 128, a call whose carry holds a warm first
-    tries _certified_prox from its range: a result proven within
+    None. An eigen-path call with a carry sets carry.basis to the Q it kept.
+    At n >= 128, a call whose carry holds a basis first tries
+    _certified_prox from it: Ritz pairs whose prox is proven within
     sqrt(2) * 1e-13 * ||M||_F of the exact prox, or None. Otherwise, and
     below n = 128 where a full eigh costs no more than the attempt, the
-    prox is one full eigh. The output depends on M, tau and carry.warm
-    alone; the rest of the carry changes only how a call is proven."""
+    pairs are those of one full eigh. The output depends on M, tau and
+    carry.basis alone; the rest of the carry changes only how a call is
+    proven."""
     M = _as_square(M)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    if np.array_equal(M, M.T):
-        R = None
-        if carry is not None and carry.warm is not None and M.shape[0] >= _WARM_MIN_N:
-            R = _certified_prox(M, tau, carry)
-        if R is None:
-            w, Q = np.linalg.eigh(M)
-            keep = np.abs(w) > tau
-            w, Q = w[keep], Q[:, keep]
-            R = (Q * (w - np.copysign(tau, w))) @ Q.T
-        out = 0.5 * (R + R.T)
-    else:
+    if not np.array_equal(M, M.T):
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        out = (U * np.maximum(s - tau, 0.0)) @ Vt
+        return (U * np.maximum(s - tau, 0.0)) @ Vt
+    pairs = None
+    if carry is not None and carry.basis is not None and M.shape[0] >= _WARM_MIN_N:
+        pairs = _certified_prox(M, tau, carry)
+    if pairs is None:
+        w, Q = np.linalg.eigh(M)
+        keep = np.abs(w) > tau
+        pairs = w[keep], Q[:, keep]
+    w, Q = pairs
     if carry is not None:
-        carry.warm = out
-    return out
+        carry.basis = Q
+    R = (Q * (w - np.copysign(tau, w))) @ Q.T
+    return 0.5 * (R + R.T)
 
 
 @lru_cache(maxsize=8)
@@ -255,16 +255,17 @@ def _gaussian(seed: int, shape: tuple, unit: bool = False) -> np.ndarray:
     return X
 
 
-# The certified low-rank prox: the least n it is tried at, the largest warm
-# rank, the start vectors added to the warm range, the most block steps, the
-# residual bound relative to ||M||_F, the seed of the sketch of warm and the
-# shift, as a fraction of tau, at which a Cholesky pair first tries to prove
-# a bound it can hand on (see _certified_prox).
+# The certified low-rank prox: the least n it is tried at, the largest kept
+# rank it starts from, the start vectors added to the kept basis, the most
+# block steps, the residual bound relative to ||M||_F, the seed of the added
+# start vectors and the shift, as a fraction of tau, at which a Cholesky pair
+# first tries to prove a bound it can hand on (see _certified_prox).
 #
 # With the floor at 0, the seed-0 phase grid (n = 100, one trial per cell)
 # certifies 863 of its 10,377 prox calls, fails 9,514 attempts and runs
 # 12.52 -> 12.65 s (medians of 4, alternated in one process, 2-core x86-64,
 # OpenBLAS, 1 thread), with no iteration count changed; so it stays at 128.
+# (Measured when the block started from a sketch of the last output.)
 # A shift of 0.95 or 0.9 in place of 0.99 fails the first pair on so many
 # calls of n = 400 plain solves that they factor more than with no carried
 # bound at all (48-54 Cholesky calls against 32-36).
@@ -279,24 +280,26 @@ _CARRY_SHIFT = 0.99
 
 @dataclass(eq=False)
 class _ProxCarry:
-    """What the prox calls of one solve hand on to later calls: warm, the
-    output of the last call, whose range starts the next call's block steps;
-    a copy M_ref of an input whose dropped spectrum a Cholesky pair proved
-    small, the number `kept` of Ritz values it kept, and the bound b with
-    all but `kept` eigenvalues of M_ref in (-b, b). warm is None before the
-    first call, M_ref until the first such proof."""
+    """What the prox calls of one solve hand on to later calls: basis, the
+    n x k column-orthonormal eigenvectors the last eigen-path call kept,
+    which start the next call's block steps; a copy M_ref of an input whose
+    dropped spectrum a Cholesky pair proved small, the number `kept` of Ritz
+    values it kept, and the bound b with all but `kept` eigenvalues of M_ref
+    in (-b, b). basis is None before the first eigen-path call, M_ref until
+    the first such proof."""
 
-    warm: np.ndarray | None = None
+    basis: np.ndarray | None = None
     M_ref: np.ndarray | None = None
     kept: int = 0
     bound: float = math.inf
 
 
 def _certified_prox(M, tau: float, carry):
-    """The prox of the symmetric M from block subspace steps started at the
-    range of carry.warm, or None when it cannot be certified.
+    """Ritz pairs (theta, Q) of the symmetric M whose prox
+    Q diag(theta - sign(theta) tau) Q.T is certified, from block subspace
+    steps started at carry.basis; None when they cannot be certified.
 
-    The steps end with Ritz pairs (Q, theta) of M, kept where |theta| > tau.
+    The steps end with Ritz pairs of M, kept where |theta| > tau.
     With the residual R = M Q - Q diag(theta) and D = (I - QQ.T) M (I - QQ.T),
     the matrix M - R Q.T - Q R.T is block diagonal: diag(theta) on range(Q),
     D on its complement. When -tau I < D < tau I its prox is exactly
@@ -318,33 +321,23 @@ def _certified_prox(M, tau: float, carry):
     block D in (-s, s), so those of M in (-b, b) with
     b = s + sqrt(2) ||R||_F; M, k and b then replace what carry held.
 
-    Each step filters the block by M^2 - tau^2 I / 2, a multiple of the
-    Chebyshev polynomial T_2(M / tau), which is at most 1 in magnitude on
-    the spectrum the prox drops, then orthonormalizes it and takes the Ritz
-    pairs. With a kept eigenvalue at 2.45 tau and a dropped one at 0.88 tau,
-    as late in a quasi-clique solve, the residual needs more than 8 steps
-    from a rank-one warm start. The budget of 16 certifies as many calls of
-    such a solve at n = 200, 400 and 800 as 32 steps do. The attempt ends
-    early, with None, when carry.warm has rank above _WARM_RANK_MAX, when a
-    kept Ritz value lies within a factor 2 of tau (the steps would converge
-    too slowly) or when the residual, shrinking at its last rate, would miss
-    the bound within _WARM_STEPS steps."""
-    n = M.shape[0]
-    b = _WARM_RANK_MAX + _WARM_EXTRA
-    if not tau > 0.0 or n <= 2 * b:
+    The block is an orthonormal basis of carry.basis and _WARM_EXTRA fixed
+    Gaussian columns. Each step filters it by M^2 - tau^2 I / 2, a multiple
+    of the Chebyshev polynomial T_2(M / tau), which is at most 1 in
+    magnitude on the spectrum the prox drops, then orthonormalizes it and
+    takes the Ritz pairs. With a kept eigenvalue at 2.45 tau and a dropped
+    one at 0.88 tau, as late in a quasi-clique solve, the residual needs
+    more than 8 steps from a one-column basis. The budget of 16 certifies as
+    many calls of such a solve at n = 200, 400 and 800 as 32 steps do. The
+    attempt ends early, with None, when carry.basis has no columns or more
+    than _WARM_RANK_MAX, when a kept Ritz value lies within a factor 2 of
+    tau (the steps would converge too slowly) or when the residual,
+    shrinking at its last rate, would miss the bound within _WARM_STEPS
+    steps."""
+    n, k = carry.basis.shape
+    if not tau > 0.0 or not 0 < k <= _WARM_RANK_MAX:
         return None
-    # a cheap exit for a warm of high rank: b of its columns already span
-    # more than _WARM_RANK_MAX dimensions
-    C = carry.warm[:, :: n // b][:, :b]
-    g = np.linalg.eigvalsh(C.T @ C)
-    if np.count_nonzero(g > 1e-12 * g[-1]) > _WARM_RANK_MAX:
-        return None
-    omega = _gaussian(_WARM_SEED, (n, b))
-    U, s, _ = np.linalg.svd(carry.warm @ omega, full_matrices=False)
-    k = int(np.count_nonzero(s > 1e-10 * s[0]))
-    if not 0 < k <= _WARM_RANK_MAX:
-        return None
-    V = np.linalg.qr(np.hstack((U[:, :k], omega[:, :_WARM_EXTRA])))[0]
+    V = np.linalg.qr(np.hstack((carry.basis, _gaussian(_WARM_SEED, (n, _WARM_EXTRA)))))[0]
     bound = _WARM_RTOL * float(np.linalg.norm(M))
     last = np.inf
     for step in range(_WARM_STEPS):
@@ -374,7 +367,7 @@ def _certified_prox(M, tau: float, carry):
             carry.M_ref = M.copy()
             carry.kept = theta.size
             carry.bound = s + spread
-    return (Q * (theta - np.copysign(tau, theta))) @ Q.T
+    return theta, Q
 
 
 def _proven_shift(M, Q, MQ, tau: float):

@@ -72,7 +72,7 @@ class QuasiCliqueParams:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if int(self.eta) != self.eta or self.eta < 1:
+        if _as_int(self.eta, "eta") < 1:
             raise ValueError(f"eta must be a positive integer, got {self.eta}")
 
 
@@ -91,9 +91,10 @@ def _alm(M, c_prox, mu, opts: SolverOptions):
     """Inexact augmented-Lagrangian iteration for min ||B||_* + g(C) subject
     to B + C = M, from the penalty mu, on the schedule of SolverOptions.
     Each pass takes B by singular-value shrinkage, with one _ProxCarry for
-    the whole solve: it holds the previous B as the next call's warm start,
-    none on the first call, and a bound proven on one call that can certify
-    later ones. Then C by c_prox, then a dual ascent step on the constraint.
+    the whole solve: it holds the eigenvectors the previous call kept, the
+    basis the next call's block steps start from, none on the first call,
+    and a bound proven on one call that can certify later ones. Then C by
+    c_prox, then a dual ascent step on the constraint.
     c_prox(V, kappa) is the prox of g/mu at V, called with kappa = lam/mu:
     soft_threshold when g = lam*||C||_1. Returns the last B and C and the
     result's iterations, primal_residual, converged and final_penalty.

@@ -123,9 +123,12 @@ def test_size_grid_easy_cell_recovers():
     (run_phase_grid, GridSpec("gamma", (0.9,), "rho", (0.1,), fixed={"n": 30, "n_c": 40}), 1),
     (run_phase_grid, GridSpec("gamma", (0.9, 1.5), "rho", (0.1,), fixed={"n": 30, "n_c": 22}), 1),
     (run_size_grid, GridSpec("n", (20,), "fraction", (0.5, 1.5), fixed={"gamma": 0.9, "rho": 0.1}), 1),
+    (run_phase_grid, GridSpec("gamma", (0.8,), "rho", (0.1,), fixed={"n": 30.9, "n_c": 20.5}), 1),
+    (run_size_grid, GridSpec("n", (30.7,), "fraction", (0.5,), fixed={"gamma": 0.9, "rho": 0.1}), 1),
     (run_phase_grid, small_phase_spec(), 0),
     (run_phase_grid, small_phase_spec(), -4),
-], ids=["n_c>n", "gamma>1", "fraction>1", "threads=0", "threads=-4"])
+], ids=["n_c>n", "gamma>1", "fraction>1", "fractional sizes", "fractional n axis", "threads=0",
+        "threads=-4"])
 def test_invalid_grid_rejected_before_any_trial(monkeypatch, run_grid, spec, threads):
     calls = count_calls(monkeypatch, "gen_planted", experiments)
     with pytest.raises(ValueError):

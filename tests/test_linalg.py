@@ -331,6 +331,23 @@ def spiked(n, seed, spikes, bulk=0.999):
     return 0.5 * (M + M.T), Q
 
 
+def carry_from(W):
+    """A carry whose basis spans the range of W, as the prox call whose
+    output W is would leave it."""
+    U, s, _ = np.linalg.svd(W)
+    return _ProxCarry(basis=U[:, s > 1e-10 * s[0]])
+
+
+def certified_prox(M, tau, carry):
+    """linalg._certified_prox as a matrix: the prox Q diag(theta -
+    sign(theta) tau) Q.T of the Ritz pairs it returns, or None."""
+    pairs = linalg_mod._certified_prox(M, tau, carry)
+    if pairs is None:
+        return None
+    theta, Q = pairs
+    return (Q * (theta - np.copysign(tau, theta))) @ Q.T
+
+
 @pytest.mark.parametrize("n", [50, 100, 200])
 def test_certified_prox_matches_svd_reference(n):
     # rank one plus symmetric noise, warm-started from the prox of a nearby
@@ -340,10 +357,10 @@ def test_certified_prox_matches_svd_reference(n):
     M = 30.0 * np.outer(u, u) + random_symmetric(g, n) / (4.0 * math.sqrt(n))
     tau = 1.0
     warm = svd_threshold_reference(M + 1e-3 * random_symmetric(g, n), tau)
-    Z = linalg_mod._certified_prox(M, tau, _ProxCarry(warm=warm))
+    Z = certified_prox(M, tau, carry_from(warm))
     assert Z is not None
     assert np.abs(Z - svd_threshold_reference(M, tau)).max() <= 1e-11
-    out = sv_threshold(M, tau, carry=_ProxCarry(warm=warm))
+    out = sv_threshold(M, tau, carry=carry_from(warm))
     assert np.abs(out - svd_threshold_reference(M, tau)).max() <= 1e-11
     assert np.array_equal(out, out.T)
 
@@ -356,7 +373,7 @@ def test_certified_prox_converges_within_its_step_budget():
     M, _ = spiked(n, 11, [2.45], bulk=0.88)
     warm = svd_threshold_reference(M + 1e-3 * random_symmetric(rng(111), n) / math.sqrt(n), tau)
     assert np.linalg.matrix_rank(warm) == 1
-    Z = linalg_mod._certified_prox(M, tau, _ProxCarry(warm=warm))
+    Z = certified_prox(M, tau, carry_from(warm))
     assert Z is not None
     assert np.abs(Z - svd_threshold_reference(M, tau)).max() <= 1e-11
 
@@ -369,8 +386,8 @@ def test_certified_prox_falls_back_on_eigenvalue_outside_warm(sign):
     n, tau = 200, 1.0
     M, Q = spiked(n, 7, [30.0, sign * 1.001])
     warm = 29.0 * np.outer(Q[:, 0], Q[:, 0])
-    assert linalg_mod._certified_prox(M, tau, _ProxCarry(warm=warm)) is None
-    assert np.array_equal(sv_threshold(M, tau, carry=_ProxCarry(warm=warm)), sv_threshold(M, tau))
+    assert certified_prox(M, tau, carry_from(warm)) is None
+    assert np.array_equal(sv_threshold(M, tau, carry=carry_from(warm)), sv_threshold(M, tau))
 
 
 @pytest.mark.parametrize("tau, warm", [(0.0, "spike"), (1.0, "zero"), (1.0, "full rank")])
@@ -382,8 +399,8 @@ def test_certified_prox_needs_positive_tau_and_low_rank_warm(tau, warm):
         "zero": np.zeros((n, n)),
         "full rank": random_symmetric(rng(10), n),
     }[warm]
-    assert linalg_mod._certified_prox(M, tau, _ProxCarry(warm=W)) is None
-    assert np.array_equal(sv_threshold(M, tau, carry=_ProxCarry(warm=W)), sv_threshold(M, tau))
+    assert certified_prox(M, tau, carry_from(W)) is None
+    assert np.array_equal(sv_threshold(M, tau, carry=carry_from(W)), sv_threshold(M, tau))
 
 
 def carried_spike(spikes, warm_spikes):
@@ -398,9 +415,9 @@ def test_carried_bound_certifies_a_nearby_call_without_factoring(monkeypatch):
     # the pair at 0.99 tau proves the bulk of M below 0.99 tau; a later M
     # within 1e-3 (Frobenius) of it keeps that bound below tau by Weyl
     M, _, warm = carried_spike([30.0], 1)
-    carry = _ProxCarry(warm=warm)
+    carry = carry_from(warm)
     chol = count_calls(monkeypatch, "cholesky", np.linalg)
-    assert linalg_mod._certified_prox(M, 1.0, carry) is not None
+    assert certified_prox(M, 1.0, carry) is not None
     assert len(chol) == 2 and carry.kept == 1
     assert 0.99 <= carry.bound < 0.99 + 1e-12
     P = random_symmetric(rng(12), 200)
@@ -415,11 +432,11 @@ def test_carried_bound_rejects_a_dropped_eigenvalue_that_crossed_tau():
     # warm range: the kept count stays 1, and only ||M - M_ref||_F in the
     # carried bound tells the later call apart from M_ref
     M, Q, warm = carried_spike([30.0], 1)
-    carry = _ProxCarry(warm=warm)
-    assert linalg_mod._certified_prox(M, 1.0, carry) is not None
+    carry = carry_from(warm)
+    assert certified_prox(M, 1.0, carry) is not None
     q = Q[:, 1]
     M2 = M + (1.2 - q @ M @ q) * np.outer(q, q)
-    assert linalg_mod._certified_prox(M2, 1.0, carry) is None
+    assert certified_prox(M2, 1.0, carry) is None
     assert carry.kept == 1
     Z = sv_threshold(M2, 1.0, carry=carry)
     assert np.abs(Z - svd_threshold_reference(M2, 1.0)).max() <= 1e-10
@@ -430,11 +447,11 @@ def test_carried_bound_needs_the_same_kept_count():
     # call on the same M whose warm misses the spike at 3 tau keeps one, so
     # only the Cholesky pair, which fails, can judge it
     M, _, both = carried_spike([30.0, 3.0], 2)
-    carry = _ProxCarry(warm=both)
-    assert linalg_mod._certified_prox(M, 1.0, carry) is not None
+    carry = carry_from(both)
+    assert certified_prox(M, 1.0, carry) is not None
     assert carry.kept == 2
-    carry.warm = carried_spike([30.0, 3.0], 1)[2]
-    assert linalg_mod._certified_prox(M, 1.0, carry) is None
+    carry.basis = carry_from(carried_spike([30.0, 3.0], 1)[2]).basis
+    assert certified_prox(M, 1.0, carry) is None
     Z = sv_threshold(M, 1.0, carry=carry)
     assert np.abs(Z - svd_threshold_reference(M, 1.0)).max() <= 1e-10
 
@@ -443,14 +460,14 @@ def test_failed_shift_falls_back_to_the_pair_at_tau():
     # a bulk eigenvalue at 0.995 tau fails the pair at 0.99 tau but not the
     # one at tau: the call is certified and records no bound
     M, Q = spiked(200, 9, [30.0, 0.995], bulk=0.5)
-    carry = _ProxCarry(warm=29.0 * np.outer(Q[:, 0], Q[:, 0]))
-    Z = linalg_mod._certified_prox(M, 1.0, carry)
+    carry = carry_from(29.0 * np.outer(Q[:, 0], Q[:, 0]))
+    Z = certified_prox(M, 1.0, carry)
     assert Z is not None and carry.M_ref is None
     assert np.abs(Z - svd_threshold_reference(M, 1.0)).max() <= 1e-11
 
 
 def test_fresh_carry_takes_the_full_eigh_first(monkeypatch):
-    # a carry with no warm yet has nothing to start block steps from: the
+    # a carry with no basis yet has nothing to start block steps from: the
     # first call is one full eigh, and only the next reaches the certified prox
     M, _ = spiked(200, 8, [30.0], bulk=0.5)
     reached = count_calls(monkeypatch, "_certified_prox", linalg_mod)
@@ -464,16 +481,23 @@ def test_fresh_carry_takes_the_full_eigh_first(monkeypatch):
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["eigen", "svd"])
-def test_carry_warm_is_every_call_output(symmetric):
-    # each call leaves its own return value as the next call's warm, on the
-    # eigen path (first a full eigh, then certified calls) and on the SVD path
+def test_carry_basis_spans_every_call_output(symmetric):
+    # on the eigen path (first a full eigh, then certified calls) each call
+    # leaves an orthonormal basis of its own output's range as the next
+    # call's start; the SVD path leaves none
     M, _ = spiked(200, 8, [30.0], bulk=0.5)
     g = rng(13)
     carry = _ProxCarry()
     for _ in range(3):
         P = random_symmetric(g, 200) if symmetric else g.standard_normal((200, 200))
         out = sv_threshold(M + 1e-6 * P, 1.0, carry=carry)
-        assert carry.warm is out
+        if symmetric:
+            Q = carry.basis
+            assert Q.shape == (200, np.linalg.matrix_rank(out))
+            assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+            assert np.abs(out - Q @ (Q.T @ out)).max() <= 1e-12
+        else:
+            assert carry.basis is None
     assert np.array_equal(out, out.T) == symmetric
     # on the eigen path a certified call proved a bound; the SVD path has none
     assert (carry.M_ref is not None) == symmetric
@@ -481,7 +505,7 @@ def test_carry_warm_is_every_call_output(symmetric):
 
 @pytest.mark.parametrize("seed, shape, unit", [
     (0x9E3779B9, (100, 100), True),
-    (linalg_mod._WARM_SEED, (200, linalg_mod._WARM_RANK_MAX + linalg_mod._WARM_EXTRA), False),
+    (linalg_mod._WARM_SEED, (200, linalg_mod._WARM_EXTRA), False),
 ], ids=["opnorm start", "prox sketch"])
 def test_fixed_starts_are_one_read_only_draw(seed, shape, unit):
     fresh = np.random.default_rng(seed).standard_normal(shape)

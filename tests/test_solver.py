@@ -76,8 +76,9 @@ PARAMS = dict(n=10, n_c=4, gamma=0.5, rho=0.1, seed=1)
     ("seed", lambda v: InstanceParams(**{**PARAMS, "seed": v}), 1),
     ("trials", lambda v: dataclasses.replace(PHASE_GRID, trials=v), 2),
     ("k0", lambda v: GolfingConfig(k0=v, p=0.5, seed=0), 3),
+    ("eta", lambda v: QuasiCliqueParams(gamma=0.5, eta=v), 5),
 ], ids=["SolverOptions.max_iters", "InstanceParams.n", "InstanceParams.n_c",
-        "InstanceParams.seed", "GridSpec.trials", "GolfingConfig.k0"])
+        "InstanceParams.seed", "GridSpec.trials", "GolfingConfig.k0", "QuasiCliqueParams.eta"])
 def test_integer_fields_reject_non_integers(field, make, valid):
     # a float count or seed would pass the range checks and fail later, in
     # a range(), a draw or a grid cell; Python and numpy integers pass
@@ -297,6 +298,21 @@ def test_eigen_prox_keeps_phase_grid_trials(monkeypatch, i, j, recovered):
     assert phase_grid_trial(i, j) == eigen
 
 
+def count_certified(monkeypatch):
+    """Wrap linalg._certified_prox; return the list that records, call by
+    call, whether it certified."""
+    certified = []
+    real_prox = linalg._certified_prox
+
+    def counting(M, tau, carry):
+        out = real_prox(M, tau, carry)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_certified_prox", counting)
+    return certified
+
+
 @pytest.mark.parametrize("solve", [
     solve_rpca, lambda A: solve_quasi_clique(A, QuasiCliqueParams(gamma=0.85, eta=100)),
 ], ids=["rpca", "quasi_clique"])
@@ -309,15 +325,7 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
     reference = solve(inst.A)
     monkeypatch.setattr(solver, "sv_threshold", real)
     calls = count_calls(monkeypatch, "sv_threshold", solver)
-    certified = []
-    real_prox = linalg._certified_prox
-
-    def counting(M, tau, carry):
-        out = real_prox(M, tau, carry)
-        certified.append(out is not None)
-        return out
-
-    monkeypatch.setattr(linalg, "_certified_prox", counting)
+    certified = count_certified(monkeypatch)
     res = solve(inst.A)
     assert len(calls) == res.iterations == reference.iterations
     assert 3 * sum(certified) >= len(calls)
@@ -331,17 +339,9 @@ N200_QC = QuasiCliqueParams(gamma=0.85, eta=100)
 def test_quasi_clique_spectral_start_certifies_every_call_after_the_first(monkeypatch):
     # under 1.25/||A||_2 the prox threshold starts near the top eigenvalue,
     # so every prox call keeps few eigenvalues; all but the first, whose
-    # fresh carry holds no warm start, skip the full eigh
+    # fresh carry holds no basis, skip the full eigh
     inst = planted(n=200, n_c=100, seed=0)
-    certified = []
-    real_prox = linalg._certified_prox
-
-    def counting(M, tau, carry):
-        out = real_prox(M, tau, carry)
-        certified.append(out is not None)
-        return out
-
-    monkeypatch.setattr(linalg, "_certified_prox", counting)
+    certified = count_certified(monkeypatch)
     res = solve_quasi_clique(inst.A, N200_QC)
     assert len(certified) == res.iterations - 1
     assert all(certified)
@@ -353,18 +353,25 @@ def test_carried_bound_halves_the_cholesky_calls_of_an_n200_solve(monkeypatch):
     # with the bound an earlier pair carries; fewer than one factorization
     # per certified call means most calls are carried
     inst = planted(n=200, n_c=100, seed=0)
-    certified = []
-    real_prox = linalg._certified_prox
-
-    def counting(M, tau, carry):
-        out = real_prox(M, tau, carry)
-        certified.append(out is not None)
-        return out
-
-    monkeypatch.setattr(linalg, "_certified_prox", counting)
+    certified = count_certified(monkeypatch)
     chol = count_calls(monkeypatch, "cholesky", np.linalg)
     solve_quasi_clique(inst.A, N200_QC)
     assert 0 < len(chol) < sum(certified)
+
+
+@pytest.mark.parametrize("solve, counts", [
+    (solve_rpca, (42, 18, 41, 16)),
+    (lambda A: solve_quasi_clique(A, QuasiCliqueParams(gamma=0.85, eta=200)), (32, 30, 31, 22)),
+], ids=["rpca", "quasi_clique"])
+def test_prover_counts_of_the_cli_n400_instance(monkeypatch, solve, counts):
+    # on the seed-0 instance of the benchmark's cli-n400 workload: the
+    # iterations, the certified calls, the certified prox's attempts and the
+    # Cholesky factorizations of both programs' solves
+    A = planted(n=400, n_c=200, seed=derive_seed(0, 0)).A
+    certified = count_certified(monkeypatch)
+    chol = count_calls(monkeypatch, "cholesky", np.linalg)
+    res = solve(A)
+    assert (res.iterations, sum(certified), len(certified), len(chol)) == counts
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -374,13 +381,15 @@ def test_carried_bound_halves_the_cholesky_calls_of_an_n200_solve(monkeypatch):
 def test_carried_bound_leaves_every_solve_output_unchanged(monkeypatch, solve, n):
     # the carry changes how a certified call is proven, never its output:
     # the solve is bitwise the one whose calls each get a fresh carry that
-    # holds only the previous output, and so factor their own pair
+    # holds only the previous call's basis, and so factor their own pair
     A = planted(n=n, n_c=n // 2, seed=derive_seed(0, 1)).A
     real = solver.sv_threshold
 
     def fresh_carry(M, tau, carry):
-        carry.warm = real(M, tau, carry=linalg._ProxCarry(warm=carry.warm))
-        return carry.warm
+        fresh = linalg._ProxCarry(basis=carry.basis)
+        out = real(M, tau, carry=fresh)
+        carry.basis = fresh.basis
+        return out
 
     monkeypatch.setattr(solver, "sv_threshold", fresh_carry)
     chol = count_calls(monkeypatch, "cholesky", np.linalg)
