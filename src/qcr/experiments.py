@@ -34,6 +34,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
+def _scalar(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Two named parameter axes, the fixed remaining instance parameters, the
@@ -48,8 +52,13 @@ class GridSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "axis1_values", tuple(self.axis1_values))
-        object.__setattr__(self, "axis2_values", tuple(self.axis2_values))
+        # numpy scalars become Python ones, so the spec exports the same CSV
+        # labels and JSON values as one written with Python numbers
+        object.__setattr__(self, "axis1_values", tuple(map(_scalar, self.axis1_values)))
+        object.__setattr__(self, "axis2_values", tuple(map(_scalar, self.axis2_values)))
+        object.__setattr__(self, "fixed", {k: _scalar(v) for k, v in self.fixed.items()})
+        object.__setattr__(self, "trials", _scalar(self.trials))
+        object.__setattr__(self, "base_seed", _scalar(self.base_seed))
         if _as_int(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.axis1_values or not self.axis2_values:
@@ -95,7 +104,9 @@ class RecoveryGrid:
 
 def planted_size(n: int, fraction: float) -> int:
     """Planted block size for a fractional specification: fraction*n rounded
-    half-up, floored at 1."""
+    half-up, floored at 1. The fraction must lie in (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     return max(1, int(np.floor(fraction * n + 0.5)))
 
 

@@ -212,9 +212,15 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
     B + C = A with the constraint moved onto C: its C-step is the l1 prox
     subject to A - C in the box/halfspace set (clip(W + t, 0, 1) with the
     least shift t >= 0 that meets the density target). Only the start
-    differs: 1.25/||A||_2 unless opts.mu0 is given, the inexact-ALM start of
-    Lin, Chen and Ma (arXiv:1009.5055), under which the nuclear prox
-    threshold 1/mu begins near the top eigenvalue and keeps few of them.
+    differs: 10/||A||_2 unless opts.mu0 is given, eight times the inexact-ALM
+    start 1.25/||A||_2 of Lin, Chen and Ma (arXiv:1009.5055). They grow the
+    penalty by 1.5 on every iteration, where this schedule grows it only on
+    a stall: from their start it grew in none of six n = 400 planted solves
+    and in 192 of the 453 feasible solves of the 10-trial phase grid. On
+    those 453, eight times their start takes 55% fewer iterations, moves no
+    recovery decision and keeps every objective within 2.4e-6 relative of
+    theirs. A larger start lets the primal-only stop accept suboptimal
+    points: at 32x, three recovered trial-0 cells fail.
     Returns B* = A - C, which lies in the box exactly, and C* = A - B*. The
     reported primal_residual is ||A - B - C||_F / ||A||_F with B the last
     singular-value shrinkage, which is also how far B* lies from it.
@@ -238,7 +244,7 @@ def solve_quasi_clique(A, qc: QuasiCliqueParams, opts: SolverOptions | None = No
         )
 
     # sum(A) >= target > 0 above, so A is nonzero
-    mu0 = opts.mu0 if opts.mu0 is not None else 1.25 / norm(A, "spectral")
+    mu0 = opts.mu0 if opts.mu0 is not None else 10.0 / norm(A, "spectral")
     _, C, stats = _alm(A, _l1_prox_in_box_halfspace(A, target), mu0, opts)
     B_star = A - C
     return _result(B_star, A - B_star, opts.resolve_lam(n), stats)

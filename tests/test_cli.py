@@ -383,7 +383,11 @@ def test_grid_threads_below_one_exit2(tmp_chdir, capsys, threads):
 @pytest.mark.parametrize("flags, message", [
     (("--kind", "phase", "--n", "30", "--nc", "40", "--gammas", "0.9", "--rhos", "0.1"), "n_c must satisfy"),
     (("--kind", "phase", "--n", "30", "--nc", "22", "--gammas", "1.5", "--rhos", "0.1"), "gamma must lie"),
-    (("--kind", "size", "--n-list", "20", "--fractions", "1.5"), "n_c must satisfy"),
+    (("--kind", "size", "--n-list", "20", "--fractions", "1.5"), "fraction must lie in (0, 1], got 1.5"),
+    (("--kind", "size", "--n-list", "10", "--fractions", "1.02"), "fraction must lie in (0, 1], got 1.02"),
+    (("--kind", "size", "--n-list", "10", "--fractions", "-5"), "fraction must lie in (0, 1], got -5.0"),
+    (("--kind", "size", "--n-list", "10", "--fractions", "0"), "fraction must lie in (0, 1], got 0.0"),
+    (("--kind", "size", "--n-list", "10", "--fractions", "nan"), "fraction must lie in (0, 1], got nan"),
 ])
 def test_grid_invalid_cell_exit2_writes_nothing(tmp_chdir, capsys, flags, message):
     rc, _, err = run(capsys, "grid", *flags, "--trials", "1", "--out-dir", "res")

@@ -3,6 +3,7 @@ interrupts, the on-demand process pool, and export file formats."""
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -62,6 +63,7 @@ def test_planted_size_rounds_half_up_with_floor_one():
     assert planted_size(25, 0.5) == 13
     assert planted_size(50, 0.6) == 30
     assert planted_size(10, 0.01) == 1
+    assert planted_size(10, 1.0) == 10
 
 
 def test_grid_axis_names_enforced():
@@ -123,11 +125,16 @@ def test_size_grid_easy_cell_recovers():
     (run_phase_grid, GridSpec("gamma", (0.9,), "rho", (0.1,), fixed={"n": 30, "n_c": 40}), 1),
     (run_phase_grid, GridSpec("gamma", (0.9, 1.5), "rho", (0.1,), fixed={"n": 30, "n_c": 22}), 1),
     (run_size_grid, GridSpec("n", (20,), "fraction", (0.5, 1.5), fixed={"gamma": 0.9, "rho": 0.1}), 1),
+    (run_size_grid, GridSpec("n", (10,), "fraction", (0.5, 1.02), fixed={"gamma": 0.9, "rho": 0.1}), 1),
+    (run_size_grid, GridSpec("n", (10,), "fraction", (0.5, -5), fixed={"gamma": 0.9, "rho": 0.1}), 1),
+    (run_size_grid, GridSpec("n", (10,), "fraction", (0.5, 0), fixed={"gamma": 0.9, "rho": 0.1}), 1),
+    (run_size_grid, GridSpec("n", (10,), "fraction", (0.5, math.nan), fixed={"gamma": 0.9, "rho": 0.1}), 1),
     (run_phase_grid, GridSpec("gamma", (0.8,), "rho", (0.1,), fixed={"n": 30.9, "n_c": 20.5}), 1),
     (run_size_grid, GridSpec("n", (30.7,), "fraction", (0.5,), fixed={"gamma": 0.9, "rho": 0.1}), 1),
     (run_phase_grid, small_phase_spec(), 0),
     (run_phase_grid, small_phase_spec(), -4),
-], ids=["n_c>n", "gamma>1", "fraction>1", "fractional sizes", "fractional n axis", "threads=0",
+], ids=["n_c>n", "gamma>1", "fraction>1", "fraction 1.02 at n=10", "fraction=-5", "fraction=0",
+        "fraction=nan", "fractional sizes", "fractional n axis", "threads=0",
         "threads=-4"])
 def test_invalid_grid_rejected_before_any_trial(monkeypatch, run_grid, spec, threads):
     calls = count_calls(monkeypatch, "gen_planted", experiments)
@@ -234,9 +241,9 @@ def test_cells_count_iterations_and_unconverged_trials(monkeypatch):
 # ---------------------------------------------------------------- export
 
 
-def handmade_grid(rates, complete=True):
+def handmade_grid(rates, complete=True, spec=None):
     rates = np.asarray(rates, dtype=float)
-    spec = GridSpec(
+    spec = spec or GridSpec(
         axis1_name="n",
         axis1_values=tuple(25 * (i + 1) for i in range(rates.shape[0])),
         axis2_name="fraction",
@@ -309,6 +316,22 @@ def test_export_reruns_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
     assert (tmp_path / "a_manifest.json").read_bytes() == (tmp_path / "b_manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("numpy_spec, python_spec", [
+    (GridSpec("gamma", np.array([0.9, 1.0]), "rho", np.linspace(0, 0.1, 2),
+              fixed={"n": np.int64(30), "n_c": np.int64(22)}, trials=np.int64(2)),
+     GridSpec("gamma", (0.9, 1.0), "rho", (0.0, 0.1), fixed={"n": 30, "n_c": 22}, trials=2)),
+    (GridSpec("n", np.arange(10, 14, 2), "fraction", np.array([0.5, 1.0]),
+              fixed={"gamma": np.float64(0.9), "rho": 0.1}, base_seed=np.int64(4)),
+     GridSpec("n", (10, 12), "fraction", (0.5, 1.0), fixed={"gamma": 0.9, "rho": 0.1}, base_seed=4)),
+], ids=["phase", "size"])
+def test_spec_of_numpy_values_exports_like_python_values(tmp_path, numpy_spec, python_spec):
+    rates = [[0.0, 0.5], [1.0, 0.5]]
+    export_grid(handmade_grid(rates, spec=numpy_spec), str(tmp_path / "np"))
+    export_grid(handmade_grid(rates, spec=python_spec), str(tmp_path / "py"))
+    for suffix in (".csv", ".pgm", "_manifest.json"):
+        assert (tmp_path / f"np{suffix}").read_bytes() == (tmp_path / f"py{suffix}").read_bytes()
 
 
 def test_export_write_failure_raises_oserror(tmp_path):

@@ -22,6 +22,7 @@ from qcr.solver import (
     InfeasibleError,
     QuasiCliqueParams,
     SolverOptions,
+    recovery_verdict,
     relative_error,
     solve_quasi_clique,
     solve_rpca,
@@ -336,15 +337,17 @@ def test_certified_prox_serves_a_third_of_an_n200_solve(monkeypatch, solve):
 N200_QC = QuasiCliqueParams(gamma=0.85, eta=100)
 
 
-def test_quasi_clique_spectral_start_certifies_every_call_after_the_first(monkeypatch):
-    # under 1.25/||A||_2 the prox threshold starts near the top eigenvalue,
-    # so every prox call keeps few eigenvalues; all but the first, whose
-    # fresh carry holds no basis, skip the full eigh
+def test_quasi_clique_spectral_start_certifies_every_call_after_the_third(monkeypatch):
+    # under 10/||A||_2 the first prox call, whose fresh carry holds no basis,
+    # takes the full eigh and keeps 4 eigenvalues; the second keeps 48, more
+    # than the block started from that basis can hold, and the third's basis
+    # is past the certified prox's rank cap, so both fall back to the full
+    # eigh; from the fourth on every call keeps few and skips it
     inst = planted(n=200, n_c=100, seed=0)
     certified = count_certified(monkeypatch)
     res = solve_quasi_clique(inst.A, N200_QC)
-    assert len(certified) == res.iterations - 1
-    assert all(certified)
+    assert res.iterations == 12
+    assert certified == [False, False] + [True] * 9
     assert res.converged and relative_error(res.B_star, inst.block_pattern) <= RECOVERY_TOL
 
 
@@ -361,7 +364,7 @@ def test_carried_bound_halves_the_cholesky_calls_of_an_n200_solve(monkeypatch):
 
 @pytest.mark.parametrize("solve, counts", [
     (solve_rpca, (42, 18, 41, 16)),
-    (lambda A: solve_quasi_clique(A, QuasiCliqueParams(gamma=0.85, eta=200)), (32, 30, 31, 22)),
+    (lambda A: solve_quasi_clique(A, QuasiCliqueParams(gamma=0.85, eta=200)), (12, 9, 11, 6)),
 ], ids=["rpca", "quasi_clique"])
 def test_prover_counts_of_the_cli_n400_instance(monkeypatch, solve, counts):
     # on the seed-0 instance of the benchmark's cli-n400 workload: the
@@ -372,6 +375,21 @@ def test_prover_counts_of_the_cli_n400_instance(monkeypatch, solve, counts):
     chol = count_calls(monkeypatch, "cholesky", np.linalg)
     res = solve(A)
     assert (res.iterations, sum(certified), len(certified), len(chol)) == counts
+
+
+@pytest.mark.parametrize("i, j", [(2, 1), (2, 2), (4, 4), (5, 6)],
+                         ids=["0.7-0.1", "0.7-0.2", "0.9-0.4", "1.0-0.6"])
+def test_quasi_clique_start_stops_where_the_lin_chen_ma_start_does(i, j):
+    # the primal-only stop accepts a suboptimal point when the start is too
+    # large (32x Lin-Chen-Ma's 1.25/||A||_2 fails all four cells); the default
+    # start must keep the verdict of that start and its objective to 1e-5
+    p = phase_grid_params(i, j)
+    inst = gen_planted(p)
+    qc = QuasiCliqueParams(gamma=p.gamma, eta=p.n_c)
+    base = solve_quasi_clique(inst.A, qc, SolverOptions(mu0=1.25 / linalg.norm(inst.A, "spectral")))
+    res = solve_quasi_clique(inst.A, qc)
+    assert recovery_verdict(res, inst.block_pattern)[0] == recovery_verdict(base, inst.block_pattern)[0]
+    assert res.objective == pytest.approx(base.objective, rel=1e-5)
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -416,7 +434,7 @@ def test_final_penalty_is_the_start_times_the_schedule():
     opts = SolverOptions(mu_growth=2.0)
     qc = solve_quasi_clique(A, SLOW_TAIL_QC, opts)
     plain = solve_rpca(A, opts)
-    for res, start in ((qc, 1.25 / linalg.norm(A, "spectral")), (plain, 0.25 / np.abs(A).mean())):
+    for res, start in ((qc, 10.0 / linalg.norm(A, "spectral")), (plain, 0.25 / np.abs(A).mean())):
         ratio = res.final_penalty / start
         assert ratio >= 2.0
         assert math.frexp(ratio)[0] == 0.5
